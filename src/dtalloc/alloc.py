@@ -52,7 +52,7 @@ class _Translator:
     binders keep their spelling unless they would shadow one.
     """
 
-    def __init__(self, reserved: set[Name]):
+    def __init__(self, reserved: frozenset[Name]):
         self.reserved = set(reserved)
         self.issued: set[Name] = set()
         self.k = 0
@@ -186,7 +186,7 @@ class _Translator:
         return ctor(n2, envt, x2, argt, bodyt)
 
 
-def _reserved_for(ctx: Context, e: Expr) -> set[Name]:
+def _reserved_for(ctx: Context, e: Expr) -> frozenset[Name]:
     out = all_names(e) | ctx.names()
     for b in ctx:
         out |= all_names(b.ty)

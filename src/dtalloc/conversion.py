@@ -40,6 +40,7 @@ from .syntax import (
     Univ,
     Universe,
     Var,
+    _bind,
     all_names,
     alpha_eq,
     fresh_name,
@@ -84,20 +85,18 @@ class Normalizer:
             [[c.cell_type, c.slot1, c.slot2] for c in heap.cells] if heap is not None else []
         )
         self.fuel = fuel if fuel is not None else Fuel()
-        self.forbidden: set[Name] = set(self.defs)
-        for v in self.defs.values():
-            self.forbidden |= all_names(v)
+        self._forbidden: frozenset[Name] | None = None
 
     # --- binder discipline -------------------------------------------------
 
     def _under(self, b: Name, parts: list[Expr]) -> tuple[Name, list[Expr]]:
         """Rename b away from the unfolding-sensitive names if needed."""
-        if b not in self.forbidden:
+        if self._forbidden is None:
+            # built on first use: most normalizations never go under a binder
+            self._forbidden = frozenset(self.defs).union(*map(all_names, self.defs.values()))
+        if b not in self._forbidden:
             return b, parts
-        avoid = set(self.forbidden)
-        for p in parts:
-            avoid |= all_names(p)
-        b2 = fresh_name(b, avoid)
+        b2 = fresh_name(b, self._forbidden.union(*map(all_names, parts)))
         return b2, [subst(p, Var(b2), b) for p in parts]
 
     # --- scratch heap ------------------------------------------------------
@@ -248,12 +247,6 @@ class Normalizer:
             case CTag(inner):
                 return CTag(self.norm(inner))
         raise TypeError(f"unknown expression node: {e!r}")
-
-
-def _bind(m: dict[Name, int], name: Name, level: int) -> dict[Name, int]:
-    m2 = dict(m)
-    m2[name] = level
-    return m2
 
 
 class _Cmp:

@@ -10,7 +10,7 @@ alpha-equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 Name = str
@@ -253,66 +253,95 @@ class Context:
 
 # ---------------------------------------------------------------------------
 # Free variables and freshening
+#
+# Nodes are frozen and never mutated, so each name analysis runs once per
+# node: the result is stored in the node's __dict__ under a key that is not
+# a dataclass field, where equality, hashing and repr do not look. Each
+# uncached helper computes one node's names from the memoized names of its
+# children, and _memoize runs it bottom-up with an explicit stack, so the
+# analyses of a deep term do not use Python's call stack.
 
-def free_vars(e: Expr) -> set[Name]:
+_NO_NAMES: frozenset[Name] = frozenset()
+
+# the fields of each node type that hold subexpressions; field types are
+# strings here because of the __future__ import
+_CHILD_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.type == "Expr") for cls in Expr.__subclasses__()
+}
+
+
+def _memoize(e: Expr, key: str, node_names) -> frozenset[Name]:
+    """Store node_names(n) under key on e and on every node below it that
+    lacks it; return e's value."""
+    order, todo = [], [e]
+    while todo:
+        n = todo.pop()
+        if key not in n.__dict__:
+            order.append(n)
+            for f in _CHILD_FIELDS.get(type(n), ()):
+                todo.append(getattr(n, f))
+    # every node comes after its parent in order, so children go first
+    for n in reversed(order):
+        if key not in n.__dict__:
+            object.__setattr__(n, key, node_names(n))
+    return e.__dict__[key]
+
+
+def free_vars(e: Expr) -> frozenset[Name]:
     """The free names of e; bound occurrences are excluded."""
+    fv = e.__dict__.get("_free_vars")
+    return fv if fv is not None else _memoize(e, "_free_vars", _free_vars)
+
+
+def _free_vars(e: Expr) -> frozenset[Name]:
     match e:
         case Var(x):
-            return {x}
+            return frozenset((x,))
         case Univ() | UnitTm() | UnitTy() | Loc():
-            return set()
+            return _NO_NAMES
         case Let(b, bound, annot, body):
             return free_vars(bound) | free_vars(annot) | (free_vars(body) - {b})
-        case Code(n, envty, x, argty, body):
+        case Code(n, envty, x, argty, body) | CodeTy(n, envty, x, argty, body):
             return free_vars(envty) | (free_vars(argty) - {n}) | (free_vars(body) - {n, x})
-        case CodeTy(n, envty, x, argty, res):
-            return free_vars(envty) | (free_vars(argty) - {n}) | (free_vars(res) - {n, x})
-        case Clo(c, env, pi):
+        case Clo(c, env, pi) | Pair(c, env, pi):
             return free_vars(c) | free_vars(env) | free_vars(pi)
-        case Pi(b, dom, cod):
+        case Pi(b, dom, cod) | Sigma(b, dom, _, cod, _) | Malloc(b, dom, cod):
             return free_vars(dom) | (free_vars(cod) - {b})
-        case App(f, a):
+        case App(f, a) | Assign1(f, a) | Assign2(f, a):
             return free_vars(f) | free_vars(a)
-        case Pair(a, d, s):
-            return free_vars(a) | free_vars(d) | free_vars(s)
-        case Sigma(b, dom, _, cod, _):
-            return free_vars(dom) | (free_vars(cod) - {b})
         case Fst(inner) | Snd(inner) | CTag(inner):
             return free_vars(inner)
-        case Malloc(b, t1, t2):
-            return free_vars(t1) | (free_vars(t2) - {b})
-        case Assign1(t, v) | Assign2(t, v):
-            return free_vars(t) | free_vars(v)
     raise TypeError(f"unknown expression node: {e!r}")
 
 
-def all_names(e: Expr) -> set[Name]:
+def all_names(e: Expr) -> frozenset[Name]:
     """Every name occurring in e, free or bound, including binders."""
+    names = e.__dict__.get("_all_names")
+    return names if names is not None else _memoize(e, "_all_names", _all_names)
+
+
+def _all_names(e: Expr) -> frozenset[Name]:
     match e:
         case Var(x):
-            return {x}
+            return frozenset((x,))
         case Univ() | UnitTm() | UnitTy() | Loc():
-            return set()
+            return _NO_NAMES
         case Let(b, bound, annot, body):
-            return {b} | all_names(bound) | all_names(annot) | all_names(body)
+            return all_names(bound) | all_names(annot) | all_names(body) | {b}
         case Code(n, envty, x, argty, body) | CodeTy(n, envty, x, argty, body):
-            return {n, x} | all_names(envty) | all_names(argty) | all_names(body)
-        case Clo(c, env, pi):
+            return all_names(envty) | all_names(argty) | all_names(body) | {n, x}
+        case Clo(c, env, pi) | Pair(c, env, pi):
             return all_names(c) | all_names(env) | all_names(pi)
-        case Pi(b, dom, cod) | Malloc(b, dom, cod):
-            return {b} | all_names(dom) | all_names(cod)
+        case Pi(b, dom, cod) | Sigma(b, dom, _, cod, _) | Malloc(b, dom, cod):
+            return all_names(dom) | all_names(cod) | {b}
         case App(f, a) | Assign1(f, a) | Assign2(f, a):
             return all_names(f) | all_names(a)
-        case Pair(a, d, s):
-            return all_names(a) | all_names(d) | all_names(s)
-        case Sigma(b, dom, _, cod, _):
-            return {b} | all_names(dom) | all_names(cod)
         case Fst(inner) | Snd(inner) | CTag(inner):
             return all_names(inner)
     raise TypeError(f"unknown expression node: {e!r}")
 
 
-def fresh_name(base: Name, avoid: set[Name]) -> Name:
+def fresh_name(base: Name, avoid: set[Name] | frozenset[Name]) -> Name:
     """Deterministic fresh name: base itself, or base with the least free suffix."""
     if base not in avoid:
         return base
@@ -339,6 +368,8 @@ def push_binder(
 
 def subst(e: Expr, v: Expr, x: Name) -> Expr:
     """Capture-avoiding substitution e[v/x]."""
+    if isinstance(v, Var) and v.name == x:
+        return e
     return _psubst(e, {x: v})
 
 
@@ -370,51 +401,36 @@ def _rebind(b: Name, parts: list[Expr], sub: dict[Name, Expr]):
 
 
 def _psubst(e: Expr, sub: dict[Name, Expr]) -> Expr:
-    if not sub:
+    """e with sub applied; subterms it leaves alone are returned as they
+    are, and rebuilt nodes keep their source position."""
+    if sub.keys().isdisjoint(free_vars(e)):
         return e
+    pos = e.pos
     match e:
         case Var(x):
-            return sub.get(x, e)
-        case Univ() | UnitTm() | UnitTy() | Loc():
-            return e
+            return sub[x]
         case Let(b, bound, annot, body):
             b2, sub2 = _rebind(b, [body], sub)
-            return Let(b2, _psubst(bound, sub), _psubst(annot, sub), _psubst(body, sub2))
-        case Code(n, envty, xb, argty, body):
+            return Let(b2, _psubst(bound, sub), _psubst(annot, sub), _psubst(body, sub2), pos=pos)
+        case Code(n, envty, xb, argty, body) | CodeTy(n, envty, xb, argty, body):
             n_scope = [argty, body] if xb != n else [argty]
             n2, subn = _rebind(n, n_scope, sub)
             x2, subx = _rebind(xb, [body], subn)
-            return Code(n2, _psubst(envty, sub), x2, _psubst(argty, subn), _psubst(body, subx))
-        case CodeTy(n, envty, xb, argty, res):
-            n_scope = [argty, res] if xb != n else [argty]
-            n2, subn = _rebind(n, n_scope, sub)
-            x2, subx = _rebind(xb, [res], subn)
-            return CodeTy(n2, _psubst(envty, sub), x2, _psubst(argty, subn), _psubst(res, subx))
-        case Clo(c, env, pi):
-            return Clo(_psubst(c, sub), _psubst(env, sub), _psubst(pi, sub))
-        case Pi(b, dom, cod):
+            return type(e)(
+                n2, _psubst(envty, sub), x2, _psubst(argty, subn), _psubst(body, subx), pos=pos
+            )
+        case Pi(b, dom, cod) | Malloc(b, dom, cod):
             b2, sub2 = _rebind(b, [cod], sub)
-            return Pi(b2, _psubst(dom, sub), _psubst(cod, sub2))
-        case App(f, a):
-            return App(_psubst(f, sub), _psubst(a, sub))
-        case Pair(a, d, s):
-            return Pair(_psubst(a, sub), _psubst(d, sub), _psubst(s, sub))
+            return type(e)(b2, _psubst(dom, sub), _psubst(cod, sub2), pos=pos)
         case Sigma(b, dom, f1, cod, f2):
             b2, sub2 = _rebind(b, [cod], sub)
-            return Sigma(b2, _psubst(dom, sub), f1, _psubst(cod, sub2), f2)
-        case Fst(inner):
-            return Fst(_psubst(inner, sub))
-        case Snd(inner):
-            return Snd(_psubst(inner, sub))
-        case CTag(inner):
-            return CTag(_psubst(inner, sub))
-        case Malloc(b, t1, t2):
-            b2, sub2 = _rebind(b, [t2], sub)
-            return Malloc(b2, _psubst(t1, sub), _psubst(t2, sub2))
-        case Assign1(t, v):
-            return Assign1(_psubst(t, sub), _psubst(v, sub))
-        case Assign2(t, v):
-            return Assign2(_psubst(t, sub), _psubst(v, sub))
+            return Sigma(b2, _psubst(dom, sub), f1, _psubst(cod, sub2), f2, pos=pos)
+        case Clo(a, d, s) | Pair(a, d, s):
+            return type(e)(_psubst(a, sub), _psubst(d, sub), _psubst(s, sub), pos=pos)
+        case App(f, a) | Assign1(f, a) | Assign2(f, a):
+            return type(e)(_psubst(f, sub), _psubst(a, sub), pos=pos)
+        case Fst(inner) | Snd(inner) | CTag(inner):
+            return type(e)(_psubst(inner, sub), pos=pos)
     raise TypeError(f"unknown expression node: {e!r}")
 
 

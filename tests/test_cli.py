@@ -112,6 +112,13 @@ def test_exit_code_type_error(tmp_path, capsys):
     assert "error[NotAFunction]" in capsys.readouterr().err
 
 
+def test_open_code_error_keeps_its_position_under_a_let(capsys):
+    # the checker renames the let binder in its body (here to itself)
+    # before it meets the code, and the code node keeps its parsed position
+    assert main(["check", str(CORPUS / "negative" / "open_code.src")]) == 1
+    assert capsys.readouterr().err == "error[OpenCode] 1:20 code mentions outer variables: y\n"
+
+
 def test_exit_code_parse_error(capsys):
     assert main(["check", str(CORPUS / "negative" / "target_syntax.src")]) == 2
     assert "error[ParseError]" in capsys.readouterr().err

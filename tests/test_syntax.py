@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtalloc.harness import GenSpec, gen_typed
+from dtalloc.harness import GenSpec, gen_lemma4, gen_typed
+from dtalloc.sexpr import parse, print_expr
 from dtalloc.syntax import (
     App,
     BOX,
@@ -19,6 +20,9 @@ from dtalloc.syntax import (
     UNIT,
     UNIT_TY,
     Var,
+    _CHILD_FIELDS,
+    _all_names,
+    _free_vars,
     alpha_eq,
     all_names,
     free_vars,
@@ -152,3 +156,88 @@ def test_pair_and_projections_structural():
     s = Sigma("x", UNIT_TY, 1, UNIT_TY, 1)
     p = Pair(UNIT, UNIT, s)
     assert Fst(p) == Fst(Pair(UNIT, UNIT, s))
+
+
+# ---------------------------------------------------------------------------
+# Memoized name analyses and sharing substitution
+
+
+def _children(e):
+    return [getattr(e, f) for f in _CHILD_FIELDS[type(e)]]
+
+
+def _subterms(e):
+    out, todo = [], [e]
+    while todo:
+        n = todo.pop()
+        out.append(n)
+        todo.extend(_children(n))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_memoized_name_analyses_match_the_uncached_helpers(seed):
+    _, e, _ = gen_typed(GenSpec(depth=3, seed=seed))
+    for s in _subterms(e):
+        fv, names = free_vars(s), all_names(s)
+        assert type(fv) is frozenset and type(names) is frozenset
+        assert fv == _free_vars(s) and names == _all_names(s)
+        assert free_vars(s) is fv and all_names(s) is names
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_cached_node_equals_and_hashes_like_a_fresh_parse(seed):
+    _, e, _ = gen_typed(GenSpec(depth=3, seed=seed, closed=True))
+    free_vars(e), all_names(e)
+    fresh = parse(print_expr(e))
+    assert "_free_vars" not in fresh.__dict__ and "_all_names" not in fresh.__dict__
+    assert e == fresh and fresh == e
+    assert hash(e) == hash(fresh)
+    assert repr(e) == repr(fresh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_subst_returns_the_term_itself_when_the_name_is_not_free(seed):
+    _, e, _ = gen_typed(GenSpec(depth=3, seed=seed))
+    bound_only = sorted(all_names(e) - free_vars(e))
+    for x in bound_only + [fresh_name("q", all_names(e))]:
+        assert subst(e, UNIT, x) is e
+    for x in sorted(free_vars(e)):
+        assert subst(e, Var(x), x) is e
+
+
+def test_name_analyses_of_a_deep_term_stay_off_the_call_stack():
+    e = Var("x")
+    for i in range(5000):
+        e = Pi(f"b{i % 7}", UNIT_TY, e)
+    assert free_vars(e) == {"x"}
+    assert all_names(e) == {"x"} | {f"b{i}" for i in range(7)}
+
+
+def _assert_positions_kept(before, after):
+    if isinstance(before, Var):
+        return  # a replaced or renamed occurrence
+    assert type(after) is type(before)
+    assert before.pos is not None and after.pos == before.pos
+    for b, a in zip(_children(before), _children(after), strict=True):
+        _assert_positions_kept(b, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_substitution_keeps_the_positions_of_rebuilt_nodes(seed):
+    _, x, _, e, v = gen_lemma4(GenSpec(depth=3, seed=seed))
+    e = parse(print_expr(e))
+    _assert_positions_kept(e, subst(e, v, x))
+
+
+def test_substitution_rebuilds_only_the_path_to_the_variable():
+    e = parse("(let (a unit Unit) (pair xs a (Sigma (w Unit) Unit)))")
+    r = subst(e, UNIT, "xs")
+    assert r == Let("a", UNIT, UNIT_TY, Pair(UNIT, Var("a"), Sigma("w", UNIT_TY, 1, UNIT_TY, 1)))
+    assert r.pos == e.pos == (1, 1) and r.body.pos == e.body.pos
+    assert r.bound is e.bound and r.annot is e.annot
+    assert r.body.snd is e.body.snd and r.body.annot_sigma is e.body.annot_sigma
