@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: check, compile, run, preserve, model, gen. Exit codes:
-0 success, 1 type or property failure, 2 parse error, 3 out of fuel or
-stuck, 4 usage error.
+0 success, 1 type or property failure, 2 parse error, 3 out of fuel,
+stuck, or input nested too deeply, 4 usage error.
 """
 
 from __future__ import annotations
@@ -222,6 +222,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error[IO] {err}", file=sys.stderr)
         return 4
+    except RecursionError:
+        print(f"error[TooDeep] {args.cmd}: input nests too deeply", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

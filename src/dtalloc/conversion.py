@@ -16,7 +16,7 @@ out raises FuelExhausted rather than returning a wrong answer.
 from __future__ import annotations
 
 from .errors import FuelExhausted
-from .heap import UNINIT, Heap
+from .heap import UNINIT, Heap, HeapCell
 from .syntax import (
     App,
     Assign1,
@@ -70,20 +70,19 @@ class Normalizer:
     """Full normalization against a scratch heap.
 
     defs maps let-bound context variables to their definitions; unfolding
-    is memoized per name. The scratch heap starts as a copy of the given
-    heap, so allocation and assignment during normalization never touch
-    the caller's state. Binders whose names collide with a definition (or
-    with a free name of one) are renamed before descending, which keeps
-    unfolding capture-free.
+    is memoized per name. The scratch heap reads the given heap's cells
+    until the first allocation or assignment, which copies the cell list,
+    so normalization never touches the caller's state. Binders whose
+    names collide with a definition (or with a free name of one) are
+    renamed before descending, which keeps unfolding capture-free.
     """
 
     def __init__(self, defs: dict[Name, Expr], heap: Heap | None = None, fuel: Fuel | None = None):
         self.defs = dict(defs)
         self.memo: dict[Name, Expr] = {}
         self._unfolding: set[Name] = set()
-        self.cells: list[list] = (
-            [[c.cell_type, c.slot1, c.slot2] for c in heap.cells] if heap is not None else []
-        )
+        # the caller's tuple until the first write, then a private list
+        self.cells: tuple[HeapCell, ...] | list[HeapCell] = heap.cells if heap is not None else ()
         self.fuel = fuel if fuel is not None else Fuel()
         self._forbidden: frozenset[Name] | None = None
 
@@ -101,19 +100,23 @@ class Normalizer:
 
     # --- scratch heap ------------------------------------------------------
 
-    def cell(self, loc_id: int) -> list | None:
+    def cell(self, loc_id: int) -> HeapCell | None:
         if 0 <= loc_id < len(self.cells):
             return self.cells[loc_id]
         return None
+
+    def _writable(self) -> list[HeapCell]:
+        if isinstance(self.cells, tuple):
+            self.cells = list(self.cells)
+        return self.cells
 
     def _read(self, loc_id: int, which: int) -> Expr | None:
         """Slot contents when the matching flag is set, else None."""
         c = self.cell(loc_id)
         if c is None:
             return None
-        ty: Sigma = c[0]
-        flag = ty.flag1 if which == 1 else ty.flag2
-        slot = c[which]
+        ty = c.cell_type
+        flag, slot = (ty.flag1, c.slot1) if which == 1 else (ty.flag2, c.slot2)
         if flag == 1 and slot is not UNINIT:
             return slot
         return None
@@ -204,25 +207,27 @@ class Normalizer:
             case Malloc(b, t1, t2):
                 # stored types stay unevaluated, as in the machine
                 b2, [t2r] = self._under(b, [t2])
-                self.cells.append([Sigma(b2, t1, 0, t2r, 0), UNINIT, UNINIT])
-                return Loc(len(self.cells) - 1)
+                cells = self._writable()
+                cells.append(HeapCell(Sigma(b2, t1, 0, t2r, 0), UNINIT, UNINIT))
+                return Loc(len(cells) - 1)
             case Assign1(t, v):
                 tn = self.norm(t)
                 vn = self.norm(v)
                 if isinstance(tn, Loc):
                     c = self.cell(tn.loc_id)
-                    if c is not None and c[0].flag1 == 0:
-                        ty: Sigma = c[0]
-                        c[0] = Sigma(ty.binder, ty.dom, 1, ty.cod, ty.flag2)
-                        c[1] = vn
+                    if c is not None and c.cell_type.flag1 == 0:
+                        ty = c.cell_type
+                        self._writable()[tn.loc_id] = HeapCell(
+                            Sigma(ty.binder, ty.dom, 1, ty.cod, ty.flag2), vn, c.slot2
+                        )
                         return tn
                     # slots are write-once, so an assignment whose effect is
                     # already recorded is the location itself
                     if (
                         c is not None
-                        and c[0].flag1 == 1
-                        and c[1] is not UNINIT
-                        and alpha_eq(vn, self.norm(c[1]))
+                        and c.cell_type.flag1 == 1
+                        and c.slot1 is not UNINIT
+                        and alpha_eq(vn, self.norm(c.slot1))
                     ):
                         return tn
                 return Assign1(tn, vn)
@@ -231,16 +236,17 @@ class Normalizer:
                 vn = self.norm(v)
                 if isinstance(tn, Loc):
                     c = self.cell(tn.loc_id)
-                    if c is not None and c[0].flag1 == 1 and c[0].flag2 == 0:
-                        ty = c[0]
-                        c[0] = Sigma(ty.binder, ty.dom, 1, ty.cod, 1)
-                        c[2] = vn
+                    if c is not None and c.flags == (1, 0):
+                        ty = c.cell_type
+                        self._writable()[tn.loc_id] = HeapCell(
+                            Sigma(ty.binder, ty.dom, 1, ty.cod, 1), c.slot1, vn
+                        )
                         return tn
                     if (
                         c is not None
-                        and c[0].flag2 == 1
-                        and c[2] is not UNINIT
-                        and alpha_eq(vn, self.norm(c[2]))
+                        and c.cell_type.flag2 == 1
+                        and c.slot2 is not UNINIT
+                        and alpha_eq(vn, self.norm(c.slot2))
                     ):
                         return tn
                 return Assign2(tn, vn)
@@ -330,25 +336,22 @@ class _Cmp:
         c2 = self.n2.cell(j)
         if c1 is None or c2 is None:
             return False
-        s1: Sigma = c1[0]
-        s2: Sigma = c2[0]
-        if (s1.flag1, s1.flag2) != (s2.flag1, s2.flag2):
+        s1, s2 = c1.cell_type, c2.cell_type
+        if c1.flags != c2.flags:
             return False
         if not self.compare(self.n1.norm(s1.dom), self.n2.norm(s2.dom), m1, m2, k):
             return False
         m1b, m2b = _bind(m1, s1.binder, k), _bind(m2, s2.binder, k)
         if not self.compare(self.n1.norm(s1.cod), self.n2.norm(s2.cod), m1b, m2b, k + 1):
             return False
-        for which, flag in ((1, s1.flag1), (2, s1.flag2)):
+        for flag, v1, v2 in ((s1.flag1, c1.slot1, c2.slot1), (s1.flag2, c1.slot2, c2.slot2)):
             if flag != 1:
                 continue
-            if (c1[which] is UNINIT) != (c2[which] is UNINIT):
+            if (v1 is UNINIT) != (v2 is UNINIT):
                 return False
-            if c1[which] is UNINIT:
+            if v1 is UNINIT:
                 continue
-            if not self.compare(
-                self.n1.norm(c1[which]), self.n2.norm(c2[which]), m1, m2, k
-            ):
+            if not self.compare(self.n1.norm(v1), self.n2.norm(v2), m1, m2, k):
                 return False
         return True
 

@@ -342,7 +342,6 @@ def print_expr(e: Expr, lang: Lang = Lang.SOURCE) -> str:
     ValueError; locations render as (loc N) for traces even though the
     parser will not read them back.
     """
-    p = lambda x: print_expr(x, lang)
     match e:
         case Var(x):
             return x
@@ -353,45 +352,48 @@ def print_expr(e: Expr, lang: Lang = Lang.SOURCE) -> str:
         case UnitTy():
             return "Unit"
         case Let(b, bound, annot, body):
-            return f"(let ({b} {p(bound)} {p(annot)}) {p(body)})"
+            bound_s, annot_s = print_expr(bound, lang), print_expr(annot, lang)
+            return f"(let ({b} {bound_s} {annot_s}) {print_expr(body, lang)})"
         case Code(n, envty, x, argty, body):
-            return f"(code (({n} {p(envty)}) ({x} {p(argty)})) {p(body)})"
+            envty_s, argty_s = print_expr(envty, lang), print_expr(argty, lang)
+            return f"(code (({n} {envty_s}) ({x} {argty_s})) {print_expr(body, lang)})"
         case CodeTy(n, envty, x, argty, res):
-            return f"(Code (({n} {p(envty)}) ({x} {p(argty)})) {p(res)})"
+            envty_s, argty_s = print_expr(envty, lang), print_expr(argty, lang)
+            return f"(Code (({n} {envty_s}) ({x} {argty_s})) {print_expr(res, lang)})"
         case Clo(c, env, pi):
-            return f"(clo {p(c)} {p(env)} {p(pi)})"
+            return f"(clo {print_expr(c, lang)} {print_expr(env, lang)} {print_expr(pi, lang)})"
         case Pi(b, dom, cod):
-            return f"(Pi ({b} {p(dom)}) {p(cod)})"
+            return f"(Pi ({b} {print_expr(dom, lang)}) {print_expr(cod, lang)})"
         case App(f, a):
-            return f"(app {p(f)} {p(a)})"
+            return f"(app {print_expr(f, lang)} {print_expr(a, lang)})"
         case Pair(a, d, s):
-            return f"(pair {p(a)} {p(d)} {p(s)})"
+            return f"(pair {print_expr(a, lang)} {print_expr(d, lang)} {print_expr(s, lang)})"
         case Sigma(b, dom, f1, cod, f2):
             if lang is Lang.SOURCE:
                 if (f1, f2) != (1, 1):
                     raise ValueError("flagged Sigma is not printable as source syntax")
-                return f"(Sigma ({b} {p(dom)}) {p(cod)})"
-            return f"(Sigma ({b} {p(dom)} {f1}) ({p(cod)} {f2}))"
+                return f"(Sigma ({b} {print_expr(dom, lang)}) {print_expr(cod, lang)})"
+            return f"(Sigma ({b} {print_expr(dom, lang)} {f1}) ({print_expr(cod, lang)} {f2}))"
         case Fst(inner):
-            return f"(fst {p(inner)})"
+            return f"(fst {print_expr(inner, lang)})"
         case Snd(inner):
-            return f"(snd {p(inner)})"
+            return f"(snd {print_expr(inner, lang)})"
         case Malloc(b, t1, t2):
             if lang is Lang.SOURCE:
                 raise ValueError("malloc is not printable as source syntax")
-            return f"(malloc ({b} {p(t1)}) {p(t2)})"
+            return f"(malloc ({b} {print_expr(t1, lang)}) {print_expr(t2, lang)})"
         case Assign1(t, v):
             if lang is Lang.SOURCE:
                 raise ValueError("assign1 is not printable as source syntax")
-            return f"(assign1 {p(t)} {p(v)})"
+            return f"(assign1 {print_expr(t, lang)} {print_expr(v, lang)})"
         case Assign2(t, v):
             if lang is Lang.SOURCE:
                 raise ValueError("assign2 is not printable as source syntax")
-            return f"(assign2 {p(t)} {p(v)})"
+            return f"(assign2 {print_expr(t, lang)} {print_expr(v, lang)})"
         case CTag(inner):
             if lang is Lang.SOURCE:
                 raise ValueError("ctag is not printable as source syntax")
-            return f"(ctag {p(inner)})"
+            return f"(ctag {print_expr(inner, lang)})"
         case Loc(i):
             return f"(loc {i})"
     raise TypeError(f"unknown expression node: {e!r}")

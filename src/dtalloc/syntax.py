@@ -254,12 +254,13 @@ class Context:
 # ---------------------------------------------------------------------------
 # Free variables and freshening
 #
-# Nodes are frozen and never mutated, so each name analysis runs once per
-# node: the result is stored in the node's __dict__ under a key that is not
-# a dataclass field, where equality, hashing and repr do not look. Each
-# uncached helper computes one node's names from the memoized names of its
-# children, and _memoize runs it bottom-up with an explicit stack, so the
-# analyses of a deep term do not use Python's call stack.
+# Nodes are frozen and never mutated, so each analysis (free names, all
+# names, heap-freedom) runs once per node: the result is stored in the
+# node's __dict__ under a key that is not a dataclass field, where
+# equality, hashing and repr do not look. Each uncached helper computes one
+# node's result from the memoized results of its children, and _memoize
+# runs it bottom-up with an explicit stack, so the analyses of a deep term
+# do not use Python's call stack.
 
 _NO_NAMES: frozenset[Name] = frozenset()
 
@@ -270,8 +271,8 @@ _CHILD_FIELDS = {
 }
 
 
-def _memoize(e: Expr, key: str, node_names) -> frozenset[Name]:
-    """Store node_names(n) under key on e and on every node below it that
+def _memoize(e: Expr, key: str, analysis):
+    """Store analysis(n) under key on e and on every node below it that
     lacks it; return e's value."""
     order, todo = [], [e]
     while todo:
@@ -283,7 +284,7 @@ def _memoize(e: Expr, key: str, node_names) -> frozenset[Name]:
     # every node comes after its parent in order, so children go first
     for n in reversed(order):
         if key not in n.__dict__:
-            object.__setattr__(n, key, node_names(n))
+            object.__setattr__(n, key, analysis(n))
     return e.__dict__[key]
 
 
@@ -339,6 +340,22 @@ def _all_names(e: Expr) -> frozenset[Name]:
         case Fst(inner) | Snd(inner) | CTag(inner):
             return all_names(inner)
     raise TypeError(f"unknown expression node: {e!r}")
+
+
+_HEAP_NODES = (Loc, Malloc, Assign1, Assign2)
+
+
+def heap_free(e: Expr) -> bool:
+    """Whether e contains no location and no allocation or assignment, so
+    that nothing about it can depend on a heap."""
+    hf = e.__dict__.get("_heap_free")
+    return hf if hf is not None else _memoize(e, "_heap_free", _heap_free)
+
+
+def _heap_free(e: Expr) -> bool:
+    return not isinstance(e, _HEAP_NODES) and all(
+        heap_free(getattr(e, f)) for f in _CHILD_FIELDS[type(e)]
+    )
 
 
 def fresh_name(base: Name, avoid: set[Name] | frozenset[Name]) -> Name:
@@ -452,6 +469,10 @@ def _bind(m: dict[Name, int], name: Name, level: int) -> dict[Name, int]:
 
 
 def _aeq(a: Expr, b: Expr, m1: dict[Name, int], m2: dict[Name, int], k: int) -> bool:
+    # a shared subterm equals itself when both sides read its free names
+    # alike; comparing the maps first keeps free_vars off fresh terms
+    if a is b and (m1 == m2 or all(m1.get(x, x) == m2.get(x, x) for x in free_vars(a))):
+        return True
     match a, b:
         case (Var(x), Var(y)):
             return m1.get(x, x) == m2.get(y, y)

@@ -45,6 +45,7 @@ from .syntax import (
     Var,
     free_vars,
     fresh_name,
+    heap_free,
     push_binder,
     subst,
     subst_many,
@@ -106,6 +107,21 @@ def _ensure_subtype(heap: Heap, ctx: Context, inferred: Expr, expected: Expr, po
 
 
 def _sort_of(heap: Heap, ctx: Context, e: Expr, what: str) -> Universe:
+    """The universe of type e, kept on e when e is closed and heap-free.
+
+    Such a type reads nothing from the context or the heap, so its
+    universe is the same wherever it is asked for. Failures are not kept:
+    their messages may name context-dependent binders.
+    """
+    s = e.__dict__.get("_tgt_sort")
+    if s is None:
+        s = _infer_sort(heap, ctx, e, what)
+        if not free_vars(e) and heap_free(e):
+            object.__setattr__(e, "_tgt_sort", s)
+    return s
+
+
+def _infer_sort(heap: Heap, ctx: Context, e: Expr, what: str) -> Universe:
     t = _norm_ty(heap, ctx, tgt_infer(heap, ctx, e), e.pos)
     if isinstance(t, Univ):
         return t.kind

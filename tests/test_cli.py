@@ -152,3 +152,42 @@ def test_help_exits_zero(capsys):
 def test_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.src")]) == 4
     assert "error[IO]" in capsys.readouterr().err
+
+
+def _nested_pairs(n):
+    """A pair whose first component is a pair, n deep."""
+    term, ty = "unit", "Unit"
+    for _ in range(n):
+        term = f"(pair {term} unit (Sigma (a {ty}) Unit))"
+        ty = f"(Sigma (a {ty}) Unit)"
+    return term
+
+
+def _fst_pair_chain(n):
+    """(fst (pair (fst (pair ... unit ...)) unit ...)), n pairs deep."""
+    term = "unit"
+    for _ in range(n):
+        term = f"(fst (pair {term} unit (Sigma (a Unit) Unit)))"
+    return term
+
+
+def test_compile_prints_nested_pairs_200_deep(tmp_path, capsys):
+    # the printer takes one Python frame per level; with two, compile hit
+    # the recursion limit at about 170 levels
+    p = tmp_path / "deep.src"
+    p.write_text(_nested_pairs(200))
+    assert main(["compile", str(p)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.startswith("(let (y (malloc (a (Sigma (a ")
+    assert out.out.count("(malloc ") == 200
+
+
+@pytest.mark.parametrize("cmd, depth", [("compile", 400), ("check", 3000)])
+def test_too_deep_input_is_one_error_line(tmp_path, capsys, cmd, depth):
+    p = tmp_path / "deep.src"
+    p.write_text(_fst_pair_chain(depth))
+    assert main([cmd, str(p)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error[TooDeep] {cmd}: input nests too deeply\n"

@@ -1,18 +1,19 @@
 """Work counts that guard against super-linear growth in the checkers.
 
-Each test counts calls of the uncached name-analysis helper, which walks
-one node, instead of timing anything, so it gives the same answer on any
-machine.
+Each test counts calls of an uncached helper (the name analysis, which
+walks one node, or the sort inference behind target._sort_of) instead of
+timing anything, so it gives the same answer on any machine.
 """
 
 import pytest
 
-from dtalloc import syntax
+from dtalloc import syntax, target
 from dtalloc.alloc import translate
 from dtalloc.conversion import normalize
+from dtalloc.harness import check_step_preservation
 from dtalloc.heap import Heap
 from dtalloc.sexpr import parse
-from dtalloc.syntax import UNIT, Context, Var
+from dtalloc.syntax import UNIT, Context, Var, free_vars, heap_free
 from dtalloc.target import tgt_infer
 
 
@@ -30,13 +31,32 @@ def walks(monkeypatch):
     return seen
 
 
-def _compiled_nested_pairs(n):
-    """The compiled form of a pair whose first component is a pair, n deep."""
+@pytest.fixture
+def sort_inferences(monkeypatch):
+    """A list that grows by one for every _sort_of query the memo cannot
+    answer, that is, every one that reaches tgt_infer."""
+    seen = []
+    uncached = target._infer_sort
+
+    def counted(heap, ctx, e, what):
+        seen.append(e)
+        return uncached(heap, ctx, e, what)
+
+    monkeypatch.setattr(target, "_infer_sort", counted)
+    return seen
+
+
+def _nested_pairs(n):
+    """A pair whose first component is a pair, n deep."""
     term, ty = "unit", "Unit"
     for _ in range(n):
         term = f"(pair {term} unit (Sigma (a {ty}) Unit))"
         ty = f"(Sigma (a {ty}) Unit)"
-    return translate(Context(), parse(term))
+    return parse(term)
+
+
+def _compiled_nested_pairs(n):
+    return translate(Context(), _nested_pairs(n))
 
 
 def test_target_checking_nested_pairs_walks_names_near_linearly(walks):
@@ -58,3 +78,19 @@ def test_normalizing_an_atom_walks_no_definition(walks):
     assert normalize(defs, UNIT) == UNIT
     assert normalize(defs, Var("free")) == Var("free")
     assert walks == []
+
+
+def test_step_preservation_infers_each_closed_heap_free_type_once(sort_inferences):
+    counts = {}
+    for n in (4, 8):
+        sort_inferences.clear()
+        assert check_step_preservation("t", _nested_pairs(n)).verdict == "pass"
+        memoizable = [e for e in sort_inferences if not free_vars(e) and heap_free(e)]
+        assert len({id(e) for e in memoizable}) == len(memoizable)
+        counts[n] = len(sort_inferences)
+    assert counts[4] > 0
+    # the annotations of nested pairs grow with the depth, so the compiled
+    # program holds about n^2 distinct type nodes and the count may grow
+    # up to 4x per doubling; it grew 6.5x when every machine state
+    # re-inferred the universes of all its types
+    assert counts[8] <= 4 * counts[4], counts

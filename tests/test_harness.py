@@ -2,6 +2,9 @@
 
 from pathlib import Path
 
+import pytest
+
+from dtalloc import harness
 from dtalloc.alloc import translate
 from dtalloc.harness import (
     GenSpec,
@@ -19,10 +22,10 @@ from dtalloc.harness import (
     source_step_pairs,
     summary_line,
 )
-from dtalloc.heap import Config, Heap
+from dtalloc.heap import Config, Heap, HeapCell, UNINIT
 from dtalloc.sexpr import parse
 from dtalloc.source import src_equiv, src_eval, src_infer
-from dtalloc.syntax import Context, UNIT
+from dtalloc.syntax import Context, Loc, Pi, STAR, Sigma, UNIT, UNIT_TY
 from dtalloc.target import tgt_eval
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -134,3 +137,51 @@ def test_check_catches_failures_not_crashes():
     r = check_preservation("t", Context(), bad)
     assert r.verdict == "fail"
     assert r.detail
+
+
+# A cell holding a type in its first slot, and a fresh empty cell.
+_TYPE_CELL = HeapCell(Sigma("x", STAR, 1, STAR, 0), UNIT_TY, UNINIT)
+_EMPTY_CELL = HeapCell(Sigma("x", UNIT_TY, 0, UNIT_TY, 0), UNINIT, UNINIT)
+
+
+def _check_machine_run(monkeypatch, *heaps):
+    """check_step_preservation over a run whose states hold these heaps;
+    the expression of every state is the location of cell 0."""
+    steps = [(Config(h, Loc(0)), "init" if k == 0 else "malloc") for k, h in enumerate(heaps)]
+    monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)
+    return check_step_preservation("t", parse("unit"))
+
+
+def test_step_preservation_audits_only_heaps_a_step_replaced(monkeypatch):
+    audited = []
+    audit = harness.heap_wf
+
+    def counted(heap):
+        audited.append(heap)
+        return audit(heap)
+
+    monkeypatch.setattr(harness, "heap_wf", counted)
+    start = Heap((_TYPE_CELL,))
+    grown = Heap((_TYPE_CELL, _EMPTY_CELL))
+    assert _check_machine_run(monkeypatch, start, start, grown, grown).verdict == "pass"
+    assert audited == [start, grown]
+
+
+@pytest.mark.parametrize(
+    "cells, problem",
+    [
+        (
+            (_TYPE_CELL, HeapCell(Sigma("x", UNIT_TY, 0, UNIT_TY, 1), UNINIT, UNIT)),
+            "cell 1: second slot filled before the first",
+        ),
+        (
+            (HeapCell(_TYPE_CELL.cell_type, Pi("a", UNIT_TY, UNIT_TY), UNINIT), _EMPTY_CELL),
+            "cell 0: slot 1 was rewritten",
+        ),
+    ],
+)
+def test_step_preservation_fails_on_a_bad_allocating_step(monkeypatch, cells, problem):
+    start = Heap((_TYPE_CELL,))
+    r = _check_machine_run(monkeypatch, start, start, Heap(cells))
+    assert r.verdict == "fail"
+    assert problem in r.detail

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtalloc.harness import GenSpec, gen_lemma4, gen_typed
-from dtalloc.sexpr import parse, print_expr
+from dtalloc.sexpr import Lang, parse, print_expr
 from dtalloc.syntax import (
     App,
     BOX,
@@ -13,6 +13,7 @@ from dtalloc.syntax import (
     Context,
     Fst,
     Let,
+    Loc,
     Pair,
     Pi,
     STAR,
@@ -23,10 +24,12 @@ from dtalloc.syntax import (
     _CHILD_FIELDS,
     _all_names,
     _free_vars,
+    _heap_free,
     alpha_eq,
     all_names,
     free_vars,
     fresh_name,
+    heap_free,
     push_binder,
     subst,
     subst_many,
@@ -91,6 +94,27 @@ def test_alpha_eq_basic():
     assert not alpha_eq(Var("x"), Var("y"))
     assert alpha_eq(STAR, STAR)
     assert not alpha_eq(STAR, BOX)
+
+
+def test_alpha_eq_shared_subterm_bound_on_one_side_only():
+    # one codomain object, bound by the left binder and free on the right
+    v = Var("x")
+    assert not alpha_eq(Pi("x", UNIT_TY, v), Pi("y", UNIT_TY, v))
+    assert not alpha_eq(Pi("y", UNIT_TY, v), Pi("x", UNIT_TY, v))
+    assert alpha_eq(Pi("y", UNIT_TY, v), Pi("z", UNIT_TY, v))
+    assert alpha_eq(Pi("x", UNIT_TY, v), Pi("x", UNIT_TY, v))
+
+
+def test_heap_free_sees_locations_and_allocation_anywhere_below():
+    text = "(let (p (Sigma (x Unit 1) (Unit 0)) Star) (Pi (a p) Unit))"
+    assert heap_free(parse(text, Lang.TARGET))
+    for text in (
+        "(Pi (a Unit) (fst (malloc (x Unit) Unit)))",
+        "(let (p (assign1 q unit) Unit) Unit)",
+        "(Sigma (a Unit 1) ((assign2 q unit) 1))",
+    ):
+        assert not heap_free(parse(text, Lang.TARGET)), text
+    assert not heap_free(Pi("a", UNIT_TY, Fst(Loc(0))))
 
 
 def test_alpha_eq_ignores_positions():
@@ -184,6 +208,7 @@ def test_memoized_name_analyses_match_the_uncached_helpers(seed):
         assert type(fv) is frozenset and type(names) is frozenset
         assert fv == _free_vars(s) and names == _all_names(s)
         assert free_vars(s) is fv and all_names(s) is names
+        assert heap_free(s) is _heap_free(s) is True
 
 
 @settings(max_examples=40, deadline=None)

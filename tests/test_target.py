@@ -1,12 +1,17 @@
 """Target language: heap-indexed typing, flag discipline, the machine,
 and heap well-formedness."""
 
-import pytest
+from dataclasses import fields
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dtalloc.conversion import equiv, normalize, subtype
 from dtalloc.errors import ErrKind, FuelExhausted, StuckError, TypeCheckError
 from dtalloc.heap import Config, Heap, HeapCell, UNINIT
 from dtalloc.sexpr import Lang, parse
 from dtalloc.target import (
+    _sort_of,
     heap_wf,
     tgt_equiv,
     tgt_eval,
@@ -22,15 +27,20 @@ from dtalloc.syntax import (
     BOX,
     Clo,
     Code,
+    CodeTy,
     Context,
+    Expr,
     Fst,
+    Let,
     Loc,
     Pair,
     Pi,
     STAR,
     Sigma,
+    Snd,
     UNIT,
     UNIT_TY,
+    Universe,
     Var,
     alpha_eq,
 )
@@ -267,3 +277,95 @@ def test_replayed_assignment_converts_to_location():
     assert tgt_equiv(final.heap, Context(), replay, loc)
     other = Assign2(loc, UNIT_TY)
     assert not tgt_equiv(final.heap, Context(), other, loc)
+
+
+def test_normalize_equiv_and_subtype_leave_the_callers_heap_alone():
+    heap = tgt_eval(tparse(
+        "(let (y (malloc (x Unit) Unit) (Sigma (x Unit 0) (Unit 0))) y)"
+    )).heap
+    before = heap.cells
+    fill = tparse("(assign2 (assign1 y unit) unit)")
+    ctx = Context().extend("y", Sigma("x", UNIT_TY, 0, UNIT_TY, 0), Loc(0))
+    # the assignments go through on the scratch heap, so the second
+    # projection of the filled cell normalizes to unit
+    assert tgt_normalize(heap, ctx, Snd(fill)) == UNIT
+    assert tgt_equiv(heap, ctx, Snd(fill), UNIT)
+    assert tgt_subtype(heap, ctx, Snd(fill), UNIT)
+    assert normalize(ctx.defs(), tparse(CHAIN), heap=heap) == Loc(1)
+    assert equiv({}, tparse(CHAIN), tparse(CHAIN), heap=heap)
+    assert subtype({}, Fst(tparse(CHAIN)), UNIT, heap=heap)
+    assert heap.cells is before
+    assert heap.cells == (HeapCell(Sigma("x", UNIT_TY, 0, UNIT_TY, 0), UNINIT, UNINIT),)
+
+
+# ---------------------------------------------------------------------------
+# The universe memo of closed heap-free types
+
+def _outcome(heap, ctx, ty):
+    """The universe of ty, or the kind, message and position of its error."""
+    try:
+        return _sort_of(heap, ctx, ty, "type")
+    except TypeCheckError as err:
+        return err.kind, err.message, err.pos
+
+
+def test_universe_is_memoized_for_closed_heap_free_types():
+    ty = tparse("(Sigma (x Unit 1) ((Pi (a Unit) Star) 0))")
+    assert _sort_of(Heap(), Context(), ty, "type") is Universe.BOX
+    assert ty.__dict__["_tgt_sort"] is Universe.BOX
+
+
+def test_universe_is_not_memoized_for_heap_open_or_ill_sorted_types():
+    heap, i = Heap().alloc(HeapCell(Sigma("x", STAR, 1, STAR, 1), UNIT_TY, UNIT_TY))
+    with_loc = Sigma("a", Fst(Loc(i)), 1, UNIT_TY, 1)
+    with_malloc = tparse(
+        "(let (p (malloc (x Unit) Unit) (Sigma (x Unit 0) (Unit 0))) Unit)"
+    )
+    open_ty = tparse("(Sigma (a t 1) (Unit 1))")
+    ctx = Context().extend("t", STAR)
+    for ty in (with_loc, with_malloc, open_ty):
+        assert _sort_of(heap, ctx, ty, "type") is Universe.STAR
+        assert "_tgt_sort" not in ty.__dict__
+    ill_sorted = tparse("(Sigma (a unit 1) (Unit 1))")
+    first = _outcome(heap, ctx, ill_sorted)
+    assert first[0] is ErrKind.UNIVERSE_ERROR
+    assert "_tgt_sort" not in ill_sorted.__dict__
+    assert _outcome(Heap(), Context(), ill_sorted) == first
+
+
+def _fresh_copy(e):
+    """A structurally equal term whose nodes carry no memos."""
+    if not isinstance(e, Expr):
+        return e
+    return type(e)(**{f.name: _fresh_copy(getattr(e, f.name)) for f in fields(e)})
+
+
+_BINDERS = st.sampled_from(("x", "y", "z"))
+_FLAGS = st.integers(0, 1)
+
+# types over the binders x, y and z: some are open, some ill-sorted, and
+# the binders collide with the names the context below defines
+_TYPES = st.recursive(
+    st.sampled_from((UNIT_TY, STAR, UNIT, Var("x"), Var("z"))),
+    lambda inner: st.one_of(
+        st.builds(Pi, _BINDERS, inner, inner),
+        st.builds(Sigma, _BINDERS, inner, _FLAGS, inner, _FLAGS),
+        st.builds(Let, _BINDERS, inner, inner, inner),
+        st.builds(Let, _BINDERS, st.just(UNIT_TY), st.just(STAR), inner),
+        st.builds(CodeTy, _BINDERS, inner, _BINDERS, inner, inner),
+        st.builds(Fst, inner),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TYPES)
+def test_memoized_universe_equals_a_fresh_computation_under_any_context_and_heap(ty):
+    heap = tgt_eval(tparse(CHAIN)).heap
+    ctx = Context().extend("x", STAR, UNIT_TY).extend("y", UNIT_TY, UNIT).extend("z", STAR)
+    first = _outcome(Heap(), Context(), ty)
+    memoized = _outcome(heap, ctx, ty)
+    if "_tgt_sort" in ty.__dict__:
+        assert memoized == first == ty.__dict__["_tgt_sort"]
+    assert memoized == _outcome(heap, ctx, _fresh_copy(ty))
