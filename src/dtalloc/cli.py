@@ -28,7 +28,7 @@ from .model import Unsupported, emit_model
 from .sexpr import Lang, ParseError, parse, print_expr
 from .source import src_eval, src_infer, src_trace
 from .syntax import Context
-from .target import tgt_eval, tgt_infer, tgt_trace
+from .target import infer, tgt_eval, tgt_trace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,11 +86,7 @@ def _load(path: str, lang: Lang):
 def _cmd_check(args) -> int:
     lang = Lang(args.lang)
     e = _load(args.file, lang)
-    if lang is Lang.SOURCE:
-        ty = src_infer(Context(), e)
-    else:
-        ty = tgt_infer(Heap(), Context(), e)
-    print(print_expr(ty, lang))
+    print(print_expr(infer(lang, Heap(), Context(), e), lang))
     return 0
 
 
@@ -159,11 +155,9 @@ def _cmd_preserve(args) -> int:
 def _cmd_model(args) -> int:
     lang = Lang(args.lang)
     e = _load(args.file, lang)
+    infer(lang, Heap(), Context(), e)
     if lang is Lang.SOURCE:
-        src_infer(Context(), e)
         e = translate(Context(), e)
-    else:
-        tgt_infer(Heap(), Context(), e)
     out = emit_model(e)
     if args.output:
         Path(args.output).write_text(out)

@@ -11,7 +11,6 @@ Checks, one Report each:
   differential         source and target runs produce the same observation
   step-preservation    every machine state stays well-typed with a sane heap
   sort-preservation    compiled types keep their universe
-  context-translation  compiled contexts are well-formed entry by entry
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from .syntax import (
 )
 from .target import (
     heap_wf,
-    tgt_check,
     tgt_equiv,
     tgt_eval,
     tgt_infer,
@@ -451,27 +449,8 @@ def check_sort_preservation(
     return Report(case_id, prop, "fail", "compiled type changed universe")
 
 
-def check_ctx_translation(case_id: str, ctx: Context, fuel: int = DEFAULT_FUEL) -> Report:
-    """The compiled context is well-formed entry by entry."""
-    prop = "context-translation"
-    try:
-        tctx = translate_ctx(ctx)
-        prefix = Context()
-        for b in tctx:
-            s = tgt_normalize(Heap(), prefix, tgt_infer(Heap(), prefix, b.ty), fuel)
-            if not isinstance(s, Univ):
-                return Report(case_id, prop, "fail", f"entry '{b.name}' has a non-type type")
-            if b.defn is not None:
-                tgt_check(Heap(), prefix, b.defn, b.ty)
-            prefix = prefix.extend(b.name, b.ty, b.defn)
-    except Exception as err:  # noqa: BLE001
-        verdict, detail = _classify(err)
-        return Report(case_id, prop, verdict, detail)
-    return Report(case_id, prop, "pass")
-
-
 # ---------------------------------------------------------------------------
-# Corpus helpers and suite drivers
+# Corpus helpers
 
 def load_corpus(dirpath: str | Path) -> list[tuple[str, Expr]]:
     out = []
@@ -491,45 +470,6 @@ def source_step_pairs(e: Expr, fuel: int = DEFAULT_FUEL) -> list[tuple[Expr, Exp
         pairs.append((cur, r[0]))
         cur = r[0]
     raise FuelExhausted(fuel)
-
-
-def suite_preservation(
-    cases: list[tuple[str, Context, Expr, Expr]], fuel: int = DEFAULT_FUEL
-) -> list[Report]:
-    return [check_preservation(cid, ctx, e, fuel) for cid, ctx, e, _ in cases]
-
-
-def suite_substitution(
-    count: int, depth: int = 4, seed: int = 0, fuel: int = DEFAULT_FUEL
-) -> list[Report]:
-    out = []
-    for i in range(count):
-        ctx, x, a_ty, e, e_prime = gen_lemma4(GenSpec(depth=depth, seed=seed + i))
-        out.append(check_subst_commute(f"sub{seed + i}", ctx, x, a_ty, e, e_prime, fuel))
-    return out
-
-
-def suite_reduction(
-    corpus: list[tuple[str, Expr]], fuel: int = DEFAULT_FUEL
-) -> list[Report]:
-    out = []
-    for name, e in corpus:
-        src_infer(Context(), e)
-        for i, (a, b) in enumerate(source_step_pairs(e, fuel)):
-            out.append(check_reduction_preserved(f"{name}.{i}", a, b, fuel))
-    return out
-
-
-def suite_differential(
-    cases: list[tuple[str, Expr]], fuel: int = DEFAULT_FUEL
-) -> list[Report]:
-    return [check_differential(name, e, fuel) for name, e in cases]
-
-
-def suite_step_preservation(
-    corpus: list[tuple[str, Expr]], fuel: int = DEFAULT_FUEL
-) -> list[Report]:
-    return [check_step_preservation(name, e, fuel) for name, e in corpus]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import Expr, Loc, Sigma
+from .syntax import _CHILD_FIELDS, Expr, Loc, Sigma
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,6 @@ def locs_in(e: Expr) -> set[int]:
         cur = stack.pop()
         if isinstance(cur, Loc):
             out.add(cur.loc_id)
-        elif isinstance(cur, Expr):
-            for f in cur.__dataclass_fields__:
-                if f == "pos":
-                    continue
-                val = getattr(cur, f)
-                if isinstance(val, Expr):
-                    stack.append(val)
+        for f in _CHILD_FIELDS[type(cur)]:
+            stack.append(getattr(cur, f))
     return out

@@ -9,26 +9,27 @@ fully initialized.
 Both universes are checked with Star sitting inside Box; functions may
 abstract over either level, while pair types keep both components at the
 same level.
+
+Typing is the target's judgement (`target.infer`) run at Lang.SOURCE with
+an empty heap; this module keeps the source's entry points and its
+machine.
 """
 
 from __future__ import annotations
 
 from . import conversion
-from .errors import ErrKind, FuelExhausted, StuckError, TypeCheckError
+from .errors import FuelExhausted, StuckError
+from .heap import Heap
+from .sexpr import Lang, print_expr
 from .syntax import (
     App,
-    Assign1,
-    Assign2,
     Clo,
     Code,
     CodeTy,
     Context,
-    CTag,
     Expr,
     Fst,
     Let,
-    Loc,
-    Malloc,
     Pair,
     Pi,
     Sigma,
@@ -36,39 +37,18 @@ from .syntax import (
     UnitTm,
     UnitTy,
     Univ,
-    Universe,
     Var,
-    free_vars,
-    fresh_name,
-    push_binder,
     subst,
     subst_many,
 )
+from .target import check, infer, wf
 
-_ALLOC_FORMS = (Malloc, Assign1, Assign2, CTag, Loc)
+_SOURCE = Lang.SOURCE
+_NO_HEAP = Heap()
 
 
 def src_wf(e: Expr) -> None:
-    """Reject allocation forms and flagged pair types syntactically."""
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, _ALLOC_FORMS):
-            raise TypeCheckError(
-                ErrKind.LANG_VIOLATION,
-                f"{type(cur).__name__.lower()} is not a source form",
-                cur.pos,
-            )
-        if isinstance(cur, Sigma) and (cur.flag1, cur.flag2) != (1, 1):
-            raise TypeCheckError(
-                ErrKind.LANG_VIOLATION, "partially initialized pair type in source", cur.pos
-            )
-        if isinstance(cur, Expr):
-            for f in cur.__dataclass_fields__:
-                if f != "pos":
-                    val = getattr(cur, f)
-                    if isinstance(val, Expr):
-                        stack.append(val)
+    wf(_SOURCE, e)
 
 
 def src_equiv(ctx: Context, a: Expr, b: Expr, fuel: int = conversion.DEFAULT_FUEL) -> bool:
@@ -83,177 +63,13 @@ def src_normalize(ctx: Context, e: Expr, fuel: int = conversion.DEFAULT_FUEL) ->
     return conversion.normalize(ctx.defs(), e, fuel=fuel)
 
 
-def _norm_ty(ctx: Context, ty: Expr, pos) -> Expr:
-    try:
-        return src_normalize(ctx, ty)
-    except FuelExhausted:
-        raise TypeCheckError(ErrKind.EQUIV_FAIL, "type normalization ran out of fuel", pos)
-
-
-def _ensure_subtype(ctx: Context, inferred: Expr, expected: Expr, pos, what: str) -> None:
-    try:
-        ok = src_subtype(ctx, inferred, expected)
-    except FuelExhausted:
-        raise TypeCheckError(ErrKind.EQUIV_FAIL, f"conversion ran out of fuel for {what}", pos)
-    if not ok:
-        raise TypeCheckError(ErrKind.SUBTYPE_FAIL, f"{what} has the wrong type", pos)
-
-
-def _ensure_equiv(ctx: Context, got: Expr, want: Expr, pos, kind: ErrKind, what: str) -> None:
-    try:
-        ok = src_equiv(ctx, got, want)
-    except FuelExhausted:
-        raise TypeCheckError(ErrKind.EQUIV_FAIL, f"conversion ran out of fuel for {what}", pos)
-    if not ok:
-        raise TypeCheckError(kind, f"{what} does not match its required type", pos)
-
-
-def _sort_of(ctx: Context, e: Expr, what: str) -> Universe:
-    t = _norm_ty(ctx, src_infer(ctx, e), e.pos)
-    if isinstance(t, Univ):
-        return t.kind
-    raise TypeCheckError(ErrKind.UNIVERSE_ERROR, f"{what} is not a type", e.pos)
-
-
 def src_check(ctx: Context, e: Expr, ty: Expr) -> None:
-    inferred = src_infer(ctx, e)
-    _ensure_subtype(ctx, inferred, ty, e.pos, "term")
+    check(_SOURCE, _NO_HEAP, ctx, e, ty)
 
 
 def src_infer(ctx: Context, e: Expr) -> Expr:
     """Infer the type of a source term, raising TypeCheckError on failure."""
-    match e:
-        case Var(x):
-            b = ctx.lookup(x)
-            if b is None:
-                raise TypeCheckError(ErrKind.UNBOUND_VAR, f"unbound variable '{x}'", e.pos)
-            return b.ty
-        case Univ(Universe.STAR):
-            return Univ(Universe.BOX)
-        case Univ(Universe.BOX):
-            raise TypeCheckError(ErrKind.UNIVERSE_ERROR, "the top universe has no type", e.pos)
-        case UnitTy():
-            return Univ(Universe.STAR)
-        case UnitTm():
-            return UnitTy()
-        case Pi(x, dom, cod):
-            _sort_of(ctx, dom, "function domain")
-            ctx2, x2 = push_binder(ctx, x, dom)
-            s = _sort_of(ctx2, subst(cod, Var(x2), x), "function codomain")
-            return Univ(s)
-        case Sigma(x, dom, 1, cod, 1):
-            s1 = _sort_of(ctx, dom, "pair type component")
-            ctx2, x2 = push_binder(ctx, x, dom)
-            s2 = _sort_of(ctx2, subst(cod, Var(x2), x), "pair type component")
-            if s1 != s2:
-                raise TypeCheckError(
-                    ErrKind.UNIVERSE_ERROR,
-                    "pair type components live in different universes",
-                    e.pos,
-                )
-            return Univ(s1)
-        case Sigma():
-            raise TypeCheckError(
-                ErrKind.LANG_VIOLATION, "partially initialized pair type in source", e.pos
-            )
-        case CodeTy(n, envty, x, argty, res):
-            _require_closed(e, "code type")
-            empty = Context()
-            _sort_of(empty, envty, "code environment type")
-            ctx_n, n2 = push_binder(empty, n, envty)
-            argty2 = subst(argty, Var(n2), n) if x != n else argty
-            res2 = subst(res, Var(n2), n) if x != n else res
-            _sort_of(ctx_n, argty2, "code argument type")
-            ctx_nx, x2 = push_binder(ctx_n, x, argty2)
-            s = _sort_of(ctx_nx, subst(res2, Var(x2), x), "code result type")
-            return Univ(s)
-        case Code(n, envty, x, argty, body):
-            _require_closed(e, "code")
-            empty = Context()
-            _sort_of(empty, envty, "code environment type")
-            ctx_n, n2 = push_binder(empty, n, envty)
-            argty2 = subst(argty, Var(n2), n) if x != n else argty
-            body2 = subst(body, Var(n2), n) if x != n else body
-            _sort_of(ctx_n, argty2, "code argument type")
-            ctx_nx, x2 = push_binder(ctx_n, x, argty2)
-            res = src_infer(ctx_nx, subst(body2, Var(x2), x))
-            return CodeTy(n2, envty, x2, argty2, res)
-        case Clo(c, env, annot):
-            code_ty = _norm_ty(ctx, src_infer(ctx, c), c.pos)
-            if not isinstance(code_ty, CodeTy):
-                raise TypeCheckError(
-                    ErrKind.NOT_A_FUNCTION, "closure over a term that is not code", c.pos
-                )
-            src_check(ctx, env, code_ty.env_ty)
-            computed = _clo_result(code_ty, env)
-            if not isinstance(annot, Pi):
-                raise TypeCheckError(
-                    ErrKind.ANNOT_MISMATCH, "closure annotation must be a function type", e.pos
-                )
-            _sort_of(ctx, annot, "closure annotation")
-            _ensure_equiv(ctx, annot, computed, e.pos, ErrKind.ANNOT_MISMATCH, "closure annotation")
-            return annot
-        case App(f, a):
-            fn_ty = _norm_ty(ctx, src_infer(ctx, f), f.pos)
-            if not isinstance(fn_ty, Pi):
-                raise TypeCheckError(
-                    ErrKind.NOT_A_FUNCTION, "application of a non-function", f.pos
-                )
-            src_check(ctx, a, fn_ty.dom)
-            return subst(fn_ty.cod, a, fn_ty.binder)
-        case Pair(a, d, annot):
-            if not isinstance(annot, Sigma):
-                raise TypeCheckError(
-                    ErrKind.ANNOT_MISMATCH, "pair annotation must be a pair type", e.pos
-                )
-            _sort_of(ctx, annot, "pair annotation")
-            src_check(ctx, a, annot.dom)
-            src_check(ctx, d, subst(annot.cod, a, annot.binder))
-            return annot
-        case Fst(inner):
-            t = _norm_ty(ctx, src_infer(ctx, inner), inner.pos)
-            if not isinstance(t, Sigma):
-                raise TypeCheckError(ErrKind.NOT_A_PAIR, "projection from a non-pair", inner.pos)
-            return t.dom
-        case Snd(inner):
-            t = _norm_ty(ctx, src_infer(ctx, inner), inner.pos)
-            if not isinstance(t, Sigma):
-                raise TypeCheckError(ErrKind.NOT_A_PAIR, "projection from a non-pair", inner.pos)
-            return subst(t.cod, Fst(inner), t.binder)
-        case Let(x, bound, annot, body):
-            _sort_of(ctx, annot, "let annotation")
-            src_check(ctx, bound, annot)
-            ctx2, x2 = push_binder(ctx, x, annot, defn=bound)
-            body_ty = src_infer(ctx2, subst(body, Var(x2), x))
-            return subst(body_ty, bound, x2)
-        case Malloc() | Assign1() | Assign2() | CTag() | Loc():
-            raise TypeCheckError(
-                ErrKind.LANG_VIOLATION,
-                f"{type(e).__name__.lower()} is not a source form",
-                e.pos,
-            )
-    raise TypeError(f"unknown expression node: {e!r}")
-
-
-def _require_closed(e: Expr, what: str) -> None:
-    fv = free_vars(e)
-    if fv:
-        names = ", ".join(sorted(fv))
-        raise TypeCheckError(ErrKind.OPEN_CODE, f"{what} mentions outer variables: {names}", e.pos)
-
-
-def _clo_result(code_ty: CodeTy, env: Expr) -> Pi:
-    """The function type of a closure: the code type with its environment
-    substituted, rebuilt as a Pi over the argument."""
-    n, x = code_ty.env_binder, code_ty.arg_binder
-    argty, res = code_ty.arg_ty, code_ty.result_ty
-    if x in free_vars(env):
-        x2 = fresh_name(x, free_vars(env) | free_vars(res) | free_vars(argty) | {n})
-        res = subst(res, Var(x2), x)
-        x = x2
-    if x == n:
-        return Pi(x, subst(argty, env, n), res)
-    return Pi(x, subst(argty, env, n), subst(res, env, n))
+    return infer(_SOURCE, _NO_HEAP, ctx, e)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +178,7 @@ def src_steps(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> list[tuple[Expr, 
 
 def src_trace(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> list[str]:
     """Human-readable reduction trace; the source machine has no heap."""
-    from .sexpr import Lang, print_expr
-
     return [
-        f"STEP {k} | {rule} | {print_expr(term, Lang.SOURCE)} | -"
+        f"STEP {k} | {rule} | {print_expr(term, _SOURCE)} | -"
         for k, (term, rule) in enumerate(src_steps(e, fuel))
     ]

@@ -11,6 +11,11 @@ function.
 Typing is heap-indexed: locations type at the current pair type of their
 cell. Unlike source pair types, a target pair type may join components
 from different universes; the pair type then lives in the larger one.
+
+The judgement here types both languages. The source is checked by it
+with an empty heap, where pair types are fully initialized (flags (1,1))
+and the allocation forms are foreign, as pair and closure literals are
+in the target.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ from dataclasses import dataclass, field
 from . import conversion
 from .errors import ErrKind, FuelExhausted, StuckError, TypeCheckError
 from .heap import UNINIT, Config, Heap, HeapCell, locs_in
+from .sexpr import Lang, print_expr
 from .syntax import (
+    _CHILD_FIELDS,
     App,
     Assign1,
     Assign2,
@@ -51,25 +58,55 @@ from .syntax import (
     subst_many,
 )
 
-_SOURCE_ONLY = (Pair, Clo)
+# module constants: an identity test on them is cheaper than an enum lookup
+_SOURCE = Lang.SOURCE
+_TARGET = Lang.TARGET
 
 
-def tgt_wf(e: Expr) -> None:
-    """Reject pair and closure literals syntactically."""
+def _not_a_source_form(e: Expr) -> str:
+    return f"{type(e).__name__.lower()} is not a source form"
+
+
+def _partial_in_source(e: Sigma) -> str | None:
+    if (e.flag1, e.flag2) != (1, 1):
+        return "partially initialized pair type in source"
+    return None
+
+
+# The forms one language lacks: node type -> (that language, the message
+# that rejects the node, or None where this node is not foreign after all).
+_FOREIGN = {
+    Malloc: (_SOURCE, _not_a_source_form),
+    Assign1: (_SOURCE, _not_a_source_form),
+    Assign2: (_SOURCE, _not_a_source_form),
+    CTag: (_SOURCE, _not_a_source_form),
+    Loc: (_SOURCE, _not_a_source_form),
+    Sigma: (_SOURCE, _partial_in_source),
+    Pair: (_TARGET, lambda e: "pair literal must be compiled to allocation"),
+    Clo: (_TARGET, lambda e: "closure literal must be compiled to allocation"),
+}
+
+
+def _reject_foreign(lang: Lang, e: Expr) -> None:
+    entry = _FOREIGN.get(type(e))
+    if entry is not None and entry[0] is lang:
+        message = entry[1](e)
+        if message is not None:
+            raise TypeCheckError(ErrKind.LANG_VIOLATION, message, e.pos)
+
+
+def wf(lang: Lang, e: Expr) -> None:
+    """Reject syntactically every form that lang lacks."""
     stack = [e]
     while stack:
         cur = stack.pop()
-        if isinstance(cur, _SOURCE_ONLY):
-            what = "pair literal" if isinstance(cur, Pair) else "closure literal"
-            raise TypeCheckError(
-                ErrKind.LANG_VIOLATION, f"{what} must be compiled to allocation", cur.pos
-            )
-        if isinstance(cur, Expr):
-            for f in cur.__dataclass_fields__:
-                if f != "pos":
-                    val = getattr(cur, f)
-                    if isinstance(val, Expr):
-                        stack.append(val)
+        _reject_foreign(lang, cur)
+        for f in _CHILD_FIELDS[type(cur)]:
+            stack.append(getattr(cur, f))
+
+
+def tgt_wf(e: Expr) -> None:
+    wf(_TARGET, e)
 
 
 def tgt_equiv(
@@ -106,23 +143,44 @@ def _ensure_subtype(heap: Heap, ctx: Context, inferred: Expr, expected: Expr, po
         raise TypeCheckError(ErrKind.SUBTYPE_FAIL, f"{what} has the wrong type", pos)
 
 
-def _sort_of(heap: Heap, ctx: Context, e: Expr, what: str) -> Universe:
-    """The universe of type e, kept on e when e is closed and heap-free.
+def _ensure_equiv(heap: Heap, ctx: Context, got: Expr, want: Expr, pos, what: str) -> None:
+    try:
+        ok = tgt_equiv(heap, ctx, got, want)
+    except FuelExhausted:
+        raise TypeCheckError(ErrKind.EQUIV_FAIL, f"conversion ran out of fuel for {what}", pos)
+    if not ok:
+        raise TypeCheckError(
+            ErrKind.ANNOT_MISMATCH, f"{what} does not match its required type", pos
+        )
 
-    Such a type reads nothing from the context or the heap, so its
-    universe is the same wherever it is asked for. Failures are not kept:
-    their messages may name context-dependent binders.
+
+def _sort_of(lang: Lang, heap: Heap, ctx: Context, e: Expr, what: str) -> Universe:
+    """The universe of type e; in the target, kept on e when e is closed
+    and heap-free.
+
+    Such a type reads nothing from the context or the heap, so its target
+    universe is the same wherever it is asked for. Source answers are not
+    kept: the source rejects a pair type over two universes that the
+    target accepts. Failures are not kept: their messages may name
+    context-dependent binders.
     """
+    if lang is not _TARGET:
+        # not through _infer_sort: one frame fewer per level of a source type
+        return _universe(_norm_ty(heap, ctx, infer(lang, heap, ctx, e), e.pos), e, what)
     s = e.__dict__.get("_tgt_sort")
     if s is None:
-        s = _infer_sort(heap, ctx, e, what)
+        s = _infer_sort(lang, heap, ctx, e, what)
         if not free_vars(e) and heap_free(e):
             object.__setattr__(e, "_tgt_sort", s)
     return s
 
 
-def _infer_sort(heap: Heap, ctx: Context, e: Expr, what: str) -> Universe:
-    t = _norm_ty(heap, ctx, tgt_infer(heap, ctx, e), e.pos)
+def _infer_sort(lang: Lang, heap: Heap, ctx: Context, e: Expr, what: str) -> Universe:
+    return _universe(_norm_ty(heap, ctx, infer(lang, heap, ctx, e), e.pos), e, what)
+
+
+def _universe(t: Expr, e: Expr, what: str) -> Universe:
+    """The universe that t, the normal type of type e, names."""
     if isinstance(t, Univ):
         return t.kind
     raise TypeCheckError(ErrKind.UNIVERSE_ERROR, f"{what} is not a type", e.pos)
@@ -135,19 +193,39 @@ def _pair_sort(s1: Universe, s2: Universe) -> Universe:
     return Universe.BOX
 
 
-def tgt_check(heap: Heap, ctx: Context, e: Expr, ty: Expr) -> None:
-    inferred = tgt_infer(heap, ctx, e)
+def check(lang: Lang, heap: Heap, ctx: Context, e: Expr, ty: Expr) -> None:
+    inferred = infer(lang, heap, ctx, e)
     _ensure_subtype(heap, ctx, inferred, ty, e.pos, "term")
 
 
+def tgt_check(heap: Heap, ctx: Context, e: Expr, ty: Expr) -> None:
+    check(_TARGET, heap, ctx, e, ty)
+
+
 def tgt_infer(heap: Heap, ctx: Context, e: Expr) -> Expr:
-    """Infer the type of a target term under the given heap."""
+    return infer(_TARGET, heap, ctx, e)
+
+
+def infer(lang: Lang, heap: Heap, ctx: Context, e: Expr) -> Expr:
+    """Infer the type of a term of lang under the given heap, raising
+    TypeCheckError on failure.
+
+    Source pair types carry flags (1,1), so the flag checks below never
+    fire on a source term. The arms of forms that one language lacks ask
+    _FOREIGN first.
+    """
     match e:
         case Var(x):
             b = ctx.lookup(x)
             if b is None:
                 raise TypeCheckError(ErrKind.UNBOUND_VAR, f"unbound variable '{x}'", e.pos)
             return b.ty
+        case Let(x, bound, annot, body):
+            _sort_of(lang, heap, ctx, annot, "let annotation")
+            check(lang, heap, ctx, bound, annot)
+            ctx2, x2 = push_binder(ctx, x, annot, defn=bound)
+            body_ty = infer(lang, heap, ctx2, subst(body, Var(x2), x))
+            return subst(body_ty, bound, x2)
         case Univ(Universe.STAR):
             return Univ(Universe.BOX)
         case Univ(Universe.BOX):
@@ -156,53 +234,55 @@ def tgt_infer(heap: Heap, ctx: Context, e: Expr) -> Expr:
             return Univ(Universe.STAR)
         case UnitTm():
             return UnitTy()
-        case Loc(i):
-            cell = heap.cell(i)
-            if cell is None:
-                raise TypeCheckError(ErrKind.UNKNOWN_LOC, f"location {i} is not allocated", e.pos)
-            return cell.cell_type
         case Pi(x, dom, cod):
-            _sort_of(heap, ctx, dom, "function domain")
+            _sort_of(lang, heap, ctx, dom, "function domain")
             ctx2, x2 = push_binder(ctx, x, dom)
-            s = _sort_of(heap, ctx2, subst(cod, Var(x2), x), "function codomain")
+            s = _sort_of(lang, heap, ctx2, subst(cod, Var(x2), x), "function codomain")
             return Univ(s)
         case Sigma(x, dom, _, cod, _):
-            s1 = _sort_of(heap, ctx, dom, "pair type component")
+            _reject_foreign(lang, e)
+            s1 = _sort_of(lang, heap, ctx, dom, "pair type component")
             ctx2, x2 = push_binder(ctx, x, dom)
-            s2 = _sort_of(heap, ctx2, subst(cod, Var(x2), x), "pair type component")
+            s2 = _sort_of(lang, heap, ctx2, subst(cod, Var(x2), x), "pair type component")
+            if s1 is not s2 and lang is _SOURCE:
+                raise TypeCheckError(
+                    ErrKind.UNIVERSE_ERROR,
+                    "pair type components live in different universes",
+                    e.pos,
+                )
             return Univ(_pair_sort(s1, s2))
         case CodeTy(n, envty, x, argty, res):
             _require_closed(e, "code type")
             empty = Context()
-            _sort_of(heap, empty, envty, "code environment type")
+            _sort_of(lang, heap, empty, envty, "code environment type")
             ctx_n, n2 = push_binder(empty, n, envty)
             argty2 = subst(argty, Var(n2), n) if x != n else argty
             res2 = subst(res, Var(n2), n) if x != n else res
-            _sort_of(heap, ctx_n, argty2, "code argument type")
+            _sort_of(lang, heap, ctx_n, argty2, "code argument type")
             ctx_nx, x2 = push_binder(ctx_n, x, argty2)
-            s = _sort_of(heap, ctx_nx, subst(res2, Var(x2), x), "code result type")
+            s = _sort_of(lang, heap, ctx_nx, subst(res2, Var(x2), x), "code result type")
             return Univ(s)
         case Code(n, envty, x, argty, body):
             _require_closed(e, "code")
             empty = Context()
-            _sort_of(heap, empty, envty, "code environment type")
+            _sort_of(lang, heap, empty, envty, "code environment type")
             ctx_n, n2 = push_binder(empty, n, envty)
             argty2 = subst(argty, Var(n2), n) if x != n else argty
             body2 = subst(body, Var(n2), n) if x != n else body
-            _sort_of(heap, ctx_n, argty2, "code argument type")
+            _sort_of(lang, heap, ctx_n, argty2, "code argument type")
             ctx_nx, x2 = push_binder(ctx_n, x, argty2)
-            res = tgt_infer(heap, ctx_nx, subst(body2, Var(x2), x))
+            res = infer(lang, heap, ctx_nx, subst(body2, Var(x2), x))
             return CodeTy(n2, envty, x2, argty2, res)
         case App(f, a):
-            fn_ty = _norm_ty(heap, ctx, tgt_infer(heap, ctx, f), f.pos)
+            fn_ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, f), f.pos)
             if not isinstance(fn_ty, Pi):
                 raise TypeCheckError(
                     ErrKind.NOT_A_FUNCTION, "application of a non-function", f.pos
                 )
-            tgt_check(heap, ctx, a, fn_ty.dom)
+            check(lang, heap, ctx, a, fn_ty.dom)
             return subst(fn_ty.cod, a, fn_ty.binder)
         case Fst(inner):
-            t = _norm_ty(heap, ctx, tgt_infer(heap, ctx, inner), inner.pos)
+            t = _norm_ty(heap, ctx, infer(lang, heap, ctx, inner), inner.pos)
             if not isinstance(t, Sigma):
                 raise TypeCheckError(ErrKind.NOT_A_PAIR, "projection from a non-pair", inner.pos)
             if t.flag1 != 1:
@@ -211,7 +291,7 @@ def tgt_infer(heap: Heap, ctx: Context, e: Expr) -> Expr:
                 )
             return t.dom
         case Snd(inner):
-            t = _norm_ty(heap, ctx, tgt_infer(heap, ctx, inner), inner.pos)
+            t = _norm_ty(heap, ctx, infer(lang, heap, ctx, inner), inner.pos)
             if not isinstance(t, Sigma):
                 raise TypeCheckError(ErrKind.NOT_A_PAIR, "projection from a non-pair", inner.pos)
             if (t.flag1, t.flag2) != (1, 1):
@@ -219,24 +299,59 @@ def tgt_infer(heap: Heap, ctx: Context, e: Expr) -> Expr:
                     ErrKind.FLAG_ERROR, "second slot may be uninitialized", e.pos
                 )
             return subst(t.cod, Fst(inner), t.binder)
+        case Pair(a, d, annot):
+            _reject_foreign(lang, e)
+            if not isinstance(annot, Sigma):
+                raise TypeCheckError(
+                    ErrKind.ANNOT_MISMATCH, "pair annotation must be a pair type", e.pos
+                )
+            _sort_of(lang, heap, ctx, annot, "pair annotation")
+            check(lang, heap, ctx, a, annot.dom)
+            check(lang, heap, ctx, d, subst(annot.cod, a, annot.binder))
+            return annot
+        case Clo(c, env, annot):
+            _reject_foreign(lang, e)
+            code_ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, c), c.pos)
+            if not isinstance(code_ty, CodeTy):
+                raise TypeCheckError(
+                    ErrKind.NOT_A_FUNCTION, "closure over a term that is not code", c.pos
+                )
+            check(lang, heap, ctx, env, code_ty.env_ty)
+            computed = _closure_type(code_ty, env)
+            if not isinstance(annot, Pi):
+                raise TypeCheckError(
+                    ErrKind.ANNOT_MISMATCH, "closure annotation must be a function type", e.pos
+                )
+            _sort_of(lang, heap, ctx, annot, "closure annotation")
+            _ensure_equiv(heap, ctx, annot, computed, e.pos, "closure annotation")
+            return annot
+        case Loc(i):
+            _reject_foreign(lang, e)
+            cell = heap.cell(i)
+            if cell is None:
+                raise TypeCheckError(ErrKind.UNKNOWN_LOC, f"location {i} is not allocated", e.pos)
+            return cell.cell_type
         case Malloc(x, t1, t2):
-            _sort_of(heap, ctx, t1, "allocated component type")
+            _reject_foreign(lang, e)
+            _sort_of(lang, heap, ctx, t1, "allocated component type")
             ctx2, x2 = push_binder(ctx, x, t1)
             t2r = subst(t2, Var(x2), x)
-            _sort_of(heap, ctx2, t2r, "allocated component type")
+            _sort_of(lang, heap, ctx2, t2r, "allocated component type")
             return Sigma(x2, t1, 0, t2r, 0)
         case Assign1(t, v):
-            ty = _norm_ty(heap, ctx, tgt_infer(heap, ctx, t), t.pos)
+            _reject_foreign(lang, e)
+            ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, t), t.pos)
             if not isinstance(ty, Sigma):
                 raise TypeCheckError(ErrKind.NOT_A_PAIR, "assignment to a non-tuple", t.pos)
             if ty.flag1 != 0:
                 raise TypeCheckError(
                     ErrKind.FLAG_ERROR, "first slot is already initialized", e.pos
                 )
-            tgt_check(heap, ctx, v, ty.dom)
+            check(lang, heap, ctx, v, ty.dom)
             return Sigma(ty.binder, ty.dom, 1, ty.cod, ty.flag2)
         case Assign2(t, v):
-            ty = _norm_ty(heap, ctx, tgt_infer(heap, ctx, t), t.pos)
+            _reject_foreign(lang, e)
+            ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, t), t.pos)
             if not isinstance(ty, Sigma):
                 raise TypeCheckError(ErrKind.NOT_A_PAIR, "assignment to a non-tuple", t.pos)
             if (ty.flag1, ty.flag2) != (1, 0):
@@ -245,10 +360,11 @@ def tgt_infer(heap: Heap, ctx: Context, e: Expr) -> Expr:
                     "second assignment needs a filled first slot and an empty second slot",
                     e.pos,
                 )
-            tgt_check(heap, ctx, v, subst(ty.cod, Fst(t), ty.binder))
+            check(lang, heap, ctx, v, subst(ty.cod, Fst(t), ty.binder))
             return Sigma(ty.binder, ty.dom, 1, ty.cod, 1)
         case CTag(t):
-            ty = _norm_ty(heap, ctx, tgt_infer(heap, ctx, t), t.pos)
+            _reject_foreign(lang, e)
+            ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, t), t.pos)
             if not isinstance(ty, Sigma):
                 raise TypeCheckError(
                     ErrKind.NOT_A_FUNCTION, "ctag expects a code-and-environment pair", t.pos
@@ -276,18 +392,7 @@ def tgt_infer(heap: Heap, ctx: Context, e: Expr) -> Expr:
                 raise TypeCheckError(
                     ErrKind.NOT_A_FUNCTION, "ctag expects a code-and-environment pair", t.pos
                 )
-            return _ctag_result(code_ty, Snd(t))
-        case Let(x, bound, annot, body):
-            _sort_of(heap, ctx, annot, "let annotation")
-            tgt_check(heap, ctx, bound, annot)
-            ctx2, x2 = push_binder(ctx, x, annot, defn=bound)
-            body_ty = tgt_infer(heap, ctx2, subst(body, Var(x2), x))
-            return subst(body_ty, bound, x2)
-        case Pair() | Clo():
-            what = "pair literal" if isinstance(e, Pair) else "closure literal"
-            raise TypeCheckError(
-                ErrKind.LANG_VIOLATION, f"{what} must be compiled to allocation", e.pos
-            )
+            return _closure_type(code_ty, Snd(t))
     raise TypeError(f"unknown expression node: {e!r}")
 
 
@@ -298,9 +403,11 @@ def _require_closed(e: Expr, what: str) -> None:
         raise TypeCheckError(ErrKind.OPEN_CODE, f"{what} mentions outer variables: {names}", e.pos)
 
 
-def _ctag_result(code_ty: CodeTy, env: Expr) -> Pi:
-    """The function type a tagged tuple acquires: the code's argument and
-    result types with the tuple's second projection as the environment."""
+def _closure_type(code_ty: CodeTy, env: Expr) -> Pi:
+    """The function type of code closed over env: the code type with env
+    substituted for its environment binder, rebuilt as a Pi over the
+    argument. A closure's env is its environment value, a tagged tuple's
+    its second projection."""
     n, x = code_ty.env_binder, code_ty.arg_binder
     argty, res = code_ty.arg_ty, code_ty.result_ty
     if x in free_vars(env):
@@ -478,10 +585,8 @@ def tgt_steps(
 
 
 def tgt_trace(start: Config | Expr, fuel: int = conversion.DEFAULT_FUEL) -> list[str]:
-    from .sexpr import Lang, print_expr
-
     return [
-        f"STEP {k} | {rule} | {print_expr(c.expr, Lang.TARGET)} | {c.heap.summary()}"
+        f"STEP {k} | {rule} | {print_expr(c.expr, _TARGET)} | {c.heap.summary()}"
         for k, (c, rule) in enumerate(tgt_steps(start, fuel))
     ]
 

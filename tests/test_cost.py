@@ -38,9 +38,9 @@ def sort_inferences(monkeypatch):
     seen = []
     uncached = target._infer_sort
 
-    def counted(heap, ctx, e, what):
+    def counted(lang, heap, ctx, e, what):
         seen.append(e)
-        return uncached(heap, ctx, e, what)
+        return uncached(lang, heap, ctx, e, what)
 
     monkeypatch.setattr(target, "_infer_sort", counted)
     return seen

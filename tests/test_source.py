@@ -18,11 +18,15 @@ from dtalloc.source import (
 )
 from dtalloc.syntax import (
     App,
+    Assign1,
+    Assign2,
     BOX,
     Code,
     Context,
+    CTag,
     Fst,
     Let,
+    Loc,
     Malloc,
     Pair,
     Pi,
@@ -189,18 +193,40 @@ def test_pair_second_component_checked_under_substitution():
 # ---------------------------------------------------------------------------
 # Language boundary
 
+# Every form the source lacks, at a position of its own, and the message
+# that rejects it.
+NOT_SOURCE = [
+    (Malloc("x", UNIT_TY, UNIT_TY, pos=(2, 5)), "malloc is not a source form"),
+    (Assign1(Var("t"), UNIT, pos=(2, 5)), "assign1 is not a source form"),
+    (Assign2(Var("t"), UNIT, pos=(2, 5)), "assign2 is not a source form"),
+    (CTag(Var("t"), pos=(2, 5)), "ctag is not a source form"),
+    (Loc(0, pos=(2, 5)), "loc is not a source form"),
+]
+
+
+def rejections(term):
+    """The (kind, message, pos) of every error with which src_wf and
+    src_infer reject term, alone and as the body of a let."""
+    found = set()
+    for e in (term, Let("y", UNIT, UNIT_TY, term, pos=(1, 1))):
+        for judge in (src_wf, lambda t: src_infer(Context(), t)):
+            with pytest.raises(TypeCheckError) as exc:
+                judge(e)
+            found.add((exc.value.kind, exc.value.message, exc.value.pos))
+    return found
+
+
 def test_source_rejects_allocation_forms():
-    with pytest.raises(TypeCheckError) as exc:
-        src_infer(Context(), Malloc("x", UNIT_TY, UNIT_TY))
-    assert exc.value.kind is ErrKind.LANG_VIOLATION
-    with pytest.raises(TypeCheckError):
-        src_wf(Malloc("x", UNIT_TY, UNIT_TY))
+    for term, message in NOT_SOURCE:
+        assert rejections(term) == {(ErrKind.LANG_VIOLATION, message, (2, 5))}, term
 
 
 def test_source_rejects_partial_sigma():
-    with pytest.raises(TypeCheckError) as exc:
-        src_wf(Sigma("x", UNIT_TY, 1, UNIT_TY, 0))
-    assert exc.value.kind is ErrKind.LANG_VIOLATION
+    for f1, f2 in ((1, 0), (0, 1), (0, 0)):
+        sigma = Sigma("x", UNIT_TY, f1, UNIT_TY, f2, pos=(2, 5))
+        assert rejections(sigma) == {
+            (ErrKind.LANG_VIOLATION, "partially initialized pair type in source", (2, 5))
+        }, (f1, f2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from dtalloc.conversion import equiv, normalize, subtype
 from dtalloc.errors import ErrKind, FuelExhausted, StuckError, TypeCheckError
 from dtalloc.heap import Config, Heap, HeapCell, UNINIT
 from dtalloc.sexpr import Lang, parse
+from dtalloc.source import src_infer
 from dtalloc.target import (
     _sort_of,
     heap_wf,
@@ -120,13 +121,31 @@ def test_ctag_typing_and_rejections():
     )
 
 
+# Every form the target lacks, at a position of its own, and the message
+# that rejects it.
+NOT_TARGET = [
+    (
+        Pair(UNIT, UNIT, Sigma("x", UNIT_TY, 1, UNIT_TY, 1), pos=(2, 5)),
+        "pair literal must be compiled to allocation",
+    ),
+    (
+        Clo(
+            Code("n", UNIT_TY, "x", UNIT_TY, Var("x")), UNIT, Pi("x", UNIT_TY, UNIT_TY), pos=(2, 5)
+        ),
+        "closure literal must be compiled to allocation",
+    ),
+]
+
+
 def test_pair_and_clo_literals_rejected():
-    with pytest.raises(TypeCheckError) as exc:
-        tgt_infer(Heap(), Context(), Pair(UNIT, UNIT, Sigma("x", UNIT_TY, 1, UNIT_TY, 1)))
-    assert exc.value.kind is ErrKind.LANG_VIOLATION
-    clo = Clo(Code("n", UNIT_TY, "x", UNIT_TY, Var("x")), UNIT, Pi("x", UNIT_TY, UNIT_TY))
-    with pytest.raises(TypeCheckError):
-        tgt_wf(clo)
+    for term, message in NOT_TARGET:
+        found = set()
+        for e in (term, Let("y", UNIT, UNIT_TY, term, pos=(1, 1))):
+            for judge in (tgt_wf, lambda t: tgt_infer(Heap(), Context(), t)):
+                with pytest.raises(TypeCheckError) as exc:
+                    judge(e)
+                found.add((exc.value.kind, exc.value.message, exc.value.pos))
+        assert found == {(ErrKind.LANG_VIOLATION, message, (2, 5))}, term
 
 
 def test_loc_typing_from_heap():
@@ -304,14 +323,14 @@ def test_normalize_equiv_and_subtype_leave_the_callers_heap_alone():
 def _outcome(heap, ctx, ty):
     """The universe of ty, or the kind, message and position of its error."""
     try:
-        return _sort_of(heap, ctx, ty, "type")
+        return _sort_of(Lang.TARGET, heap, ctx, ty, "type")
     except TypeCheckError as err:
         return err.kind, err.message, err.pos
 
 
 def test_universe_is_memoized_for_closed_heap_free_types():
     ty = tparse("(Sigma (x Unit 1) ((Pi (a Unit) Star) 0))")
-    assert _sort_of(Heap(), Context(), ty, "type") is Universe.BOX
+    assert _sort_of(Lang.TARGET, Heap(), Context(), ty, "type") is Universe.BOX
     assert ty.__dict__["_tgt_sort"] is Universe.BOX
 
 
@@ -324,13 +343,27 @@ def test_universe_is_not_memoized_for_heap_open_or_ill_sorted_types():
     open_ty = tparse("(Sigma (a t 1) (Unit 1))")
     ctx = Context().extend("t", STAR)
     for ty in (with_loc, with_malloc, open_ty):
-        assert _sort_of(heap, ctx, ty, "type") is Universe.STAR
+        assert _sort_of(Lang.TARGET, heap, ctx, ty, "type") is Universe.STAR
         assert "_tgt_sort" not in ty.__dict__
     ill_sorted = tparse("(Sigma (a unit 1) (Unit 1))")
     first = _outcome(heap, ctx, ill_sorted)
     assert first[0] is ErrKind.UNIVERSE_ERROR
     assert "_tgt_sort" not in ill_sorted.__dict__
     assert _outcome(Heap(), Context(), ill_sorted) == first
+
+
+def test_a_target_universe_kept_on_a_type_never_answers_for_the_source():
+    mixed = Sigma("x", UNIT_TY, 1, STAR, 1)
+    fn = Pi("a", mixed, UNIT_TY)
+    tgt_infer(Heap(), Context(), fn)
+    assert mixed.__dict__["_tgt_sort"] is Universe.BOX
+    with pytest.raises(TypeCheckError) as exc:
+        src_infer(Context(), fn)
+    assert exc.value.kind is ErrKind.UNIVERSE_ERROR
+    assert exc.value.message == "pair type components live in different universes"
+    well_sorted = Sigma("x", UNIT_TY, 1, UNIT_TY, 1)
+    src_infer(Context(), Pi("a", well_sorted, UNIT_TY))
+    assert "_tgt_sort" not in well_sorted.__dict__
 
 
 def _fresh_copy(e):
