@@ -23,12 +23,22 @@ from .harness import (
     source_step_pairs,
     summary_line,
 )
-from .heap import Config, Heap
+from .heap import Heap
 from .model import Unsupported, emit_model
 from .sexpr import Lang, ParseError, parse, print_expr
 from .source import src_eval, src_infer, src_trace
 from .syntax import Context
 from .target import infer, tgt_eval, tgt_trace
+
+
+def _fuel(text: str) -> int:
+    try:
+        fuel = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if fuel < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {fuel}")
+    return fuel
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if fuel:
             sp.add_argument(
-                "--fuel", type=int, default=DEFAULT_FUEL,
+                "--fuel", type=_fuel, default=DEFAULT_FUEL,
                 help="reduction step budget (default: %(default)s)",
             )
 
@@ -104,20 +114,15 @@ def _cmd_compile(args) -> int:
 def _cmd_run(args) -> int:
     lang = Lang(args.lang)
     e = _load(args.file, lang)
-    if lang is Lang.SOURCE:
-        if args.trace:
-            for line in src_trace(e, fuel=args.fuel):
-                print(line)
-        else:
-            print(print_expr(src_eval(e, fuel=args.fuel), lang))
+    if args.trace:
+        for line in (src_trace if lang is Lang.SOURCE else tgt_trace)(e, fuel=args.fuel):
+            print(line)
+    elif lang is Lang.SOURCE:
+        print(print_expr(src_eval(e, fuel=args.fuel), lang))
     else:
-        if args.trace:
-            for line in tgt_trace(Config(Heap(), e), fuel=args.fuel):
-                print(line)
-        else:
-            final = tgt_eval(e, fuel=args.fuel)
-            print(print_expr(final.expr, lang))
-            print(f"heap: {final.heap.summary()}")
+        final = tgt_eval(e, fuel=args.fuel)
+        print(print_expr(final.expr, lang))
+        print(f"heap: {final.heap.summary()}")
     return 0
 
 

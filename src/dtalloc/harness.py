@@ -25,7 +25,7 @@ from .alloc import translate, translate_ctx
 from .errors import ErrKind, FuelExhausted, TypeCheckError
 from .heap import UNINIT, Config, Heap
 from .sexpr import Lang, parse
-from .source import src_check, src_equiv, src_infer, src_normalize, src_step, src_eval
+from .source import src_check, src_equiv, src_eval, src_infer, src_normalize, src_steps
 from .syntax import (
     STAR,
     UNIT,
@@ -460,16 +460,15 @@ def load_corpus(dirpath: str | Path) -> list[tuple[str, Expr]]:
 
 
 def source_step_pairs(e: Expr, fuel: int = DEFAULT_FUEL) -> list[tuple[Expr, Expr]]:
-    """All consecutive (term, stepped term) pairs of a source run."""
-    pairs = []
-    cur = e
-    for _ in range(fuel):
-        r = src_step(cur)
-        if r is None:
-            return pairs
-        pairs.append((cur, r[0]))
-        cur = r[0]
-    raise FuelExhausted(fuel)
+    """All consecutive (term, stepped term) pairs of a source run. Seeing
+    that the last term is a value costs one unit of fuel, as a step does."""
+    if fuel < 1:
+        raise FuelExhausted(fuel)
+    try:
+        terms = [t for t, _ in src_steps(e, fuel - 1)]
+    except FuelExhausted:
+        raise FuelExhausted(fuel) from None
+    return list(zip(terms, terms[1:]))
 
 
 # ---------------------------------------------------------------------------

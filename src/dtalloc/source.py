@@ -18,10 +18,12 @@ machine.
 from __future__ import annotations
 
 from . import conversion
-from .errors import FuelExhausted, StuckError
+from .errors import StuckError
 from .heap import Heap
+from .machine import EVAL_FIELDS, Machine
 from .sexpr import Lang, print_expr
 from .syntax import (
+    _memoize,
     App,
     Clo,
     Code,
@@ -75,7 +77,15 @@ def src_infer(ctx: Context, e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # Call-by-value evaluation
 
+_VALUE_PARTS = {Pair: ("fst", "snd"), Clo: ("env",)}  # what a node's value test reads
+
+
 def is_src_value(e: Expr) -> bool:
+    v = e.__dict__.get("_src_value")
+    return v if v is not None else _memoize(e, "_src_value", _is_value, _VALUE_PARTS)
+
+
+def _is_value(e: Expr) -> bool:
     match e:
         case UnitTm() | UnitTy() | Univ() | Pi() | Sigma() | CodeTy() | Code():
             return True
@@ -86,94 +96,50 @@ def is_src_value(e: Expr) -> bool:
     return False
 
 
-def src_step(e: Expr) -> tuple[Expr, str] | None:
-    """One step, returning the new term and the rule that fired, or None
-    for a value. Raises StuckError on a non-value that cannot step."""
-    if is_src_value(e):
-        return None
+def _contract(heap: None, e: Expr) -> tuple[None, Expr, str]:
     match e:
-        case Let(x, bound, annot, body):
-            if not is_src_value(bound):
-                bound2, rule = _step_sub(bound)
-                return Let(x, bound2, annot, body, pos=e.pos), rule
-            return subst(body, bound, x), "let"
-        case App(f, a):
-            if not is_src_value(f):
-                f2, rule = _step_sub(f)
-                return App(f2, a, pos=e.pos), rule
-            if not is_src_value(a):
-                a2, rule = _step_sub(a)
-                return App(f, a2, pos=e.pos), rule
-            if isinstance(f, Clo) and isinstance(f.code, Code):
-                c = f.code
-                m = {c.env_binder: f.env}
-                m[c.arg_binder] = a
-                return subst_many(c.body, m), "app-clo"
+        case Let(x, bound, _, body):
+            return heap, subst(body, bound, x), "let"
+        case App(Clo(Code() as c, env), a):
+            return heap, subst_many(c.body, {c.env_binder: env, c.arg_binder: a}), "app-clo"
+        case App(f, _):
             raise StuckError(f"cannot apply {type(f).__name__}")
-        case Fst(inner):
-            if not is_src_value(inner):
-                i2, rule = _step_sub(inner)
-                return Fst(i2, pos=e.pos), rule
-            if isinstance(inner, Pair):
-                return inner.fst, "fst-pair"
+        case Fst(Pair(a, _)):
+            return heap, a, "fst-pair"
+        case Fst():
             raise StuckError("first projection of a non-pair value")
-        case Snd(inner):
-            if not is_src_value(inner):
-                i2, rule = _step_sub(inner)
-                return Snd(i2, pos=e.pos), rule
-            if isinstance(inner, Pair):
-                return inner.snd, "snd-pair"
+        case Snd(Pair(_, d)):
+            return heap, d, "snd-pair"
+        case Snd():
             raise StuckError("second projection of a non-pair value")
-        case Clo(c, env, annot):
-            if not is_src_value(c):
-                c2, rule = _step_sub(c)
-                return Clo(c2, env, annot, pos=e.pos), rule
-            if not is_src_value(env):
-                env2, rule = _step_sub(env)
-                return Clo(c, env2, annot, pos=e.pos), rule
+        case Clo():
             raise StuckError("closure over a non-code value")
-        case Pair(a, d, annot):
-            if not is_src_value(a):
-                a2, rule = _step_sub(a)
-                return Pair(a2, d, annot, pos=e.pos), rule
-            d2, rule = _step_sub(d)
-            return Pair(a, d2, annot, pos=e.pos), rule
         case Var(x):
             raise StuckError(f"free variable '{x}' cannot step")
     raise StuckError(f"{type(e).__name__} cannot step in the source machine")
 
 
-def _step_sub(e: Expr) -> tuple[Expr, str]:
-    r = src_step(e)
-    if r is None:
-        raise StuckError("subterm is already a value")
-    return r
+_MACHINE = Machine({**EVAL_FIELDS, Clo: ("code", "env"), Pair: ("fst", "snd")},
+                   is_src_value, _contract)
+
+
+def src_step(e: Expr) -> tuple[Expr, str] | None:
+    """One step, returning the new term and the rule that fired, or None
+    for a value. Raises StuckError on a non-value that cannot step."""
+    r = _MACHINE.step(None, e)
+    return None if r is None else r[1:]
 
 
 def src_eval(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> Expr:
-    for _ in range(fuel):
-        r = src_step(e)
-        if r is None:
-            return e
-        e = r[0]
-    if src_step(e) is None:
-        return e
-    raise FuelExhausted(fuel)
+    return _MACHINE.run(None, e, fuel)[1]
 
 
 def src_steps(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> list[tuple[Expr, str]]:
     """The full reduction sequence as (term, rule) pairs, starting from
     (e, "init")."""
-    out = [(e, "init")]
-    for _ in range(fuel):
-        r = src_step(e)
-        if r is None:
-            return out
-        e = r[0]
-        out.append(r)
-    if src_step(e) is None:
-        return out
-    raise FuelExhausted(fuel)
+    trace: list = []
+    _MACHINE.run(None, e, fuel, trace)
+    return [(e, "init")] + [(t, rule) for _, t, rule in trace]
 
 
 def src_trace(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> list[str]:

@@ -271,15 +271,15 @@ _CHILD_FIELDS = {
 }
 
 
-def _memoize(e: Expr, key: str, analysis):
-    """Store analysis(n) under key on e and on every node below it that
-    lacks it; return e's value."""
+def _memoize(e: Expr, key: str, analysis, children=_CHILD_FIELDS):
+    """Store analysis(n) under key on e and on every node below it, through
+    the given child fields, that lacks it; return e's value."""
     order, todo = [], [e]
     while todo:
         n = todo.pop()
         if key not in n.__dict__:
             order.append(n)
-            for f in _CHILD_FIELDS.get(type(n), ()):
+            for f in children.get(type(n), ()):
                 todo.append(getattr(n, f))
     # every node comes after its parent in order, so children go first
     for n in reversed(order):

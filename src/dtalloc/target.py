@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from . import conversion
 from .errors import ErrKind, FuelExhausted, StuckError, TypeCheckError
 from .heap import UNINIT, Config, Heap, HeapCell, locs_in
+from .machine import EVAL_FIELDS, Machine
 from .sexpr import Lang, print_expr
 from .syntax import (
     _CHILD_FIELDS,
@@ -422,148 +423,93 @@ def _closure_type(code_ty: CodeTy, env: Expr) -> Pi:
 # ---------------------------------------------------------------------------
 # The heap machine
 
+_VALUE_FORMS = (UnitTm, UnitTy, Univ, Pi, Sigma, CodeTy, Code, Loc)
+
+
 def is_tgt_value(e: Expr) -> bool:
+    return isinstance(e, _VALUE_FORMS) or (isinstance(e, CTag) and isinstance(e.expr, Loc))
+
+
+def _cell(heap: Heap, i: int, what: str) -> HeapCell:
+    cell = heap.cell(i)
+    if cell is None:
+        raise StuckError(f"{what} through a dangling location")
+    return cell
+
+
+def _contract(heap: Heap, e: Expr) -> tuple[Heap, Expr, str]:
     match e:
-        case UnitTm() | UnitTy() | Univ() | Pi() | Sigma() | CodeTy() | Code() | Loc():
-            return True
-        case CTag(inner):
-            return isinstance(inner, Loc)
-    return False
-
-
-def tgt_step(config: Config) -> tuple[Config, str] | None:
-    """One machine step, or None when the expression is a value."""
-    r = _step(config.heap, config.expr)
-    if r is None:
-        return None
-    heap2, e2, rule = r
-    return Config(heap2, e2), rule
-
-
-def _step(heap: Heap, e: Expr) -> tuple[Heap, Expr, str] | None:
-    if is_tgt_value(e):
-        return None
-    match e:
-        case Let(x, bound, annot, body):
-            if not is_tgt_value(bound):
-                heap2, b2, rule = _step_sub(heap, bound)
-                return heap2, Let(x, b2, annot, body, pos=e.pos), rule
+        case Let(x, bound, _, body):
             return heap, subst(body, bound, x), "let"
-        case App(f, a):
-            if not is_tgt_value(f):
-                heap2, f2, rule = _step_sub(heap, f)
-                return heap2, App(f2, a, pos=e.pos), rule
-            if not is_tgt_value(a):
-                heap2, a2, rule = _step_sub(heap, a)
-                return heap2, App(f, a2, pos=e.pos), rule
-            if isinstance(f, CTag) and isinstance(f.expr, Loc):
-                cell = heap.cell(f.expr.loc_id)
-                if cell is None:
-                    raise StuckError("application through a dangling location")
-                if cell.flags != (1, 1) or cell.slot1 is UNINIT or cell.slot2 is UNINIT:
-                    raise StuckError("application through a partly initialized tuple")
-                if not isinstance(cell.slot1, Code):
-                    raise StuckError("tagged tuple does not hold code")
-                c = cell.slot1
-                m = {c.env_binder: cell.slot2}
-                m[c.arg_binder] = a
-                return heap, subst_many(c.body, m), "app-ctag"
+        case App(CTag(Loc(i)), a):
+            cell = _cell(heap, i, "application")
+            if cell.flags != (1, 1) or cell.slot1 is UNINIT or cell.slot2 is UNINIT:
+                raise StuckError("application through a partly initialized tuple")
+            if not isinstance(cell.slot1, Code):
+                raise StuckError("tagged tuple does not hold code")
+            c = cell.slot1
+            return heap, subst_many(c.body, {c.env_binder: cell.slot2, c.arg_binder: a}), "app-ctag"
+        case App(f, _):
             raise StuckError(f"cannot apply {type(f).__name__}")
-        case Fst(inner):
-            if not is_tgt_value(inner):
-                heap2, i2, rule = _step_sub(heap, inner)
-                return heap2, Fst(i2, pos=e.pos), rule
-            if isinstance(inner, Loc):
-                cell = heap.cell(inner.loc_id)
-                if cell is None:
-                    raise StuckError("projection through a dangling location")
-                if cell.flags[0] != 1 or cell.slot1 is UNINIT:
-                    raise StuckError("first slot is uninitialized")
-                return heap, cell.slot1, "fst-loc"
+        case Fst(Loc(i)):
+            cell = _cell(heap, i, "projection")
+            if cell.flags[0] != 1 or cell.slot1 is UNINIT:
+                raise StuckError("first slot is uninitialized")
+            return heap, cell.slot1, "fst-loc"
+        case Fst():
             raise StuckError("first projection of a non-tuple value")
-        case Snd(inner):
-            if not is_tgt_value(inner):
-                heap2, i2, rule = _step_sub(heap, inner)
-                return heap2, Snd(i2, pos=e.pos), rule
-            if isinstance(inner, Loc):
-                cell = heap.cell(inner.loc_id)
-                if cell is None:
-                    raise StuckError("projection through a dangling location")
-                if cell.flags[1] != 1 or cell.slot2 is UNINIT:
-                    raise StuckError("second slot is uninitialized")
-                return heap, cell.slot2, "snd-loc"
+        case Snd(Loc(i)):
+            cell = _cell(heap, i, "projection")
+            if cell.flags[1] != 1 or cell.slot2 is UNINIT:
+                raise StuckError("second slot is uninitialized")
+            return heap, cell.slot2, "snd-loc"
+        case Snd():
             raise StuckError("second projection of a non-tuple value")
         case Malloc(x, t1, t2):
             # stored types are not evaluated
             heap2, i = heap.alloc(HeapCell(Sigma(x, t1, 0, t2, 0), UNINIT, UNINIT))
             return heap2, Loc(i), "malloc"
-        case Assign1(t, v):
-            if not is_tgt_value(t):
-                heap2, t2, rule = _step_sub(heap, t)
-                return heap2, Assign1(t2, v, pos=e.pos), rule
-            if not is_tgt_value(v):
-                heap2, v2, rule = _step_sub(heap, v)
-                return heap2, Assign1(t, v2, pos=e.pos), rule
-            if isinstance(t, Loc):
-                cell = heap.cell(t.loc_id)
-                if cell is None:
-                    raise StuckError("assignment through a dangling location")
-                if cell.flags[0] != 0:
-                    raise StuckError("first slot was already written")
-                ty = cell.cell_type
-                new_ty = Sigma(ty.binder, ty.dom, 1, ty.cod, ty.flag2)
-                heap2 = heap.with_cell(t.loc_id, HeapCell(new_ty, v, cell.slot2))
-                return heap2, t, "assign1"
+        case Assign1(Loc(i) as t, v):
+            cell = _cell(heap, i, "assignment")
+            if cell.flags[0] != 0:
+                raise StuckError("first slot was already written")
+            ty = cell.cell_type
+            new_ty = Sigma(ty.binder, ty.dom, 1, ty.cod, ty.flag2)
+            return heap.with_cell(i, HeapCell(new_ty, v, cell.slot2)), t, "assign1"
+        case Assign2(Loc(i) as t, v):
+            cell = _cell(heap, i, "assignment")
+            if cell.flags != (1, 0):
+                raise StuckError("second slot needs a filled first slot and an empty second")
+            ty = cell.cell_type
+            new_ty = Sigma(ty.binder, ty.dom, 1, ty.cod, 1)
+            return heap.with_cell(i, HeapCell(new_ty, cell.slot1, v)), t, "assign2"
+        case Assign1() | Assign2():
             raise StuckError("assignment to a non-tuple value")
-        case Assign2(t, v):
-            if not is_tgt_value(t):
-                heap2, t2, rule = _step_sub(heap, t)
-                return heap2, Assign2(t2, v, pos=e.pos), rule
-            if not is_tgt_value(v):
-                heap2, v2, rule = _step_sub(heap, v)
-                return heap2, Assign2(t, v2, pos=e.pos), rule
-            if isinstance(t, Loc):
-                cell = heap.cell(t.loc_id)
-                if cell is None:
-                    raise StuckError("assignment through a dangling location")
-                if cell.flags != (1, 0):
-                    raise StuckError("second slot needs a filled first slot and an empty second")
-                ty = cell.cell_type
-                new_ty = Sigma(ty.binder, ty.dom, 1, ty.cod, 1)
-                heap2 = heap.with_cell(t.loc_id, HeapCell(new_ty, cell.slot1, v))
-                return heap2, t, "assign2"
-            raise StuckError("assignment to a non-tuple value")
-        case CTag(inner):
-            if not is_tgt_value(inner):
-                heap2, i2, rule = _step_sub(heap, inner)
-                return heap2, CTag(i2, pos=e.pos), rule
+        case CTag():
             raise StuckError("ctag of a non-tuple value")
         case Var(x):
             raise StuckError(f"free variable '{x}' cannot step")
     raise StuckError(f"{type(e).__name__} cannot step in the target machine")
 
 
-def _step_sub(heap: Heap, e: Expr) -> tuple[Heap, Expr, str]:
-    r = _step(heap, e)
-    if r is None:
-        raise StuckError("subterm is already a value")
-    return r
+_ASSIGN = ("tuple_", "value")
+_MACHINE = Machine({**EVAL_FIELDS, CTag: ("expr",), Assign1: _ASSIGN, Assign2: _ASSIGN},
+                   is_tgt_value, _contract)
 
 
 def _as_config(start: Config | Expr) -> Config:
     return start if isinstance(start, Config) else Config(Heap(), start)
 
 
+def tgt_step(config: Config) -> tuple[Config, str] | None:
+    """One machine step, or None when the expression is a value."""
+    r = _MACHINE.step(config.heap, config.expr)
+    return None if r is None else (Config(*r[:2]), r[2])
+
+
 def tgt_eval(start: Config | Expr, fuel: int = conversion.DEFAULT_FUEL) -> Config:
     config = _as_config(start)
-    for _ in range(fuel):
-        r = tgt_step(config)
-        if r is None:
-            return config
-        config = r[0]
-    if tgt_step(config) is None:
-        return config
-    raise FuelExhausted(fuel)
+    return Config(*_MACHINE.run(config.heap, config.expr, fuel))
 
 
 def tgt_steps(
@@ -572,16 +518,9 @@ def tgt_steps(
     """The full machine run as (configuration, rule) pairs, starting from
     (start, "init")."""
     config = _as_config(start)
-    out = [(config, "init")]
-    for _ in range(fuel):
-        r = tgt_step(config)
-        if r is None:
-            return out
-        config = r[0]
-        out.append(r)
-    if tgt_step(config) is None:
-        return out
-    raise FuelExhausted(fuel)
+    trace: list = []
+    _MACHINE.run(config.heap, config.expr, fuel, trace)
+    return [(config, "init")] + [(Config(heap, e), rule) for heap, e, rule in trace]
 
 
 def tgt_trace(start: Config | Expr, fuel: int = conversion.DEFAULT_FUEL) -> list[str]:

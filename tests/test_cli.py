@@ -144,6 +144,34 @@ def test_exit_code_usage(capsys):
     assert main(["check"]) == 4
 
 
+@pytest.mark.parametrize("cmd", ["run", "preserve"])
+def test_negative_fuel_is_usage_error(cmd, capsys):
+    assert main([cmd, str(CORPUS / "eval_chain.src"), "--fuel", "-5"]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith("error: argument --fuel: must not be negative, got -5\n")
+
+
+def test_zero_fuel_is_accepted(capsys):
+    assert main(["run", str(CORPUS / "atom_unit.src"), "--fuel", "0"]) == 0
+    assert capsys.readouterr().out == "unit\n"
+
+
+TRACED = ["clo_pair_env", "pair_nested", "let_under_pair", "eval_long", "snd_dep_pair"]
+
+
+@pytest.mark.parametrize("name", TRACED)
+def test_run_trace_matches_golden(name, tmp_path, capsys):
+    golden = CORPUS.parent / "tests" / "golden"
+    src = CORPUS / f"{name}.src"
+    assert main(["run", str(src), "--trace"]) == 0
+    assert capsys.readouterr().out == (golden / f"trace_{name}.source.txt").read_text()
+    tgt = tmp_path / f"{name}.tgt"
+    assert main(["compile", str(src), "-o", str(tgt)]) == 0
+    assert main(["run", str(tgt), "--lang", "target", "--trace"]) == 0
+    assert capsys.readouterr().out == (golden / f"trace_{name}.target.txt").read_text()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["check", "--help"]) == 0

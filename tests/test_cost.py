@@ -1,9 +1,12 @@
 """Work counts that guard against super-linear growth in the checkers.
 
 Each test counts calls of an uncached helper (the name analysis, which
-walks one node, or the sort inference behind target._sort_of) instead of
-timing anything, so it gives the same answer on any machine.
+walks one node, the sort inference behind target._sort_of, or the
+machine's value test) instead of timing anything, so it gives the same
+answer on any machine.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +17,7 @@ from dtalloc.harness import check_step_preservation
 from dtalloc.heap import Heap
 from dtalloc.sexpr import parse
 from dtalloc.syntax import UNIT, Context, Var, free_vars, heap_free
-from dtalloc.target import tgt_infer
+from dtalloc.target import tgt_eval, tgt_infer
 
 
 @pytest.fixture
@@ -43,6 +46,20 @@ def sort_inferences(monkeypatch):
         return uncached(lang, heap, ctx, e, what)
 
     monkeypatch.setattr(target, "_infer_sort", counted)
+    return seen
+
+
+@pytest.fixture
+def value_tests(monkeypatch):
+    """A list that grows by one for every value test of the target machine."""
+    seen = []
+    machine = target._MACHINE
+
+    def counted(e):
+        seen.append(e)
+        return machine.is_value(e)
+
+    monkeypatch.setattr(target, "_MACHINE", replace(machine, is_value=counted))
     return seen
 
 
@@ -94,3 +111,16 @@ def test_step_preservation_infers_each_closed_heap_free_type_once(sort_inference
     # up to 4x per doubling; it grew 6.5x when every machine state
     # re-inferred the universes of all its types
     assert counts[8] <= 4 * counts[4], counts
+
+
+def test_target_evaluation_tests_values_linearly_in_the_steps(value_tests):
+    counts = {}
+    for n in (16, 32):
+        compiled = _compiled_nested_pairs(n)
+        value_tests.clear()
+        tgt_eval(compiled)
+        counts[n] = len(value_tests)
+    assert counts[16] > 0
+    # the steps double; stepping from the root re-tested every node above
+    # the redex and made 3.97x as many value tests per doubling
+    assert counts[32] <= 2.5 * counts[16], counts

@@ -7,6 +7,7 @@ import pytest
 from dtalloc import harness
 from dtalloc.alloc import translate
 from dtalloc.harness import (
+    DEFAULT_FUEL,
     GenSpec,
     Report,
     check_differential,
@@ -22,9 +23,10 @@ from dtalloc.harness import (
     source_step_pairs,
     summary_line,
 )
+from dtalloc.errors import FuelExhausted, StuckError
 from dtalloc.heap import Config, Heap, HeapCell, UNINIT
 from dtalloc.sexpr import parse
-from dtalloc.source import src_equiv, src_eval, src_infer
+from dtalloc.source import src_equiv, src_eval, src_infer, src_step
 from dtalloc.syntax import Context, Loc, Pi, STAR, Sigma, UNIT, UNIT_TY
 from dtalloc.target import tgt_eval
 
@@ -109,6 +111,34 @@ def test_step_pairs_of_known_program():
     assert len(pairs) == 5
     for a, b in pairs:
         assert a != b
+
+
+def _stepped_pairs(e, fuel):
+    """The pairs as a loop of src_step calls from the root finds them: fuel
+    counts the steps and the check for a value after them alike."""
+    pairs, cur = [], e
+    for _ in range(fuel):
+        r = src_step(cur)
+        if r is None:
+            return pairs
+        pairs.append((cur, r[0]))
+        cur = r[0]
+    raise FuelExhausted(fuel)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (FuelExhausted, StuckError) as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("fuel", [0, 1, 2, 3, 5, 8, 9, DEFAULT_FUEL])
+def test_step_pairs_match_a_loop_of_single_steps_at_every_budget(fuel):
+    terms = [e for _, e in load_corpus(CORPUS)]
+    terms += [parse("(let (p unit Unit) (fst p))"), parse("(snd (pair unit (fst unit) (Sigma (a Unit) Unit)))")]
+    for e in terms:
+        assert _outcome(source_step_pairs, e, fuel) == _outcome(_stepped_pairs, e, fuel)
 
 
 def test_checks_pass_on_simple_case():
