@@ -81,12 +81,14 @@ class _Translator:
         match e:
             case Var() | Univ() | UnitTm() | UnitTy():
                 return e
-            case Pi(x, dom, cod):
+            case Pi(x, dom, cod) | Sigma(x, dom, 1, cod, 1):
                 ctx2, x2 = self.push(ctx, x, dom)
-                return Pi(x2, self.tr(ctx, dom), self.tr(ctx2, subst(cod, Var(x2), x)))
-            case Sigma(x, dom, 1, cod, 1):
-                ctx2, x2 = self.push(ctx, x, dom)
-                return Sigma(x2, self.tr(ctx, dom), 1, self.tr(ctx2, subst(cod, Var(x2), x)), 1)
+                dt, ct = self.tr(ctx, dom), self.tr(ctx2, subst(cod, Var(x2), x))
+                if x2 == x and dt is dom and ct is cod:
+                    return e
+                if isinstance(e, Pi):
+                    return Pi(x2, dt, ct)
+                return Sigma(x2, dt, 1, ct, 1)
             case Sigma():
                 raise TypeCheckError(
                     ErrKind.LANG_VIOLATION, "partially initialized pair type in source", e.pos

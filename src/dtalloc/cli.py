@@ -129,6 +129,8 @@ def _cmd_run(args) -> int:
 def _cmd_preserve(args) -> int:
     e = _load(args.file, Lang.SOURCE)
     ctx = Context()
+    # the checks judge the compiler, which is defined on well-typed input only
+    src_infer(ctx, e)
     name = Path(args.file).stem
     reports = [
         check_preservation(f"{name}.type", ctx, e, fuel=args.fuel),

@@ -4,10 +4,17 @@ Terms are compared by full normalization followed by a structural walk.
 Normalization performs beta steps (application of closures, projections
 of pair literals, lets), unfolds let-bound context variables, and runs
 the allocation primitives against a private scratch copy of the ambient
-heap. The structural walk treats two locations as equal when the cells
-they denote agree: same flags, equivalent cell types, and equivalent
-initialized slots. Location ids themselves never matter, so values that
-allocated in different orders still compare equal.
+heap. It rebuilds only what it changes: a node whose children all come
+back as the same objects, with no binder renamed, is returned as it is,
+so a normal form shares every unchanged subterm with its input. The
+structural walk treats two locations as equal when the cells they denote
+agree: same flags, equivalent cell types, and equivalent initialized
+slots. Location ids themselves never matter, so values that allocated in
+different orders still compare equal.
+
+The type checker asks for a normal form only where it must: a type it
+synthesizes for printing, or one whose head it has to see and does not
+show yet (see target.infer).
 
 Every entry point shares one fuel budget between the two sides; running
 out raises FuelExhausted rather than returning a wrong answer.
@@ -40,6 +47,7 @@ from .syntax import (
     Univ,
     Universe,
     Var,
+    _CHILD_FIELDS,
     _bind,
     all_names,
     alpha_eq,
@@ -146,11 +154,17 @@ class Normalizer:
             case Pi(b, dom, cod):
                 dn = self.norm(dom)
                 b2, [cod2] = self._under(b, [cod])
-                return Pi(b2, dn, self.norm(cod2))
+                cn = self.norm(cod2)
+                if dn is dom and cn is cod and b2 == b:
+                    return e
+                return Pi(b2, dn, cn)
             case Sigma(b, dom, f1, cod, f2):
                 dn = self.norm(dom)
                 b2, [cod2] = self._under(b, [cod])
-                return Sigma(b2, dn, f1, self.norm(cod2), f2)
+                cn = self.norm(cod2)
+                if dn is dom and cn is cod and b2 == b:
+                    return e
+                return Sigma(b2, dn, f1, cn, f2)
             case Code():
                 # code is a value and its body runs only when applied;
                 # normalizing under its binders would fire allocations on
@@ -163,11 +177,12 @@ class Normalizer:
                 argty2 = scope2[0]
                 body2 = scope2[1] if x != n else body
                 x2, [body3] = self._under(x, [body2])
-                return CodeTy(n2, en, x2, self.norm(argty2), self.norm(body3))
-            case Clo(c, env, pi):
-                return Clo(self.norm(c), self.norm(env), self.norm(pi))
-            case Pair(a, d, s):
-                return Pair(self.norm(a), self.norm(d), self.norm(s))
+                an, bn = self.norm(argty2), self.norm(body3)
+                if en is envty and an is argty and bn is body and (n2, x2) == (n, x):
+                    return e
+                return CodeTy(n2, en, x2, an, bn)
+            case Clo() | Pair():
+                return self._same_or_new(e)
             case App(f, a):
                 fn = self.norm(f)
                 an = self.norm(a)
@@ -185,7 +200,7 @@ class Normalizer:
                             m = {cn.env_binder: ev}
                             m[cn.arg_binder] = an
                             return self.norm(subst_many(cn.body, m))
-                return App(fn, an)
+                return e if fn is f and an is a else App(fn, an)
             case Fst(inner):
                 t = self.norm(inner)
                 if isinstance(t, Pair):
@@ -194,7 +209,7 @@ class Normalizer:
                     slot = self._read(t.loc_id, 1)
                     if slot is not None:
                         return self.norm(slot)
-                return Fst(t)
+                return e if t is inner else Fst(t)
             case Snd(inner):
                 t = self.norm(inner)
                 if isinstance(t, Pair):
@@ -203,7 +218,7 @@ class Normalizer:
                     slot = self._read(t.loc_id, 2)
                     if slot is not None:
                         return self.norm(slot)
-                return Snd(t)
+                return e if t is inner else Snd(t)
             case Malloc(b, t1, t2):
                 # stored types stay unevaluated, as in the machine
                 b2, [t2r] = self._under(b, [t2])
@@ -230,7 +245,7 @@ class Normalizer:
                         and alpha_eq(vn, self.norm(c.slot1))
                     ):
                         return tn
-                return Assign1(tn, vn)
+                return e if tn is t and vn is v else Assign1(tn, vn)
             case Assign2(t, v):
                 tn = self.norm(t)
                 vn = self.norm(v)
@@ -249,10 +264,18 @@ class Normalizer:
                         and alpha_eq(vn, self.norm(c.slot2))
                     ):
                         return tn
-                return Assign2(tn, vn)
-            case CTag(inner):
-                return CTag(self.norm(inner))
+                return e if tn is t and vn is v else Assign2(tn, vn)
+            case CTag():
+                return self._same_or_new(e)
         raise TypeError(f"unknown expression node: {e!r}")
+
+    def _same_or_new(self, e: Expr) -> Expr:
+        """e with its children normalized: e itself when none changed."""
+        parts = [getattr(e, f) for f in _CHILD_FIELDS[type(e)]]
+        normal = [self.norm(p) for p in parts]
+        if all(n is p for n, p in zip(normal, parts)):
+            return e
+        return type(e)(*normal)
 
 
 class _Cmp:

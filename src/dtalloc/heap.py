@@ -41,10 +41,6 @@ class Heap:
 
     cells: tuple[HeapCell, ...] = ()
 
-    @property
-    def next_loc(self) -> int:
-        return len(self.cells)
-
     def cell(self, loc_id: int) -> HeapCell | None:
         if 0 <= loc_id < len(self.cells):
             return self.cells[loc_id]

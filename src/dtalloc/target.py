@@ -135,6 +135,16 @@ def _norm_ty(heap: Heap, ctx: Context, ty: Expr, pos) -> Expr:
         raise TypeCheckError(ErrKind.EQUIV_FAIL, "type normalization ran out of fuel", pos)
 
 
+# heads that normalization keeps, flags included
+_SHOWN = (Pi, Sigma, CodeTy, Univ, UnitTy)
+
+
+def _head(heap: Heap, ctx: Context, ty: Expr, pos) -> Expr:
+    """ty as it stands when its head is already a type former, else its
+    normal form."""
+    return ty if isinstance(ty, _SHOWN) else _norm_ty(heap, ctx, ty, pos)
+
+
 def _ensure_subtype(heap: Heap, ctx: Context, inferred: Expr, expected: Expr, pos, what: str):
     try:
         ok = tgt_subtype(heap, ctx, inferred, expected)
@@ -167,7 +177,7 @@ def _sort_of(lang: Lang, heap: Heap, ctx: Context, e: Expr, what: str) -> Univer
     """
     if lang is not _TARGET:
         # not through _infer_sort: one frame fewer per level of a source type
-        return _universe(_norm_ty(heap, ctx, infer(lang, heap, ctx, e), e.pos), e, what)
+        return _universe(_head(heap, ctx, _synth(lang, heap, ctx, e, _head), e.pos), e, what)
     s = e.__dict__.get("_tgt_sort")
     if s is None:
         s = _infer_sort(lang, heap, ctx, e, what)
@@ -177,11 +187,12 @@ def _sort_of(lang: Lang, heap: Heap, ctx: Context, e: Expr, what: str) -> Univer
 
 
 def _infer_sort(lang: Lang, heap: Heap, ctx: Context, e: Expr, what: str) -> Universe:
-    return _universe(_norm_ty(heap, ctx, infer(lang, heap, ctx, e), e.pos), e, what)
+    # a universe query reads only the head, so it runs in checking mode
+    return _universe(_head(heap, ctx, _synth(lang, heap, ctx, e, _head), e.pos), e, what)
 
 
 def _universe(t: Expr, e: Expr, what: str) -> Universe:
-    """The universe that t, the normal type of type e, names."""
+    """The universe that t, the type of type e with its head shown, names."""
     if isinstance(t, Univ):
         return t.kind
     raise TypeCheckError(ErrKind.UNIVERSE_ERROR, f"{what} is not a type", e.pos)
@@ -195,8 +206,8 @@ def _pair_sort(s1: Universe, s2: Universe) -> Universe:
 
 
 def check(lang: Lang, heap: Heap, ctx: Context, e: Expr, ty: Expr) -> None:
-    inferred = infer(lang, heap, ctx, e)
-    _ensure_subtype(heap, ctx, inferred, ty, e.pos, "term")
+    """Check e against ty: synthesis in checking mode, then subtyping."""
+    _ensure_subtype(heap, ctx, _synth(lang, heap, ctx, e, _head), ty, e.pos, "term")
 
 
 def tgt_check(heap: Heap, ctx: Context, e: Expr, ty: Expr) -> None:
@@ -208,13 +219,32 @@ def tgt_infer(heap: Heap, ctx: Context, e: Expr) -> Expr:
 
 
 def infer(lang: Lang, heap: Heap, ctx: Context, e: Expr) -> Expr:
-    """Infer the type of a term of lang under the given heap, raising
+    """Synthesize the type of a term of lang under the given heap, raising
     TypeCheckError on failure.
+
+    The judgement runs in one of two modes. Synthesis (here) normalizes
+    every type that an application, projection or assignment eliminates,
+    so the type it returns is the one printed. Checking mode (check, and
+    every universe query) only compares the type it synthesizes, so it
+    takes an eliminated type as it stands when its head is already a
+    function, pair, code, universe or unit type, and normalizes it only
+    otherwise. The two modes reach the same verdicts: those arms test
+    only the head and the flags, which normalization keeps, and pass the
+    parts on to conversion, which normalizes them anyway. ctag and closure
+    literals normalize in both modes, since whether a pair type's second
+    component mentions its binder can change under conversion.
 
     Source pair types carry flags (1,1), so the flag checks below never
     fire on a source term. The arms of forms that one language lacks ask
     _FOREIGN first.
     """
+    return _synth(lang, heap, ctx, e, _norm_ty)
+
+
+def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
+    # view shows the head of an eliminated type: _norm_ty in synthesis,
+    # _head in checking mode; the mode carries into every subterm whose
+    # type only feeds the result
     match e:
         case Var(x):
             b = ctx.lookup(x)
@@ -225,7 +255,7 @@ def infer(lang: Lang, heap: Heap, ctx: Context, e: Expr) -> Expr:
             _sort_of(lang, heap, ctx, annot, "let annotation")
             check(lang, heap, ctx, bound, annot)
             ctx2, x2 = push_binder(ctx, x, annot, defn=bound)
-            body_ty = infer(lang, heap, ctx2, subst(body, Var(x2), x))
+            body_ty = _synth(lang, heap, ctx2, subst(body, Var(x2), x), view)
             return subst(body_ty, bound, x2)
         case Univ(Universe.STAR):
             return Univ(Universe.BOX)
@@ -272,10 +302,10 @@ def infer(lang: Lang, heap: Heap, ctx: Context, e: Expr) -> Expr:
             body2 = subst(body, Var(n2), n) if x != n else body
             _sort_of(lang, heap, ctx_n, argty2, "code argument type")
             ctx_nx, x2 = push_binder(ctx_n, x, argty2)
-            res = infer(lang, heap, ctx_nx, subst(body2, Var(x2), x))
+            res = _synth(lang, heap, ctx_nx, subst(body2, Var(x2), x), view)
             return CodeTy(n2, envty, x2, argty2, res)
         case App(f, a):
-            fn_ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, f), f.pos)
+            fn_ty = view(heap, ctx, _synth(lang, heap, ctx, f, view), f.pos)
             if not isinstance(fn_ty, Pi):
                 raise TypeCheckError(
                     ErrKind.NOT_A_FUNCTION, "application of a non-function", f.pos
@@ -283,7 +313,7 @@ def infer(lang: Lang, heap: Heap, ctx: Context, e: Expr) -> Expr:
             check(lang, heap, ctx, a, fn_ty.dom)
             return subst(fn_ty.cod, a, fn_ty.binder)
         case Fst(inner):
-            t = _norm_ty(heap, ctx, infer(lang, heap, ctx, inner), inner.pos)
+            t = view(heap, ctx, _synth(lang, heap, ctx, inner, view), inner.pos)
             if not isinstance(t, Sigma):
                 raise TypeCheckError(ErrKind.NOT_A_PAIR, "projection from a non-pair", inner.pos)
             if t.flag1 != 1:
@@ -292,7 +322,7 @@ def infer(lang: Lang, heap: Heap, ctx: Context, e: Expr) -> Expr:
                 )
             return t.dom
         case Snd(inner):
-            t = _norm_ty(heap, ctx, infer(lang, heap, ctx, inner), inner.pos)
+            t = view(heap, ctx, _synth(lang, heap, ctx, inner, view), inner.pos)
             if not isinstance(t, Sigma):
                 raise TypeCheckError(ErrKind.NOT_A_PAIR, "projection from a non-pair", inner.pos)
             if (t.flag1, t.flag2) != (1, 1):
@@ -341,7 +371,7 @@ def infer(lang: Lang, heap: Heap, ctx: Context, e: Expr) -> Expr:
             return Sigma(x2, t1, 0, t2r, 0)
         case Assign1(t, v):
             _reject_foreign(lang, e)
-            ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, t), t.pos)
+            ty = view(heap, ctx, _synth(lang, heap, ctx, t, view), t.pos)
             if not isinstance(ty, Sigma):
                 raise TypeCheckError(ErrKind.NOT_A_PAIR, "assignment to a non-tuple", t.pos)
             if ty.flag1 != 0:
@@ -352,7 +382,7 @@ def infer(lang: Lang, heap: Heap, ctx: Context, e: Expr) -> Expr:
             return Sigma(ty.binder, ty.dom, 1, ty.cod, ty.flag2)
         case Assign2(t, v):
             _reject_foreign(lang, e)
-            ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, t), t.pos)
+            ty = view(heap, ctx, _synth(lang, heap, ctx, t, view), t.pos)
             if not isinstance(ty, Sigma):
                 raise TypeCheckError(ErrKind.NOT_A_PAIR, "assignment to a non-tuple", t.pos)
             if (ty.flag1, ty.flag2) != (1, 0):

@@ -83,6 +83,20 @@ def test_preserve_json(capsys):
     assert rows[-1]["failed"] == 0
 
 
+@pytest.mark.parametrize(
+    "path", sorted((CORPUS / "negative").glob("*.src")), ids=lambda p: p.stem
+)
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_preserve_rejects_ill_typed_input_as_check_does(path, flags, capsys):
+    check_code = main(["check", str(path)])
+    check_err = capsys.readouterr().err
+    code = main(["preserve", str(path), *flags])
+    out = capsys.readouterr()
+    assert check_code != 0
+    assert (code, out.out, out.err) == (check_code, "", check_err)
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("error[")
+
+
 def test_model_from_source(pair_file, capsys):
     assert main(["model", pair_file]) == 0
     out = capsys.readouterr().out

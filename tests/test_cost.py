@@ -1,16 +1,16 @@
 """Work counts that guard against super-linear growth in the checkers.
 
 Each test counts calls of an uncached helper (the name analysis, which
-walks one node, the sort inference behind target._sort_of, or the
-machine's value test) instead of timing anything, so it gives the same
-answer on any machine.
+walks one node, the sort inference behind target._sort_of, the
+normalizer's step, or the machine's value test) instead of timing
+anything, so it gives the same answer on any machine.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from dtalloc import syntax, target
+from dtalloc import conversion, syntax, target
 from dtalloc.alloc import translate
 from dtalloc.conversion import normalize
 from dtalloc.harness import check_step_preservation
@@ -50,6 +50,20 @@ def sort_inferences(monkeypatch):
 
 
 @pytest.fixture
+def norm_calls(monkeypatch):
+    """A list that grows by one for every node Normalizer.norm visits."""
+    seen = []
+    uncounted = conversion.Normalizer.norm
+
+    def counted(self, e):
+        seen.append(e)
+        return uncounted(self, e)
+
+    monkeypatch.setattr(conversion.Normalizer, "norm", counted)
+    return seen
+
+
+@pytest.fixture
 def value_tests(monkeypatch):
     """A list that grows by one for every value test of the target machine."""
     seen = []
@@ -63,23 +77,34 @@ def value_tests(monkeypatch):
     return seen
 
 
-def _nested_pairs(n):
-    """A pair whose first component is a pair, n deep."""
+def _nested_pair_text(n):
+    """A pair whose first component is a pair, n deep, and its type."""
     term, ty = "unit", "Unit"
     for _ in range(n):
         term = f"(pair {term} unit (Sigma (a {ty}) Unit))"
         ty = f"(Sigma (a {ty}) Unit)"
-    return parse(term)
+    return term, ty
+
+
+def _nested_pairs(n):
+    return parse(_nested_pair_text(n)[0])
 
 
 def _compiled_nested_pairs(n):
     return translate(Context(), _nested_pairs(n))
 
 
+def _compiled_projection_of_let_bound_pair(n):
+    """(let (p <nested pair> T) (fst p)), compiled: synthesis normalizes
+    the type of p under the definition of p."""
+    term, ty = _nested_pair_text(n)
+    return translate(Context(), parse(f"(let (p {term} {ty}) (fst p))"))
+
+
 def test_target_checking_nested_pairs_walks_names_near_linearly(walks):
     counts = {}
     for n in (16, 32):
-        compiled = _compiled_nested_pairs(n)
+        compiled = _compiled_projection_of_let_bound_pair(n)
         walks.clear()
         tgt_infer(Heap(), Context(), compiled)
         counts[n] = len(walks)
@@ -87,6 +112,29 @@ def test_target_checking_nested_pairs_walks_names_near_linearly(walks):
     # the walk count grew 14x per doubling when every normalize call
     # re-walked the let definitions in scope
     assert counts[32] <= 4 * counts[16], counts
+
+
+def test_target_checking_nested_pairs_normalizes_independently_of_depth(norm_calls):
+    counts = {}
+    for n in (8, 16):
+        compiled = _compiled_nested_pairs(n)
+        norm_calls.clear()
+        tgt_infer(Heap(), Context(), compiled)
+        counts[n] = len(norm_calls)
+    # every eliminated type is a let annotation or a cell type that already
+    # shows its pair head; normalizing them made 256 / 896 visits
+    assert counts[16] <= counts[8], counts
+
+
+def test_step_preservation_normalizes_independently_of_depth(norm_calls):
+    counts = {}
+    for n in (4, 8):
+        norm_calls.clear()
+        assert check_step_preservation("t", _nested_pairs(n)).verdict == "pass"
+        counts[n] = len(norm_calls)
+    # normalizing the annotations of every machine state made 880 / 5,888
+    # visits
+    assert counts[8] <= counts[4], counts
 
 
 def test_normalizing_an_atom_walks_no_definition(walks):

@@ -1,18 +1,28 @@
 """Target language: heap-indexed typing, flag discipline, the machine,
 and heap well-formedness."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dtalloc.alloc import translate, translate_ctx
 from dtalloc.conversion import equiv, normalize, subtype
 from dtalloc.errors import ErrKind, FuelExhausted, StuckError, TypeCheckError
+from dtalloc.harness import GenSpec, gen_typed, load_corpus
 from dtalloc.heap import Config, Heap, HeapCell, UNINIT
 from dtalloc.sexpr import Lang, parse
 from dtalloc.source import src_infer
 from dtalloc.target import (
+    _ensure_subtype,
+    _infer_sort,
+    _norm_ty,
     _sort_of,
+    _universe,
+    check,
+    heap_wf,
+    infer as synthesize,
     heap_wf,
     tgt_equiv,
     tgt_eval,
@@ -24,6 +34,7 @@ from dtalloc.target import (
     tgt_wf,
 )
 from dtalloc.syntax import (
+    _CHILD_FIELDS,
     Assign2,
     BOX,
     Clo,
@@ -376,20 +387,20 @@ def _fresh_copy(e):
 _BINDERS = st.sampled_from(("x", "y", "z"))
 _FLAGS = st.integers(0, 1)
 
-# types over the binders x, y and z: some are open, some ill-sorted, and
-# the binders collide with the names the context below defines
-_TYPES = st.recursive(
-    st.sampled_from((UNIT_TY, STAR, UNIT, Var("x"), Var("z"))),
-    lambda inner: st.one_of(
+def _types(leaves):
+    return st.recursive(st.sampled_from(leaves), lambda inner: st.one_of(
         st.builds(Pi, _BINDERS, inner, inner),
         st.builds(Sigma, _BINDERS, inner, _FLAGS, inner, _FLAGS),
         st.builds(Let, _BINDERS, inner, inner, inner),
         st.builds(Let, _BINDERS, st.just(UNIT_TY), st.just(STAR), inner),
         st.builds(CodeTy, _BINDERS, inner, _BINDERS, inner, inner),
         st.builds(Fst, inner),
-    ),
-    max_leaves=8,
-)
+    ), max_leaves=8)
+
+
+# types over the binders x, y and z: some are open, some ill-sorted, and
+# the binders collide with the names the context below defines
+_TYPES = _types((UNIT_TY, STAR, UNIT, Var("x"), Var("z")))
 
 
 @settings(max_examples=300, deadline=None)
@@ -402,3 +413,132 @@ def test_memoized_universe_equals_a_fresh_computation_under_any_context_and_heap
     if "_tgt_sort" in ty.__dict__:
         assert memoized == first == ty.__dict__["_tgt_sort"]
     assert memoized == _outcome(heap, ctx, _fresh_copy(ty))
+
+
+# ---------------------------------------------------------------------------
+# Checking mode against synthesis (followed by subtyping)
+
+_CORPUS = load_corpus(Path(__file__).resolve().parent.parent / "corpus")
+
+
+def _raised(thunk):
+    """The kind and message of the TypeCheckError thunk raises, else its result."""
+    try:
+        return thunk()
+    except TypeCheckError as err:
+        return err.kind, err.message
+
+
+def _sigmas(e):
+    out = [e] if isinstance(e, Sigma) else []
+    for f in _CHILD_FIELDS[type(e)]:
+        out += _sigmas(getattr(e, f))
+    return out
+
+
+def _flip(e, target, flag):
+    """e with the given flag of the node target flipped."""
+    if e is target:
+        return replace(e, **{flag: 1 - getattr(e, flag)})
+    kids = {f: _flip(getattr(e, f), target, flag) for f in _CHILD_FIELDS[type(e)]}
+    return replace(e, **kids) if kids else e
+
+
+def _aliased(ctx):
+    """ctx with each pair or function type behind a definition, so that
+    eliminating a variable of ctx has to unfold its type."""
+    out = Context()
+    for b in ctx:
+        ty = b.ty
+        if isinstance(ty, (Pi, Sigma)):
+            out = out.extend(f"{b.name}_ty", STAR, ty)
+            ty = Var(f"{b.name}_ty")
+        out = out.extend(b.name, ty, b.defn)
+    return out
+
+
+@st.composite
+def _cases(draw):
+    """(ctx, term, its type): a corpus program or a generated one, open or
+    closed, the open ones under aliased types or not."""
+    if draw(st.booleans()):
+        _, term = draw(st.sampled_from(_CORPUS))
+        return Context(), term, src_infer(Context(), term)
+    spec = GenSpec(depth=draw(st.integers(1, 4)), seed=draw(st.integers(0, 10_000)),
+                   closed=draw(st.booleans()))
+    ctx, term, ty = gen_typed(spec)
+    return (_aliased(ctx) if draw(st.booleans()) else ctx), term, ty
+
+
+_PLAIN_CTX = (
+    Context().extend("a", UNIT_TY).extend("p", Sigma("w", UNIT_TY, 1, UNIT_TY, 1))
+    .extend("f", Pi("w", UNIT_TY, UNIT_TY)).extend("t", Sigma("w", UNIT_TY, 0, UNIT_TY, 0))
+    .extend("u", Sigma("w", UNIT_TY, 1, UNIT_TY, 0))
+)
+
+
+@pytest.mark.parametrize("lang, term, want", [
+    (Lang.SOURCE, "(fst p)", "Unit"),
+    (Lang.SOURCE, "(snd p)", "Unit"),
+    (Lang.SOURCE, "(app f a)", "Unit"),
+    (Lang.SOURCE, "(app f (fst p))", "Star"),
+    (Lang.SOURCE, "(fst f)", "Unit"),
+    (Lang.TARGET, "(assign1 t unit)", "(Sigma (w Unit 1) (Unit 0))"),
+    (Lang.TARGET, "(assign2 u unit)", "(Sigma (w Unit 1) (Unit 1))"),
+    (Lang.TARGET, "(assign2 t unit)", "(Sigma (w Unit 1) (Unit 1))"),
+    (Lang.TARGET, "(snd u)", "Unit"),
+])
+def test_checking_mode_unfolds_an_aliased_type_as_synthesis_does(lang, term, want):
+    e, ty = parse(term, lang), parse(want, lang)
+    for ctx in (_PLAIN_CTX, _aliased(_PLAIN_CTX)):
+        def synthesized():
+            _ensure_subtype(Heap(), ctx, synthesize(lang, Heap(), ctx, e), ty, e.pos, "term")
+
+        assert _raised(lambda: check(lang, Heap(), ctx, e, ty)) == _raised(synthesized)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cases(), _cases(), st.data())
+def test_checking_mode_agrees_with_synthesis_then_subtyping(case, other, data):
+    ctx, term, ty = case
+    tctx, tterm, tty = translate_ctx(ctx), translate(ctx, term), translate(ctx, ty)
+    heap = Heap()
+    if not ctx.names() and data.draw(st.booleans()):
+        # a machine state of the compiled program, with its heap
+        states = tgt_steps(tterm)
+        state = states[data.draw(st.integers(0, len(states) - 1))][0]
+        heap, tterm = state.heap, state.expr
+    wrong = other[2]
+    tgt_expected = [tty, translate(other[0], wrong)]
+    sigmas = _sigmas(tty)
+    if sigmas:
+        node = data.draw(st.sampled_from(sigmas))
+        tgt_expected.append(_flip(tty, node, data.draw(st.sampled_from(("flag1", "flag2")))))
+    runs = [(Lang.SOURCE, Heap(), ctx, term, [ty, wrong]),
+            (Lang.TARGET, heap, tctx, tterm, tgt_expected)]
+    for lang, h, c, e, expected in runs:
+        for want in expected:
+            def synthesized():
+                _ensure_subtype(h, c, synthesize(lang, h, c, e), want, e.pos, "term")
+
+            assert _raised(lambda: check(lang, h, c, e, want)) == _raised(synthesized)
+
+
+# q's type is an alias of a pair of types, so eliminating q unfolds it
+_ALIAS_CTX = (
+    Context().extend("x", STAR, UNIT_TY).extend("y", UNIT_TY, UNIT).extend("z", STAR)
+    .extend("Q", BOX, Sigma("a", STAR, 1, STAR, 1)).extend("q", Var("Q"))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_types((UNIT_TY, STAR, UNIT, Var("x"), Var("z"), Var("q"), Fst(Var("q")), Snd(Var("q")))))
+@example(Fst(Var("q")))
+@example(Snd(Var("q")))
+def test_a_universe_query_in_checking_mode_agrees_with_synthesis(ty):
+    heap, ctx = tgt_eval(tparse(CHAIN)).heap, _ALIAS_CTX
+    for lang in Lang:
+        def synthesized():
+            return _universe(_norm_ty(heap, ctx, synthesize(lang, heap, ctx, ty), ty.pos), ty, "type")
+
+        assert _raised(lambda: _infer_sort(lang, heap, ctx, ty, "type")) == _raised(synthesized)
