@@ -17,6 +17,7 @@ from __future__ import annotations
 from . import source
 from .errors import ErrKind, TypeCheckError
 from .syntax import (
+    _CHILD_FIELDS,
     App,
     Assign1,
     Assign2,
@@ -98,16 +99,21 @@ class _Translator:
                 at = self.tr(ctx, annot)
                 ctx2, x2 = self.push(ctx, x, annot, defn=bound)
                 return Let(x2, bt, at, self.tr(ctx2, subst(body, Var(x2), x)))
-            case Code():
-                return self._tr_code(e, Code)
-            case CodeTy():
-                return self._tr_code(e, CodeTy)
-            case App(f, a):
-                return App(self.tr(ctx, f), self.tr(ctx, a))
-            case Fst(inner):
-                return Fst(self.tr(ctx, inner))
-            case Snd(inner):
-                return Snd(self.tr(ctx, inner))
+            case Code(n, envty, x, argty, body) | CodeTy(n, envty, x, argty, body):
+                empty = Context()
+                envt = self.tr(empty, envty)
+                # n can still be renamed here: normalizing a closure's code
+                # type renames an env binder named like a let-bound variable,
+                # and the new name can be one this translator has issued
+                ctx_n, n2 = self.push(empty, n, envty)
+                argty2 = subst(argty, Var(n2), n) if x != n else argty
+                body2 = subst(body, Var(n2), n) if x != n else body
+                argt = self.tr(ctx_n, argty2)
+                ctx_nx, x2 = self.push(ctx_n, x, argty2)
+                bodyt = self.tr(ctx_nx, subst(body2, Var(x2), x))
+                return type(e)(n2, envt, x2, argt, bodyt)
+            case App() | Fst() | Snd():
+                return type(e)(*[self.tr(ctx, getattr(e, f)) for f in _CHILD_FIELDS[type(e)]])
             case Pair(e1, e2, annot):
                 if not isinstance(annot, Sigma):
                     raise TypeCheckError(
@@ -173,19 +179,6 @@ class _Translator:
                     f"{type(e).__name__.lower()} is not a source form",
                     e.pos,
                 )
-
-    def _tr_code(self, e, ctor):
-        n, envty, x, argty = e.env_binder, e.env_ty, e.arg_binder, e.arg_ty
-        body = e.body if ctor is Code else e.result_ty
-        empty = Context()
-        envt = self.tr(empty, envty)
-        ctx_n, n2 = self.push(empty, n, envty)
-        argty2 = subst(argty, Var(n2), n) if x != n else argty
-        body2 = subst(body, Var(n2), n) if x != n else body
-        argt = self.tr(ctx_n, argty2)
-        ctx_nx, x2 = self.push(ctx_n, x, argty2)
-        bodyt = self.tr(ctx_nx, subst(body2, Var(x2), x))
-        return ctor(n2, envt, x2, argt, bodyt)
 
 
 def _reserved_for(ctx: Context, e: Expr) -> frozenset[Name]:

@@ -22,9 +22,14 @@ out raises FuelExhausted rather than returning a wrong answer.
 
 from __future__ import annotations
 
+from operator import is_
+
 from .errors import FuelExhausted
 from .heap import UNINIT, Heap, HeapCell
 from .syntax import (
+    _ARGS,
+    _CHILD_ARGS,
+    _SCOPES,
     App,
     Assign1,
     Assign2,
@@ -47,8 +52,9 @@ from .syntax import (
     Univ,
     Universe,
     Var,
-    _CHILD_FIELDS,
+    _Alpha,
     _bind,
+    _in_scope,
     all_names,
     alpha_eq,
     fresh_name,
@@ -151,38 +157,13 @@ class Normalizer:
             case Let(x, bound, _, body):
                 v = self.norm(bound)
                 return self.norm(subst(body, v, x))
-            case Pi(b, dom, cod):
-                dn = self.norm(dom)
-                b2, [cod2] = self._under(b, [cod])
-                cn = self.norm(cod2)
-                if dn is dom and cn is cod and b2 == b:
-                    return e
-                return Pi(b2, dn, cn)
-            case Sigma(b, dom, f1, cod, f2):
-                dn = self.norm(dom)
-                b2, [cod2] = self._under(b, [cod])
-                cn = self.norm(cod2)
-                if dn is dom and cn is cod and b2 == b:
-                    return e
-                return Sigma(b2, dn, f1, cn, f2)
             case Code():
                 # code is a value and its body runs only when applied;
                 # normalizing under its binders would fire allocations on
                 # the scratch heap where later substitution cannot reach
                 return e
-            case CodeTy(n, envty, x, argty, body):
-                en = self.norm(envty)
-                scope = [argty, body] if x != n else [argty]
-                n2, scope2 = self._under(n, scope)
-                argty2 = scope2[0]
-                body2 = scope2[1] if x != n else body
-                x2, [body3] = self._under(x, [body2])
-                an, bn = self.norm(argty2), self.norm(body3)
-                if en is envty and an is argty and bn is body and (n2, x2) == (n, x):
-                    return e
-                return CodeTy(n2, en, x2, an, bn)
-            case Clo() | Pair():
-                return self._same_or_new(e)
+            case Pi() | Sigma() | CodeTy() | Clo() | Pair() | CTag():
+                return self._descend(e)
             case App(f, a):
                 fn = self.norm(f)
                 an = self.norm(a)
@@ -201,24 +182,16 @@ class Normalizer:
                             m[cn.arg_binder] = an
                             return self.norm(subst_many(cn.body, m))
                 return e if fn is f and an is a else App(fn, an)
-            case Fst(inner):
+            case Fst(inner) | Snd(inner):
+                which = 1 if isinstance(e, Fst) else 2
                 t = self.norm(inner)
                 if isinstance(t, Pair):
-                    return t.fst
+                    return t.fst if which == 1 else t.snd
                 if isinstance(t, Loc):
-                    slot = self._read(t.loc_id, 1)
+                    slot = self._read(t.loc_id, which)
                     if slot is not None:
                         return self.norm(slot)
-                return e if t is inner else Fst(t)
-            case Snd(inner):
-                t = self.norm(inner)
-                if isinstance(t, Pair):
-                    return t.snd
-                if isinstance(t, Loc):
-                    slot = self._read(t.loc_id, 2)
-                    if slot is not None:
-                        return self.norm(slot)
-                return e if t is inner else Snd(t)
+                return e if t is inner else type(e)(t)
             case Malloc(b, t1, t2):
                 # stored types stay unevaluated, as in the machine
                 b2, [t2r] = self._under(b, [t2])
@@ -265,96 +238,46 @@ class Normalizer:
                     ):
                         return tn
                 return e if tn is t and vn is v else Assign2(tn, vn)
-            case CTag():
-                return self._same_or_new(e)
         raise TypeError(f"unknown expression node: {e!r}")
 
-    def _same_or_new(self, e: Expr) -> Expr:
-        """e with its children normalized: e itself when none changed."""
-        parts = [getattr(e, f) for f in _CHILD_FIELDS[type(e)]]
-        normal = [self.norm(p) for p in parts]
-        if all(n is p for n, p in zip(normal, parts)):
+    def _descend(self, e: Expr) -> Expr:
+        """e with its binders renamed where _under must and its children
+        normalized in field order: e itself when nothing changed, else a
+        node without a position."""
+        cls = type(e)
+        old = _ARGS[cls](e)
+        args = list(old)
+        for b, scope in _SCOPES[cls]:
+            live = _in_scope(args, b, scope)
+            args[b], parts = self._under(args[b], [args[c] for c in live])
+            for c, p in zip(live, parts):
+                args[c] = p
+        for c, _ in _CHILD_ARGS[cls]:
+            args[c] = self.norm(args[c])
+        if all(map(is_, args, old)):
             return e
-        return type(e)(*normal)
+        return cls(*args[:-1])
 
 
-class _Cmp:
-    """Structural comparison of normal forms, chasing locations."""
+class _Cmp(_Alpha):
+    """Comparison of normal forms: alpha-equivalence that spends fuel on
+    every pair of nodes and compares two locations by their cells."""
 
     def __init__(self, n1: Normalizer, n2: Normalizer, fuel: Fuel):
         self.n1 = n1
         self.n2 = n2
         self.fuel = fuel
 
-    def compare(self, a: Expr, b: Expr, m1: dict, m2: dict, k: int) -> bool:
+    def same(self, a: Expr, b: Expr, m1: dict, m2: dict) -> bool:
+        # no identity shortcut: after an assignment the two scratch heaps
+        # differ, so one shared subterm holding a location can denote
+        # different cells on the two sides
         self.fuel.tick()
-        match a, b:
-            case (Var(x), Var(y)):
-                return m1.get(x, x) == m2.get(y, y)
-            case (Univ(u1), Univ(u2)):
-                return u1 == u2
-            case (UnitTm(), UnitTm()) | (UnitTy(), UnitTy()):
-                return True
-            case (Loc(i), Loc(j)):
-                return self._cells_eq(i, j, m1, m2, k)
-            case (Let(b1, e1, a1, t1), Let(b2, e2, a2, t2)):
-                return (
-                    self.compare(e1, e2, m1, m2, k)
-                    and self.compare(a1, a2, m1, m2, k)
-                    and self.compare(t1, t2, _bind(m1, b1, k), _bind(m2, b2, k), k + 1)
-                )
-            case (Code(n1, v1, x1, g1, t1), Code(n2, v2, x2, g2, t2)) | (
-                CodeTy(n1, v1, x1, g1, t1),
-                CodeTy(n2, v2, x2, g2, t2),
-            ):
-                if type(a) is not type(b):
-                    return False
-                m1n, m2n = _bind(m1, n1, k), _bind(m2, n2, k)
-                m1x, m2x = _bind(m1n, x1, k + 1), _bind(m2n, x2, k + 1)
-                return (
-                    self.compare(v1, v2, m1, m2, k)
-                    and self.compare(g1, g2, m1n, m2n, k + 1)
-                    and self.compare(t1, t2, m1x, m2x, k + 2)
-                )
-            case (Clo(c1, v1, p1), Clo(c2, v2, p2)):
-                return (
-                    self.compare(c1, c2, m1, m2, k)
-                    and self.compare(v1, v2, m1, m2, k)
-                    and self.compare(p1, p2, m1, m2, k)
-                )
-            case (Pi(b1, d1, c1), Pi(b2, d2, c2)) | (Malloc(b1, d1, c1), Malloc(b2, d2, c2)):
-                if type(a) is not type(b):
-                    return False
-                return self.compare(d1, d2, m1, m2, k) and self.compare(
-                    c1, c2, _bind(m1, b1, k), _bind(m2, b2, k), k + 1
-                )
-            case (App(f1, a1), App(f2, a2)) | (Assign1(f1, a1), Assign1(f2, a2)) | (
-                Assign2(f1, a1),
-                Assign2(f2, a2),
-            ):
-                if type(a) is not type(b):
-                    return False
-                return self.compare(f1, f2, m1, m2, k) and self.compare(a1, a2, m1, m2, k)
-            case (Pair(a1, d1, s1), Pair(a2, d2, s2)):
-                return (
-                    self.compare(a1, a2, m1, m2, k)
-                    and self.compare(d1, d2, m1, m2, k)
-                    and self.compare(s1, s2, m1, m2, k)
-                )
-            case (Sigma(b1, d1, f1, c1, g1), Sigma(b2, d2, f2, c2, g2)):
-                return (
-                    f1 == f2
-                    and g1 == g2
-                    and self.compare(d1, d2, m1, m2, k)
-                    and self.compare(c1, c2, _bind(m1, b1, k), _bind(m2, b2, k), k + 1)
-                )
-            case (Fst(i1), Fst(i2)) | (Snd(i1), Snd(i2)) | (CTag(i1), CTag(i2)):
-                if type(a) is not type(b):
-                    return False
-                return self.compare(i1, i2, m1, m2, k)
         return False
 
-    def _cells_eq(self, i: int, j: int, m1: dict, m2: dict, k: int) -> bool:
+    def locs_eq(self, i: int, j: int, m1: dict, m2: dict, k: int) -> bool:
+        """Two locations are equal when their cells agree: same flags,
+        equivalent cell types and equivalent initialized slots."""
         c1 = self.n1.cell(i)
         c2 = self.n2.cell(j)
         if c1 is None or c2 is None:
@@ -362,10 +285,10 @@ class _Cmp:
         s1, s2 = c1.cell_type, c2.cell_type
         if c1.flags != c2.flags:
             return False
-        if not self.compare(self.n1.norm(s1.dom), self.n2.norm(s2.dom), m1, m2, k):
+        if not self.eq(self.n1.norm(s1.dom), self.n2.norm(s2.dom), m1, m2, k):
             return False
         m1b, m2b = _bind(m1, s1.binder, k), _bind(m2, s2.binder, k)
-        if not self.compare(self.n1.norm(s1.cod), self.n2.norm(s2.cod), m1b, m2b, k + 1):
+        if not self.eq(self.n1.norm(s1.cod), self.n2.norm(s2.cod), m1b, m2b, k + 1):
             return False
         for flag, v1, v2 in ((s1.flag1, c1.slot1, c2.slot1), (s1.flag2, c1.slot2, c2.slot2)):
             if flag != 1:
@@ -374,27 +297,27 @@ class _Cmp:
                 return False
             if v1 is UNINIT:
                 continue
-            if not self.compare(self.n1.norm(v1), self.n2.norm(v2), m1, m2, k):
+            if not self.eq(self.n1.norm(v1), self.n2.norm(v2), m1, m2, k):
                 return False
         return True
 
     def sub(self, a: Expr, b: Expr, m1: dict, m2: dict, k: int) -> bool:
         """a is a subtype of b: equivalence, the universe inclusion, or a
         covariant descent through function and code result types."""
-        if self.compare(a, b, m1, m2, k):
+        if self.eq(a, b, m1, m2, k):
             return True
         match a, b:
             case (Univ(Universe.STAR), Univ(Universe.BOX)):
                 return True
             case (Pi(x1, d1, c1), Pi(x2, d2, c2)):
-                return self.compare(d1, d2, m1, m2, k) and self.sub(
+                return self.eq(d1, d2, m1, m2, k) and self.sub(
                     c1, c2, _bind(m1, x1, k), _bind(m2, x2, k), k + 1
                 )
             case (CodeTy(n1, v1, x1, g1, r1), CodeTy(n2, v2, x2, g2, r2)):
-                if not self.compare(v1, v2, m1, m2, k):
+                if not self.eq(v1, v2, m1, m2, k):
                     return False
                 m1n, m2n = _bind(m1, n1, k), _bind(m2, n2, k)
-                if not self.compare(g1, g2, m1n, m2n, k + 1):
+                if not self.eq(g1, g2, m1n, m2n, k + 1):
                     return False
                 return self.sub(r1, r2, _bind(m1n, x1, k + 1), _bind(m2n, x2, k + 1), k + 2)
         return False
@@ -414,19 +337,8 @@ def equiv(
     heap: Heap | None = None,
     fuel: int = DEFAULT_FUEL,
 ) -> bool:
-    """Definitional equivalence of e1 and e2 under the given definitions.
-
-    Both sides normalize against their own scratch copy of heap and share
-    one fuel budget.
-    """
-    if alpha_eq(e1, e2):
-        return True
-    box = Fuel(fuel)
-    n1 = Normalizer(defs, heap, box)
-    n2 = Normalizer(defs, heap, box)
-    v1 = n1.norm(e1)
-    v2 = n2.norm(e2)
-    return _Cmp(n1, n2, box).compare(v1, v2, {}, {}, 0)
+    """Definitional equivalence of e1 and e2 under the given definitions."""
+    return alpha_eq(e1, e2) or _relate(_Cmp.eq, defs, e1, e2, heap, fuel)
 
 
 def subtype(
@@ -437,11 +349,18 @@ def subtype(
     fuel: int = DEFAULT_FUEL,
 ) -> bool:
     """Subtyping: equivalence, Star below Box, and covariant result types."""
-    if alpha_eq(small, big):
-        return True
+    return alpha_eq(small, big) or _relate(_Cmp.sub, defs, small, big, heap, fuel)
+
+
+def _relate(relation, defs: dict[Name, Expr], a: Expr, b: Expr, heap: Heap | None, fuel: int):
+    """relation (_Cmp.eq or _Cmp.sub) between the normal forms of a and b.
+
+    Both sides normalize against their own scratch copy of heap and share
+    one fuel budget.
+    """
     box = Fuel(fuel)
     n1 = Normalizer(defs, heap, box)
     n2 = Normalizer(defs, heap, box)
-    a = n1.norm(small)
-    b = n2.norm(big)
-    return _Cmp(n1, n2, box).sub(a, b, {}, {}, 0)
+    v1 = n1.norm(a)
+    v2 = n2.norm(b)
+    return relation(_Cmp(n1, n2, box), v1, v2, {}, {}, 0)

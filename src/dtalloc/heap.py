@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import _CHILD_FIELDS, Expr, Loc, Sigma
+from .syntax import Expr, Loc, Sigma, subterms
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,4 @@ class Config:
 
 def locs_in(e: Expr) -> set[int]:
     """All location ids mentioned by an expression."""
-    out: set[int] = set()
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Loc):
-            out.add(cur.loc_id)
-        for f in _CHILD_FIELDS[type(cur)]:
-            stack.append(getattr(cur, f))
-    return out
+    return {cur.loc_id for cur in subterms(e) if isinstance(cur, Loc)}

@@ -11,24 +11,18 @@ from the root: the same steps, linear in their number, at any depth.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
 
 from .errors import FuelExhausted
-from .syntax import App, Expr, Fst, Let, Snd
+from .syntax import _ARGS, _INDEX, App, Expr, Fst, Let, Snd
 
 # evaluation positions the two languages share, left to right
 EVAL_FIELDS = {Let: ("bound",), App: ("fn", "arg"), Fst: ("expr",), Snd: ("expr",)}
 
-# every constructor argument of each node type, pos included, so that a
-# plugged node keeps its position
-_INIT_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in Expr.__subclasses__()}
-_ARGS = {cls: attrgetter(*names) for cls, names in _INIT_FIELDS.items() if len(names) > 1}
-_INDEX = {(cls, name): i for cls, names in _INIT_FIELDS.items() for i, name in enumerate(names)}
-
 
 def _plug(frames, e: Expr) -> Expr:
-    """e put into the holes of the frames (node, field), innermost last."""
+    """e put into the holes of the frames (node, field), innermost last; a
+    plugged node keeps its position."""
     for node, hole in reversed(frames):
         cls = type(node)
         args = list(_ARGS[cls](node))

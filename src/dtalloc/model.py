@@ -258,18 +258,14 @@ class _Modeler:
                 return MPi(x2, d, self.model(cod, env2))
             case Sigma():
                 return self._sigma(e, env)
-            case CodeTy(n, envty, x, argty, res):
+            case CodeTy(n, envty, x, argty, body) | Code(n, envty, x, argty, body):
+                # code types become curried function types, code curried functions
+                former = MPi if isinstance(e, CodeTy) else MLam
                 d1 = self.model(envty, env)
                 n2, env_n = self._under(n, env)
                 d2 = self.model(argty, env_n)
                 x2, env_nx = self._under(x, env_n)
-                return MPi(n2, d1, MPi(x2, d2, self.model(res, env_nx)))
-            case Code(n, envty, x, argty, body):
-                d1 = self.model(envty, env)
-                n2, env_n = self._under(n, env)
-                d2 = self.model(argty, env_n)
-                x2, env_nx = self._under(x, env_n)
-                return MLam(n2, d1, MLam(x2, d2, self.model(body, env_nx)))
+                return former(n2, d1, former(x2, d2, self.model(body, env_nx)))
             case App(f, a):
                 return MApp(self.model(f, env), self.model(a, env))
             case Let(x, bound, _, body):

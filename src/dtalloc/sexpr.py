@@ -126,32 +126,34 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-def _read_one(toks: list[_Tok], i: int):
-    if i >= len(toks):
-        if toks:
-            last = toks[-1]
-            raise ParseError("unexpected end of input", last.line, last.col)
+def _read_one(toks: list[_Tok]):
+    """The s-expression the tokens start with and the index after it, read
+    on an explicit stack of open lists, so nesting costs no Python frames."""
+    if not toks:
         raise ParseError("empty input", 1, 1)
-    t = toks[i]
-    if t.kind == "atom":
-        return _SAtom(t.text, t.line, t.col), i + 1
-    if t.kind == "(":
-        items = []
-        j = i + 1
-        while True:
-            if j >= len(toks):
-                raise ParseError("unclosed parenthesis", t.line, t.col, (")",))
-            if toks[j].kind == ")":
-                return _SList(items, t.line, t.col), j + 1
-            item, j = _read_one(toks, j)
-            items.append(item)
-    raise ParseError("unexpected ')'", t.line, t.col)
+    open_lists: list[tuple[_Tok, list]] = []
+    for i, t in enumerate(toks):
+        if t.kind == "(":
+            open_lists.append((t, []))
+            continue
+        if t.kind == "atom":
+            item = _SAtom(t.text, t.line, t.col)
+        elif open_lists:
+            start, items = open_lists.pop()
+            item = _SList(items, start.line, start.col)
+        else:
+            raise ParseError("unexpected ')'", t.line, t.col)
+        if not open_lists:
+            return item, i + 1
+        open_lists[-1][1].append(item)
+    start = open_lists[-1][0]
+    raise ParseError("unclosed parenthesis", start.line, start.col, (")",))
 
 
 def parse(text: str, lang: Lang = Lang.SOURCE) -> Expr:
     """Parse one term; raises ParseError with position and expectations."""
     toks = _tokenize(text)
-    sx, rest = _read_one(toks, 0)
+    sx, rest = _read_one(toks)
     if rest != len(toks):
         extra = toks[rest]
         raise ParseError("unexpected trailing input", extra.line, extra.col)
@@ -354,12 +356,10 @@ def print_expr(e: Expr, lang: Lang = Lang.SOURCE) -> str:
         case Let(b, bound, annot, body):
             bound_s, annot_s = print_expr(bound, lang), print_expr(annot, lang)
             return f"(let ({b} {bound_s} {annot_s}) {print_expr(body, lang)})"
-        case Code(n, envty, x, argty, body):
+        case Code(n, envty, x, argty, body) | CodeTy(n, envty, x, argty, body):
+            head = "code" if isinstance(e, Code) else "Code"
             envty_s, argty_s = print_expr(envty, lang), print_expr(argty, lang)
-            return f"(code (({n} {envty_s}) ({x} {argty_s})) {print_expr(body, lang)})"
-        case CodeTy(n, envty, x, argty, res):
-            envty_s, argty_s = print_expr(envty, lang), print_expr(argty, lang)
-            return f"(Code (({n} {envty_s}) ({x} {argty_s})) {print_expr(res, lang)})"
+            return f"({head} (({n} {envty_s}) ({x} {argty_s})) {print_expr(body, lang)})"
         case Clo(c, env, pi):
             return f"(clo {print_expr(c, lang)} {print_expr(env, lang)} {print_expr(pi, lang)})"
         case Pi(b, dom, cod):

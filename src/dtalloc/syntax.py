@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 
 Name = str
 Flag = int  # initialization bit: 0 uninitialized, 1 initialized
-Pos = "tuple[int, int] | None"
 
 
 class Universe(Enum):
@@ -252,6 +252,96 @@ class Context:
 
 
 # ---------------------------------------------------------------------------
+# Binding structure
+#
+# The one place binding is declared. For each node type: its binder fields,
+# outermost first, and each child field, in field order, with how many of
+# those binders scope it. Free names, all names, substitution, alpha-
+# equivalence and normalization under binders are all derived from this
+# table. A binder that repeats an outer binder's name shadows it in the
+# children both scope, as nested binders do: code whose argument binder
+# repeats the environment binder's name has a body that sees the argument.
+# A new node type needs one entry here, and its typing and machine arms.
+
+_SCHEMA: dict[type, tuple[tuple[str, ...], dict[str, int]]] = {
+    Var: ((), {}),
+    Univ: ((), {}),
+    UnitTm: ((), {}),
+    UnitTy: ((), {}),
+    Loc: ((), {}),
+    Let: (("binder",), {"bound": 0, "annot": 0, "body": 1}),
+    Code: (("env_binder", "arg_binder"), {"env_ty": 0, "arg_ty": 1, "body": 2}),
+    CodeTy: (("env_binder", "arg_binder"), {"env_ty": 0, "arg_ty": 1, "result_ty": 2}),
+    Clo: ((), {"code": 0, "env": 0, "annot_pi": 0}),
+    Pi: (("binder",), {"dom": 0, "cod": 1}),
+    App: ((), {"fn": 0, "arg": 0}),
+    Pair: ((), {"fst": 0, "snd": 0, "annot_sigma": 0}),
+    Sigma: (("binder",), {"dom": 0, "cod": 1}),
+    Fst: ((), {"expr": 0}),
+    Snd: ((), {"expr": 0}),
+    Malloc: (("binder",), {"ty1": 0, "ty2": 1}),
+    Assign1: ((), {"tuple_": 0, "value": 0}),
+    Assign2: ((), {"tuple_": 0, "value": 0}),
+    CTag: ((), {"expr": 0}),
+}
+
+# Tables derived once per node type, so that the walkers below do no
+# per-call set-up. Constructor arguments are the dataclass fields in order,
+# pos last; a node rebuilt from _ARGS with some of them replaced keeps its
+# position.
+_INIT_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _SCHEMA}
+_ARGS = {cls: attrgetter(*names) for cls, names in _INIT_FIELDS.items() if len(names) > 1}
+_INDEX = {(cls, name): i for cls, names in _INIT_FIELDS.items() for i, name in enumerate(names)}
+_BINDERS = {cls: binders for cls, (binders, _) in _SCHEMA.items()}
+_CHILDREN = {cls: tuple(children.items()) for cls, (_, children) in _SCHEMA.items()}
+_CHILD_FIELDS = {cls: tuple(children) for cls, (_, children) in _SCHEMA.items()}
+# the children as (constructor argument index, binders above it)
+_CHILD_ARGS = {cls: tuple((_INDEX[cls, f], d) for f, d in cs) for cls, cs in _CHILDREN.items()}
+# the fields that are neither binders nor children nor pos: compared by value
+_DATA = {
+    cls: tuple(f for f in _INIT_FIELDS[cls][:-1] if f not in binders and f not in children)
+    for cls, (binders, children) in _SCHEMA.items()
+}
+
+
+def _scope_plan(cls: type):
+    """Per binder, outermost first: its argument index and, for each child
+    below it, the child's argument index and those of the binders between
+    the two, any of which shadows the binder when it has the same name."""
+    binders, children = _SCHEMA[cls]
+    plan = []
+    for i, b in enumerate(binders):
+        scope = tuple(
+            (_INDEX[cls, f], tuple(_INDEX[cls, s] for s in binders[i + 1 : depth]))
+            for f, depth in children.items()
+            if depth > i
+        )
+        plan.append((_INDEX[cls, b], scope))
+    return tuple(plan)
+
+
+_SCOPES = {cls: _scope_plan(cls) for cls in _SCHEMA}
+
+
+def _in_scope(args: list, b: int, scope) -> list[int]:
+    """The argument indices of the children that binder args[b], with the
+    given scope plan, scopes: those no inner binder of its name shadows."""
+    name = args[b]
+    return [c for c, inner in scope if not inner or all(args[s] != name for s in inner)]
+
+
+def subterms(e: Expr):
+    """Every subterm of e, e first, each before its children, walked on an
+    explicit stack; of two siblings the later field comes first."""
+    stack = [e]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        for f in _CHILD_FIELDS[type(cur)]:
+            stack.append(getattr(cur, f))
+
+
+# ---------------------------------------------------------------------------
 # Free variables and freshening
 #
 # Nodes are frozen and never mutated, so each analysis (free names, all
@@ -263,12 +353,6 @@ class Context:
 # do not use Python's call stack.
 
 _NO_NAMES: frozenset[Name] = frozenset()
-
-# the fields of each node type that hold subexpressions; field types are
-# strings here because of the __future__ import
-_CHILD_FIELDS = {
-    cls: tuple(f.name for f in fields(cls) if f.type == "Expr") for cls in Expr.__subclasses__()
-}
 
 
 def _memoize(e: Expr, key: str, analysis, children=_CHILD_FIELDS):
@@ -295,24 +379,16 @@ def free_vars(e: Expr) -> frozenset[Name]:
 
 
 def _free_vars(e: Expr) -> frozenset[Name]:
-    match e:
-        case Var(x):
-            return frozenset((x,))
-        case Univ() | UnitTm() | UnitTy() | Loc():
-            return _NO_NAMES
-        case Let(b, bound, annot, body):
-            return free_vars(bound) | free_vars(annot) | (free_vars(body) - {b})
-        case Code(n, envty, x, argty, body) | CodeTy(n, envty, x, argty, body):
-            return free_vars(envty) | (free_vars(argty) - {n}) | (free_vars(body) - {n, x})
-        case Clo(c, env, pi) | Pair(c, env, pi):
-            return free_vars(c) | free_vars(env) | free_vars(pi)
-        case Pi(b, dom, cod) | Sigma(b, dom, _, cod, _) | Malloc(b, dom, cod):
-            return free_vars(dom) | (free_vars(cod) - {b})
-        case App(f, a) | Assign1(f, a) | Assign2(f, a):
-            return free_vars(f) | free_vars(a)
-        case Fst(inner) | Snd(inner) | CTag(inner):
-            return free_vars(inner)
-    raise TypeError(f"unknown expression node: {e!r}")
+    cls = type(e)
+    if cls is Var:
+        return frozenset((e.name,))
+    out = _NO_NAMES
+    for f, depth in _CHILDREN[cls]:
+        fv = free_vars(getattr(e, f))
+        if depth:
+            fv = fv.difference([getattr(e, b) for b in _BINDERS[cls][:depth]])
+        out = out | fv
+    return out
 
 
 def all_names(e: Expr) -> frozenset[Name]:
@@ -322,24 +398,15 @@ def all_names(e: Expr) -> frozenset[Name]:
 
 
 def _all_names(e: Expr) -> frozenset[Name]:
-    match e:
-        case Var(x):
-            return frozenset((x,))
-        case Univ() | UnitTm() | UnitTy() | Loc():
-            return _NO_NAMES
-        case Let(b, bound, annot, body):
-            return all_names(bound) | all_names(annot) | all_names(body) | {b}
-        case Code(n, envty, x, argty, body) | CodeTy(n, envty, x, argty, body):
-            return all_names(envty) | all_names(argty) | all_names(body) | {n, x}
-        case Clo(c, env, pi) | Pair(c, env, pi):
-            return all_names(c) | all_names(env) | all_names(pi)
-        case Pi(b, dom, cod) | Sigma(b, dom, _, cod, _) | Malloc(b, dom, cod):
-            return all_names(dom) | all_names(cod) | {b}
-        case App(f, a) | Assign1(f, a) | Assign2(f, a):
-            return all_names(f) | all_names(a)
-        case Fst(inner) | Snd(inner) | CTag(inner):
-            return all_names(inner)
-    raise TypeError(f"unknown expression node: {e!r}")
+    cls = type(e)
+    if cls is Var:
+        return frozenset((e.name,))
+    out = _NO_NAMES
+    for f in _CHILD_FIELDS[cls]:
+        out = out | all_names(getattr(e, f))
+    for b in _BINDERS[cls]:
+        out = out | {getattr(e, b)}
+    return out
 
 
 _HEAP_NODES = (Loc, Malloc, Assign1, Assign2)
@@ -422,45 +489,25 @@ def _psubst(e: Expr, sub: dict[Name, Expr]) -> Expr:
     are, and rebuilt nodes keep their source position."""
     if sub.keys().isdisjoint(free_vars(e)):
         return e
-    pos = e.pos
-    match e:
-        case Var(x):
-            return sub[x]
-        case Let(b, bound, annot, body):
-            b2, sub2 = _rebind(b, [body], sub)
-            return Let(b2, _psubst(bound, sub), _psubst(annot, sub), _psubst(body, sub2), pos=pos)
-        case Code(n, envty, xb, argty, body) | CodeTy(n, envty, xb, argty, body):
-            n_scope = [argty, body] if xb != n else [argty]
-            n2, subn = _rebind(n, n_scope, sub)
-            x2, subx = _rebind(xb, [body], subn)
-            return type(e)(
-                n2, _psubst(envty, sub), x2, _psubst(argty, subn), _psubst(body, subx), pos=pos
-            )
-        case Pi(b, dom, cod) | Malloc(b, dom, cod):
-            b2, sub2 = _rebind(b, [cod], sub)
-            return type(e)(b2, _psubst(dom, sub), _psubst(cod, sub2), pos=pos)
-        case Sigma(b, dom, f1, cod, f2):
-            b2, sub2 = _rebind(b, [cod], sub)
-            return Sigma(b2, _psubst(dom, sub), f1, _psubst(cod, sub2), f2, pos=pos)
-        case Clo(a, d, s) | Pair(a, d, s):
-            return type(e)(_psubst(a, sub), _psubst(d, sub), _psubst(s, sub), pos=pos)
-        case App(f, a) | Assign1(f, a) | Assign2(f, a):
-            return type(e)(_psubst(f, sub), _psubst(a, sub), pos=pos)
-        case Fst(inner) | Snd(inner) | CTag(inner):
-            return type(e)(_psubst(inner, sub), pos=pos)
-    raise TypeError(f"unknown expression node: {e!r}")
+    cls = type(e)
+    if cls is Var:
+        return sub[e.name]
+    args = list(_ARGS[cls](e))
+    # subs[d] applies under the outermost d binders
+    subs = [sub]
+    for b, scope in _SCOPES[cls]:
+        # every child below the binder, shadowed or not: a child that an
+        # inner binder of the same name shadows still needs the entries
+        # for its other names, and that binder drops the entry for its own
+        args[b], sub = _rebind(args[b], [args[c] for c, _ in scope], sub)
+        subs.append(sub)
+    for c, depth in _CHILD_ARGS[cls]:
+        args[c] = _psubst(args[c], subs[depth])
+    return cls(*args)
 
 
 # ---------------------------------------------------------------------------
 # Alpha-equivalence
-
-def alpha_eq(e1: Expr, e2: Expr) -> bool:
-    """Equality up to consistent renaming of bound names.
-
-    Free names and heap locations compare by identity; flags by value.
-    """
-    return _aeq(e1, e2, {}, {}, 0)
-
 
 def _bind(m: dict[Name, int], name: Name, level: int) -> dict[Name, int]:
     m2 = dict(m)
@@ -468,69 +515,57 @@ def _bind(m: dict[Name, int], name: Name, level: int) -> dict[Name, int]:
     return m2
 
 
-def _aeq(a: Expr, b: Expr, m1: dict[Name, int], m2: dict[Name, int], k: int) -> bool:
-    # a shared subterm equals itself when both sides read its free names
-    # alike; comparing the maps first keeps free_vars off fresh terms
-    if a is b and (m1 == m2 or all(m1.get(x, x) == m2.get(x, x) for x in free_vars(a))):
-        return True
-    match a, b:
-        case (Var(x), Var(y)):
-            return m1.get(x, x) == m2.get(y, y)
-        case (Univ(u1), Univ(u2)):
-            return u1 == u2
-        case (UnitTm(), UnitTm()) | (UnitTy(), UnitTy()):
+class _Alpha:
+    """Structural comparison up to consistent renaming of bound names.
+
+    m1 and m2 map the names bound on each side to the level k at which
+    they were bound, so a bound name matches only the name bound at the
+    same level; free names compare by identity and data fields (universes,
+    flags) by value. Conversion reuses the walk through two hooks: same,
+    run on every pair of nodes before they are compared, and locs_eq, the
+    test for two locations.
+    """
+
+    def same(self, a: Expr, b: Expr, m1: dict[Name, int], m2: dict[Name, int]) -> bool:
+        """Whether a and b are equal without looking inside them."""
+        # a shared subterm equals itself when both sides read its free names
+        # alike; comparing the maps first keeps free_vars off fresh terms
+        return a is b and (m1 == m2 or all(m1.get(x, x) == m2.get(x, x) for x in free_vars(a)))
+
+    def locs_eq(self, i: int, j: int, m1: dict[Name, int], m2: dict[Name, int], k: int) -> bool:
+        return i == j
+
+    def eq(self, a: Expr, b: Expr, m1: dict[Name, int], m2: dict[Name, int], k: int) -> bool:
+        if self.same(a, b, m1, m2):
             return True
-        case (Loc(i), Loc(j)):
-            return i == j
-        case (Let(b1, e1, a1, t1), Let(b2, e2, a2, t2)):
-            return (
-                _aeq(e1, e2, m1, m2, k)
-                and _aeq(a1, a2, m1, m2, k)
-                and _aeq(t1, t2, _bind(m1, b1, k), _bind(m2, b2, k), k + 1)
-            )
-        case (Code(n1, v1, x1, g1, t1), Code(n2, v2, x2, g2, t2)) | (
-            CodeTy(n1, v1, x1, g1, t1),
-            CodeTy(n2, v2, x2, g2, t2),
-        ):
-            if type(a) is not type(b):
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if cls is Var:
+            return m1.get(a.name, a.name) == m2.get(b.name, b.name)
+        if cls is Loc:
+            return self.locs_eq(a.loc_id, b.loc_id, m1, m2, k)
+        for f in _DATA[cls]:
+            if getattr(a, f) != getattr(b, f):
                 return False
-            m1n, m2n = _bind(m1, n1, k), _bind(m2, n2, k)
-            m1x, m2x = _bind(m1n, x1, k + 1), _bind(m2n, x2, k + 1)
-            return (
-                _aeq(v1, v2, m1, m2, k)
-                and _aeq(g1, g2, m1n, m2n, k + 1)
-                and _aeq(t1, t2, m1x, m2x, k + 2)
-            )
-        case (Clo(c1, v1, p1), Clo(c2, v2, p2)):
-            return _aeq(c1, c2, m1, m2, k) and _aeq(v1, v2, m1, m2, k) and _aeq(p1, p2, m1, m2, k)
-        case (Pi(b1, d1, c1), Pi(b2, d2, c2)) | (Malloc(b1, d1, c1), Malloc(b2, d2, c2)):
-            if type(a) is not type(b):
+        binders, d = _BINDERS[cls], 0
+        # children come in field order, which never lowers the binder count
+        for f, depth in _CHILDREN[cls]:
+            while d < depth:
+                m1 = _bind(m1, getattr(a, binders[d]), k + d)
+                m2 = _bind(m2, getattr(b, binders[d]), k + d)
+                d += 1
+            if not self.eq(getattr(a, f), getattr(b, f), m1, m2, k + d):
                 return False
-            return _aeq(d1, d2, m1, m2, k) and _aeq(
-                c1, c2, _bind(m1, b1, k), _bind(m2, b2, k), k + 1
-            )
-        case (App(f1, a1), App(f2, a2)) | (Assign1(f1, a1), Assign1(f2, a2)) | (
-            Assign2(f1, a1),
-            Assign2(f2, a2),
-        ):
-            if type(a) is not type(b):
-                return False
-            return _aeq(f1, f2, m1, m2, k) and _aeq(a1, a2, m1, m2, k)
-        case (Pair(a1, d1, s1), Pair(a2, d2, s2)):
-            return (
-                _aeq(a1, a2, m1, m2, k)
-                and _aeq(d1, d2, m1, m2, k)
-                and _aeq(s1, s2, m1, m2, k)
-            )
-        case (Sigma(b1, d1, f1, c1, g1), Sigma(b2, d2, f2, c2, g2)):
-            return (
-                f1 == f2
-                and g1 == g2
-                and _aeq(d1, d2, m1, m2, k)
-                and _aeq(c1, c2, _bind(m1, b1, k), _bind(m2, b2, k), k + 1)
-            )
-        case (Fst(i1), Fst(i2)) | (Snd(i1), Snd(i2)) | (CTag(i1), CTag(i2)):
-            if type(a) is not type(b):
-                return False
-            return _aeq(i1, i2, m1, m2, k)
-    return False
+        return True
+
+
+_ALPHA = _Alpha()
+
+
+def alpha_eq(e1: Expr, e2: Expr) -> bool:
+    """Equality up to consistent renaming of bound names.
+
+    Free names and heap locations compare by identity; flags by value.
+    """
+    return _ALPHA.eq(e1, e2, {}, {}, 0)

@@ -28,7 +28,6 @@ from .heap import UNINIT, Config, Heap, HeapCell, locs_in
 from .machine import EVAL_FIELDS, Machine
 from .sexpr import Lang, print_expr
 from .syntax import (
-    _CHILD_FIELDS,
     App,
     Assign1,
     Assign2,
@@ -57,6 +56,7 @@ from .syntax import (
     push_binder,
     subst,
     subst_many,
+    subterms,
 )
 
 # module constants: an identity test on them is cheaper than an enum lookup
@@ -98,12 +98,8 @@ def _reject_foreign(lang: Lang, e: Expr) -> None:
 
 def wf(lang: Lang, e: Expr) -> None:
     """Reject syntactically every form that lang lacks."""
-    stack = [e]
-    while stack:
-        cur = stack.pop()
+    for cur in subterms(e):
         _reject_foreign(lang, cur)
-        for f in _CHILD_FIELDS[type(cur)]:
-            stack.append(getattr(cur, f))
 
 
 def tgt_wf(e: Expr) -> None:
@@ -282,28 +278,18 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
                     e.pos,
                 )
             return Univ(_pair_sort(s1, s2))
-        case CodeTy(n, envty, x, argty, res):
-            _require_closed(e, "code type")
-            empty = Context()
-            _sort_of(lang, heap, empty, envty, "code environment type")
-            ctx_n, n2 = push_binder(empty, n, envty)
-            argty2 = subst(argty, Var(n2), n) if x != n else argty
-            res2 = subst(res, Var(n2), n) if x != n else res
-            _sort_of(lang, heap, ctx_n, argty2, "code argument type")
-            ctx_nx, x2 = push_binder(ctx_n, x, argty2)
-            s = _sort_of(lang, heap, ctx_nx, subst(res2, Var(x2), x), "code result type")
-            return Univ(s)
-        case Code(n, envty, x, argty, body):
-            _require_closed(e, "code")
-            empty = Context()
-            _sort_of(lang, heap, empty, envty, "code environment type")
-            ctx_n, n2 = push_binder(empty, n, envty)
-            argty2 = subst(argty, Var(n2), n) if x != n else argty
-            body2 = subst(body, Var(n2), n) if x != n else body
-            _sort_of(lang, heap, ctx_n, argty2, "code argument type")
-            ctx_nx, x2 = push_binder(ctx_n, x, argty2)
-            res = _synth(lang, heap, ctx_nx, subst(body2, Var(x2), x), view)
-            return CodeTy(n2, envty, x2, argty2, res)
+        case Code(n, envty, x, argty, body) | CodeTy(n, envty, x, argty, body):
+            is_code = isinstance(e, Code)
+            _require_closed(e, "code" if is_code else "code type")
+            _sort_of(lang, heap, Context(), envty, "code environment type")
+            # code is opened in the empty context, so its env binder keeps its name
+            ctx_n = Context().extend(n, envty)
+            _sort_of(lang, heap, ctx_n, argty, "code argument type")
+            ctx_nx, x2 = push_binder(ctx_n, x, argty)
+            body2 = subst(body, Var(x2), x)
+            if is_code:
+                return CodeTy(n, envty, x2, argty, _synth(lang, heap, ctx_nx, body2, view))
+            return Univ(_sort_of(lang, heap, ctx_nx, body2, "code result type"))
         case App(f, a):
             fn_ty = view(heap, ctx, _synth(lang, heap, ctx, f, view), f.pos)
             if not isinstance(fn_ty, Pi):

@@ -158,6 +158,10 @@ def test_compiled_type_checks_in_target():
         "(pair unit unit (Sigma (x Unit) Unit))",
         "(clo (code ((n Unit) (x Unit)) x) unit (Pi (x Unit) Unit))",
         "(app (clo (code ((X Star) (x X)) x) Unit (Pi (x Unit) Unit)) unit)",
+        # normalizing the code type renames its env binder y, shadowed by the
+        # let, to y1, which the translator has already issued, so the
+        # translated code type renames it again, in its argument type too
+        "(let (y unit Unit) (clo (code ((y Star) (x y)) x) Unit (Pi (x Unit) Unit)))",
     ]:
         e = parse(text)
         src_infer(Context(), e)

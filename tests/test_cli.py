@@ -133,6 +133,16 @@ def test_open_code_error_keeps_its_position_under_a_let(capsys):
     assert capsys.readouterr().err == "error[OpenCode] 1:20 code mentions outer variables: y\n"
 
 
+@pytest.mark.parametrize("env_binder", ["z", "x"])
+def test_open_code_error_names_the_renamed_outer_variable(env_binder, tmp_path, capsys):
+    # the inner let is renamed to n1 in its body; substitution reaches the
+    # code body also when the argument binder shadows the env binder
+    p = tmp_path / "open.src"
+    p.write_text(f"(let (n unit Unit) (let (n unit Unit) (code (({env_binder} Unit) (x Unit)) n)))")
+    assert main(["check", str(p)]) == 1
+    assert capsys.readouterr().err == "error[OpenCode] 1:39 code mentions outer variables: n1\n"
+
+
 def test_exit_code_parse_error(capsys):
     assert main(["check", str(CORPUS / "negative" / "target_syntax.src")]) == 2
     assert "error[ParseError]" in capsys.readouterr().err
@@ -233,3 +243,15 @@ def test_too_deep_input_is_one_error_line(tmp_path, capsys, cmd, depth):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error[TooDeep] {cmd}: input nests too deeply\n"
+
+
+def test_run_reads_600_lets_nested_in_bound_position(tmp_path, capsys):
+    # the reader keeps open lists on a stack of its own; recursing once per
+    # level, it ran out of Python frames at about 500 levels
+    term = "unit"
+    for _ in range(600):
+        term = f"(let (x {term} Unit) x)"
+    p = tmp_path / "deep.src"
+    p.write_text(term)
+    assert main(["run", str(p)]) == 0
+    assert capsys.readouterr().out == "unit\n"

@@ -1,27 +1,42 @@
 """Core term structure: substitution, alpha-equivalence, contexts."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import dataclasses
+import re
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from dtalloc.conversion import Fuel, Normalizer, _Cmp, normalize
 from dtalloc.harness import GenSpec, gen_lemma4, gen_typed
 from dtalloc.sexpr import Lang, parse, print_expr
 from dtalloc.syntax import (
     App,
+    Assign1,
+    Assign2,
     BOX,
+    Clo,
     Code,
     CodeTy,
     Context,
+    CTag,
+    Expr,
     Fst,
     Let,
     Loc,
+    Malloc,
     Pair,
     Pi,
     STAR,
     Sigma,
+    Snd,
     UNIT,
     UNIT_TY,
+    UnitTm,
+    UnitTy,
+    Univ,
     Var,
     _CHILD_FIELDS,
+    _SCHEMA,
     _all_names,
     _free_vars,
     _heap_free,
@@ -33,6 +48,7 @@ from dtalloc.syntax import (
     push_binder,
     subst,
     subst_many,
+    subterms,
 )
 
 
@@ -190,20 +206,11 @@ def _children(e):
     return [getattr(e, f) for f in _CHILD_FIELDS[type(e)]]
 
 
-def _subterms(e):
-    out, todo = [], [e]
-    while todo:
-        n = todo.pop()
-        out.append(n)
-        todo.extend(_children(n))
-    return out
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_memoized_name_analyses_match_the_uncached_helpers(seed):
     _, e, _ = gen_typed(GenSpec(depth=3, seed=seed))
-    for s in _subterms(e):
+    for s in subterms(e):
         fv, names = free_vars(s), all_names(s)
         assert type(fv) is frozenset and type(names) is frozenset
         assert fv == _free_vars(s) and names == _all_names(s)
@@ -266,3 +273,182 @@ def test_substitution_rebuilds_only_the_path_to_the_variable():
     assert r.pos == e.pos == (1, 1) and r.body.pos == e.body.pos
     assert r.bound is e.bound and r.annot is e.annot
     assert r.body.snd is e.body.snd and r.body.annot_sigma is e.body.annot_sigma
+
+
+# ---------------------------------------------------------------------------
+# The binder schema against a reference written out per node type
+
+
+def test_schema_declares_every_node_type_and_each_field_once():
+    assert set(_SCHEMA) == set(Expr.__subclasses__())
+    for cls, (binders, children) in _SCHEMA.items():
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        assert all(types[b] == "Name" for b in binders), cls
+        assert list(children) == [f for f, t in types.items() if t == "Expr"], cls
+        # each child sees the binders before it in the layout, outermost first
+        assert list(children.values()) == sorted(children.values()), cls
+        assert set(children.values()) <= set(range(len(binders) + 1)), cls
+
+
+def _db(e, env=(), repl=None, binders=False):
+    """e with each bound variable printed as the distance to its binder and
+    each free one as 'name, or as repl[name] when given; binder names
+    appear, in brackets, only when binders is set."""
+
+    def go(t, *bound):
+        return _db(t, env + bound, repl, binders)
+
+    def at(*names):
+        return "".join(f"[{b}]" for b in names) if binders else ""
+
+    match e:
+        case Var(x):
+            if x in env:
+                return f"#{env[::-1].index(x)}"
+            return repl[x] if repl and x in repl else f"'{x}"
+        case Univ(u):
+            return u.value
+        case UnitTm():
+            return "unit"
+        case UnitTy():
+            return "Unit"
+        case Loc(i):
+            return f"(loc {i})"
+        case Let(b, bound, annot, body):
+            return f"(let{at(b)} {go(bound)} {go(annot)} {go(body, b)})"
+        case Code(n, envty, x, argty, body):
+            return f"(code{at(n, x)} {go(envty)} {go(argty, n)} {go(body, n, x)})"
+        case CodeTy(n, envty, x, argty, res):
+            return f"(Code{at(n, x)} {go(envty)} {go(argty, n)} {go(res, n, x)})"
+        case Clo(c, v, pi):
+            return f"(clo {go(c)} {go(v)} {go(pi)})"
+        case Pi(b, dom, cod):
+            return f"(Pi{at(b)} {go(dom)} {go(cod, b)})"
+        case App(f, a):
+            return f"(app {go(f)} {go(a)})"
+        case Pair(a, d, sigma):
+            return f"(pair {go(a)} {go(d)} {go(sigma)})"
+        case Sigma(b, dom, f1, cod, f2):
+            return f"(Sigma{at(b)} {go(dom)} {f1} {go(cod, b)} {f2})"
+        case Fst(inner):
+            return f"(fst {go(inner)})"
+        case Snd(inner):
+            return f"(snd {go(inner)})"
+        case Malloc(b, t1, t2):
+            return f"(malloc{at(b)} {go(t1)} {go(t2, b)})"
+        case Assign1(t, v):
+            return f"(assign1 {go(t)} {go(v)})"
+        case Assign2(t, v):
+            return f"(assign2 {go(t)} {go(v)})"
+        case CTag(inner):
+            return f"(ctag {go(inner)})"
+    raise TypeError(e)
+
+
+# three names, so that code with equal binders, shadowing and capture are common
+_NAMES = st.sampled_from(["x", "n", "y"])
+_FLAGS = st.integers(0, 1)
+_LEAVES = st.one_of(
+    st.builds(Var, _NAMES),
+    st.sampled_from([STAR, BOX, UNIT, UNIT_TY]),
+    st.builds(Loc, st.integers(0, 2)),
+)
+
+
+def _nodes(t):
+    return st.one_of(
+        st.builds(Let, _NAMES, t, t, t),
+        st.builds(Code, _NAMES, t, _NAMES, t, t),
+        st.builds(CodeTy, _NAMES, t, _NAMES, t, t),
+        st.builds(Clo, t, t, t),
+        st.builds(Pi, _NAMES, t, t),
+        st.builds(App, t, t),
+        st.builds(Pair, t, t, t),
+        st.builds(Sigma, _NAMES, t, _FLAGS, t, _FLAGS),
+        st.builds(Fst, t),
+        st.builds(Snd, t),
+        st.builds(Malloc, _NAMES, t, t),
+        st.builds(Assign1, t, t),
+        st.builds(Assign2, t, t),
+        st.builds(CTag, t),
+    )
+
+
+TERMS = st.recursive(_LEAVES, _nodes, max_leaves=12)
+SMALL_TERMS = st.recursive(_LEAVES, _nodes, max_leaves=3)
+
+
+def _names_in(printed):
+    return {a or b for a, b in re.findall(r"'(\w+)|\[(\w+)\]", printed)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS)
+def test_name_analyses_match_the_de_bruijn_reference(e):
+    assert free_vars(e) == _names_in(_db(e))
+    assert all_names(e) == _names_in(_db(e, binders=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS, SMALL_TERMS, _NAMES, SMALL_TERMS)
+def test_substitution_matches_the_de_bruijn_reference(e, v, x, w):
+    # free names print as themselves at any depth, so the reference
+    # substitutes by printing the replacement in place, with no shifting
+    assert _db(subst(e, v, x)) == _db(e, repl={x: _db(v)})
+    other = "y" if x != "y" else "n"
+    assert _db(subst_many(e, {x: v, other: w})) == _db(e, repl={x: _db(v), other: _db(w)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(SMALL_TERMS, SMALL_TERMS)
+def test_alpha_eq_matches_the_de_bruijn_reference(a, b):
+    assert alpha_eq(a, b) == (_db(a) == _db(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS, _NAMES)
+def test_alpha_eq_matches_the_reference_on_a_renamed_binder(e, name):
+    # the renamed copy shares every child with e, so the comparison meets
+    # the same objects on both sides, bound differently or alike
+    nodes = [s for s in subterms(e) if _SCHEMA[type(s)][0]]
+    for s in nodes[:4]:
+        for b in _SCHEMA[type(s)][0]:
+            renamed = dataclasses.replace(s, **{b: name})
+            assert alpha_eq(s, renamed) == (_db(s) == _db(renamed))
+
+
+def _rename_occurrence(e, target, name):
+    """e with the variable node target, found by identity, renamed; the
+    nodes off its path are shared with e."""
+    if e is target:
+        return Var(name)
+    kids = {f: _rename_occurrence(getattr(e, f), target, name) for f in _CHILD_FIELDS[type(e)]}
+    return dataclasses.replace(e, **kids) if kids else e
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS, st.data())
+def test_alpha_eq_matches_the_reference_on_a_renamed_occurrence(e, data):
+    # the two sides differ in one variable, often only in which binder it
+    # refers to
+    occurrences = [s for s in subterms(e) if isinstance(s, Var)]
+    assume(occurrences)
+    target = data.draw(st.sampled_from(occurrences))
+    renamed = _rename_occurrence(e, target, data.draw(_NAMES))
+    assert alpha_eq(e, renamed) == (_db(e) == _db(renamed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_conversion_compares_heap_free_normal_forms_as_alpha_eq_does(seed1, seed2):
+    forms = []
+    for seed in (seed1, seed2):
+        _, e, ty = gen_typed(GenSpec(depth=3, seed=seed, closed=True))
+        for t in (e, ty, parse(print_expr(e))):
+            forms.append(normalize({}, t))
+    for a in forms:
+        for b in forms:
+            assert heap_free(a) and heap_free(b)
+            fuel = Fuel()
+            cmp = _Cmp(Normalizer({}, None, fuel), Normalizer({}, None, fuel), fuel)
+            assert cmp.eq(a, b, {}, {}, 0) == alpha_eq(a, b) == (_db(a) == _db(b))
