@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from . import source
 from .errors import ErrKind, TypeCheckError
+from .heap import filled
 from .syntax import (
     _CHILD_FIELDS,
     App,
@@ -119,66 +120,41 @@ class _Translator:
                     raise TypeCheckError(
                         ErrKind.ANNOT_MISMATCH, "pair annotation must be a pair type", e.pos
                     )
-                y = self.gensym()
-                y1 = self.gensym()
-                y2 = self.gensym()
+                ys = self.gensym(), self.gensym(), self.gensym()
                 ctx2, x2 = self.push(ctx, annot.binder, annot.dom)
                 at = self.tr(ctx, annot.dom)
                 bt = self.tr(ctx2, subst(annot.cod, Var(x2), annot.binder))
-                t1 = self.tr(ctx, e1)
-                t2 = self.tr(ctx, e2)
-                return Let(
-                    y,
-                    Malloc(x2, at, bt),
-                    Sigma(x2, at, 0, bt, 0),
-                    Let(
-                        y1,
-                        Assign1(Var(y), t1),
-                        Sigma(x2, at, 1, bt, 0),
-                        Let(
-                            y2,
-                            Assign2(Var(y1), t2),
-                            Sigma(x2, at, 1, bt, 1),
-                            Var(y2),
-                        ),
-                    ),
-                )
+                return _fill(ys, Sigma(x2, at, 0, bt, 0), self.tr(ctx, e1), self.tr(ctx, e2), Var)
             case Clo(c, env, _):
-                y = self.gensym()
-                y1 = self.gensym()
-                y2 = self.gensym()
+                ys = self.gensym(), self.gensym(), self.gensym()
                 z = self.named("z")
                 code_ty = source.src_normalize(ctx, source.src_infer(ctx, c))
                 if not isinstance(code_ty, CodeTy):
                     raise TypeCheckError(
                         ErrKind.NOT_A_FUNCTION, "closure over a term that is not code", c.pos
                     )
-                dt = self.tr(ctx, code_ty)
-                et = self.tr(ctx, code_ty.env_ty)
-                t1 = self.tr(ctx, c)
-                t2 = self.tr(ctx, env)
-                return Let(
-                    y,
-                    Malloc(z, dt, et),
-                    Sigma(z, dt, 0, et, 0),
-                    Let(
-                        y1,
-                        Assign1(Var(y), t1),
-                        Sigma(z, dt, 1, et, 0),
-                        Let(
-                            y2,
-                            Assign2(Var(y1), t2),
-                            Sigma(z, dt, 1, et, 1),
-                            CTag(Var(y2)),
-                        ),
-                    ),
-                )
+                ty = Sigma(z, self.tr(ctx, code_ty), 0, self.tr(ctx, code_ty.env_ty), 0)
+                return _fill(ys, ty, self.tr(ctx, c), self.tr(ctx, env), lambda y2: CTag(Var(y2)))
             case _:
                 raise TypeCheckError(
                     ErrKind.LANG_VIOLATION,
                     f"{type(e).__name__.lower()} is not a source form",
                     e.pos,
                 )
+
+
+def _fill(ys: tuple[Name, Name, Name], ty: Sigma, v1: Expr, v2: Expr, tail) -> Expr:
+    """Allocate a tuple at ty, of flags (0,0), and fill it with v1, then v2:
+    each step let-bound to the next name of ys and annotated with the pair
+    type at its fill level, ending in tail(the last name)."""
+    y, y1, y2 = ys
+    ty1 = filled(ty, 1)
+    return Let(
+        y,
+        Malloc(ty.binder, ty.dom, ty.cod),
+        ty,
+        Let(y1, Assign1(Var(y), v1), ty1, Let(y2, Assign2(Var(y1), v2), filled(ty1, 2), tail(y2))),
+    )
 
 
 def _reserved_for(ctx: Context, e: Expr) -> frozenset[Name]:

@@ -8,7 +8,7 @@ heap. It rebuilds only what it changes: a node whose children all come
 back as the same objects, with no binder renamed, is returned as it is,
 so a normal form shares every unchanged subterm with its input. The
 structural walk treats two locations as equal when the cells they denote
-agree: same flags, equivalent cell types, and equivalent initialized
+agree: equivalent cell types, flags included, and equivalent readable
 slots. Location ids themselves never matter, so values that allocated in
 different orders still compare equal.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 from operator import is_
 
 from .errors import FuelExhausted
-from .heap import UNINIT, Heap, HeapCell
+from .heap import SLOT, UNINIT, Heap, HeapCell, writable
 from .syntax import (
     _ARGS,
     _CHILD_ARGS,
@@ -124,17 +124,6 @@ class Normalizer:
             self.cells = list(self.cells)
         return self.cells
 
-    def _read(self, loc_id: int, which: int) -> Expr | None:
-        """Slot contents when the matching flag is set, else None."""
-        c = self.cell(loc_id)
-        if c is None:
-            return None
-        ty = c.cell_type
-        flag, slot = (ty.flag1, c.slot1) if which == 1 else (ty.flag2, c.slot2)
-        if flag == 1 and slot is not UNINIT:
-            return slot
-        return None
-
     # --- normalization -----------------------------------------------------
 
     def norm(self, e: Expr) -> Expr:
@@ -173,8 +162,8 @@ class Normalizer:
                     m[c.arg_binder] = an
                     return self.norm(subst_many(c.body, m))
                 if isinstance(fn, CTag) and isinstance(fn.expr, Loc):
-                    cv = self._read(fn.expr.loc_id, 1)
-                    ev = self._read(fn.expr.loc_id, 2)
+                    c = self.cell(fn.expr.loc_id)
+                    cv, ev = (None, None) if c is None else (c.read(1), c.read(2))
                     if cv is not None and ev is not None:
                         cn = self.norm(cv)
                         if isinstance(cn, Code):
@@ -183,12 +172,13 @@ class Normalizer:
                             return self.norm(subst_many(cn.body, m))
                 return e if fn is f and an is a else App(fn, an)
             case Fst(inner) | Snd(inner):
-                which = 1 if isinstance(e, Fst) else 2
+                i = SLOT[type(e)]
                 t = self.norm(inner)
                 if isinstance(t, Pair):
-                    return t.fst if which == 1 else t.snd
+                    return t.fst if i == 1 else t.snd
                 if isinstance(t, Loc):
-                    slot = self._read(t.loc_id, which)
+                    c = self.cell(t.loc_id)
+                    slot = None if c is None else c.read(i)
                     if slot is not None:
                         return self.norm(slot)
                 return e if t is inner else type(e)(t)
@@ -198,46 +188,21 @@ class Normalizer:
                 cells = self._writable()
                 cells.append(HeapCell(Sigma(b2, t1, 0, t2r, 0), UNINIT, UNINIT))
                 return Loc(len(cells) - 1)
-            case Assign1(t, v):
+            case Assign1(t, v) | Assign2(t, v):
+                i = SLOT[type(e)]
                 tn = self.norm(t)
                 vn = self.norm(v)
-                if isinstance(tn, Loc):
-                    c = self.cell(tn.loc_id)
-                    if c is not None and c.cell_type.flag1 == 0:
-                        ty = c.cell_type
-                        self._writable()[tn.loc_id] = HeapCell(
-                            Sigma(ty.binder, ty.dom, 1, ty.cod, ty.flag2), vn, c.slot2
-                        )
+                c = self.cell(tn.loc_id) if isinstance(tn, Loc) else None
+                if c is not None:
+                    if writable(c.cell_type, i):
+                        self._writable()[tn.loc_id] = c.write(i, vn)
                         return tn
                     # slots are write-once, so an assignment whose effect is
                     # already recorded is the location itself
-                    if (
-                        c is not None
-                        and c.cell_type.flag1 == 1
-                        and c.slot1 is not UNINIT
-                        and alpha_eq(vn, self.norm(c.slot1))
-                    ):
+                    old = c.read(i)
+                    if old is not None and alpha_eq(vn, self.norm(old)):
                         return tn
-                return e if tn is t and vn is v else Assign1(tn, vn)
-            case Assign2(t, v):
-                tn = self.norm(t)
-                vn = self.norm(v)
-                if isinstance(tn, Loc):
-                    c = self.cell(tn.loc_id)
-                    if c is not None and c.flags == (1, 0):
-                        ty = c.cell_type
-                        self._writable()[tn.loc_id] = HeapCell(
-                            Sigma(ty.binder, ty.dom, 1, ty.cod, 1), c.slot1, vn
-                        )
-                        return tn
-                    if (
-                        c is not None
-                        and c.cell_type.flag2 == 1
-                        and c.slot2 is not UNINIT
-                        and alpha_eq(vn, self.norm(c.slot2))
-                    ):
-                        return tn
-                return e if tn is t and vn is v else Assign2(tn, vn)
+                return e if tn is t and vn is v else type(e)(tn, vn)
         raise TypeError(f"unknown expression node: {e!r}")
 
     def _descend(self, e: Expr) -> Expr:
@@ -276,28 +241,20 @@ class _Cmp(_Alpha):
         return False
 
     def locs_eq(self, i: int, j: int, m1: dict, m2: dict, k: int) -> bool:
-        """Two locations are equal when their cells agree: same flags,
-        equivalent cell types and equivalent initialized slots."""
+        """Two locations are equal when their cells agree: equivalent cell
+        types, flags included, and equivalent readable slots."""
         c1 = self.n1.cell(i)
         c2 = self.n2.cell(j)
         if c1 is None or c2 is None:
             return False
-        s1, s2 = c1.cell_type, c2.cell_type
-        if c1.flags != c2.flags:
+        # whole pair types, so normalization renames the binder where it must
+        if not self.eq(self.n1.norm(c1.cell_type), self.n2.norm(c2.cell_type), m1, m2, k):
             return False
-        if not self.eq(self.n1.norm(s1.dom), self.n2.norm(s2.dom), m1, m2, k):
-            return False
-        m1b, m2b = _bind(m1, s1.binder, k), _bind(m2, s2.binder, k)
-        if not self.eq(self.n1.norm(s1.cod), self.n2.norm(s2.cod), m1b, m2b, k + 1):
-            return False
-        for flag, v1, v2 in ((s1.flag1, c1.slot1, c2.slot1), (s1.flag2, c1.slot2, c2.slot2)):
-            if flag != 1:
-                continue
-            if (v1 is UNINIT) != (v2 is UNINIT):
+        for s in (1, 2):
+            v1, v2 = c1.read(s), c2.read(s)
+            if (v1 is None) != (v2 is None):
                 return False
-            if v1 is UNINIT:
-                continue
-            if not self.eq(self.n1.norm(v1), self.n2.norm(v2), m1, m2, k):
+            if v1 is not None and not self.eq(self.n1.norm(v1), self.n2.norm(v2), m1, m2, k):
                 return False
         return True
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import conversion
 from .alloc import translate, translate_ctx
 from .errors import ErrKind, FuelExhausted, TypeCheckError
-from .heap import UNINIT, Config, Heap
+from .heap import UNINIT, Config, Heap, filled, writable
 from .sexpr import Lang, parse
 from .source import src_check, src_equiv, src_eval, src_infer, src_normalize, src_steps
 from .syntax import (
@@ -372,32 +372,25 @@ def check_differential(case_id: str, e: Expr, fuel: int = DEFAULT_FUEL) -> Repor
     return Report(case_id, prop, "fail", f"source saw {obs_src} but target saw {obs_tgt}")
 
 
-_FLAG_STEPS = {
-    ((0, 0), (0, 0)),
-    ((0, 0), (1, 0)),
-    ((1, 0), (1, 0)),
-    ((1, 0), (1, 1)),
-    ((1, 1), (1, 1)),
-}
-
-
 def _heap_transition_problems(old: Heap, new: Heap) -> list[str]:
     problems = []
     if len(new.cells) < len(old.cells):
         problems.append("heap shrank")
-    for i, old_cell in enumerate(old.cells):
-        new_cell = new.cells[i]
-        if (old_cell.flags, new_cell.flags) not in _FLAG_STEPS:
+    for i, (old_cell, new_cell) in enumerate(zip(old.cells, new.cells)):
+        if new_cell is old_cell:  # a cell the step did not write
+            continue
+        # flags unchanged, or exactly one permitted write
+        ty = old_cell.cell_type
+        legal = [ty] + [filled(ty, k) for k in (1, 2) if writable(ty, k)]
+        if new_cell.flags not in [(t.flag1, t.flag2) for t in legal]:
             problems.append(
                 f"cell {i}: illegal flag transition {old_cell.flags} -> {new_cell.flags}"
             )
-        for which, old_slot, new_slot in (
-            (1, old_cell.slot1, new_cell.slot1),
-            (2, old_cell.slot2, new_cell.slot2),
-        ):
+        for k in (1, 2):
+            old_slot, new_slot = old_cell.slot(k), new_cell.slot(k)
             if old_slot is not UNINIT:
                 if new_slot is UNINIT or not alpha_eq(old_slot, new_slot):
-                    problems.append(f"cell {i}: slot {which} was rewritten")
+                    problems.append(f"cell {i}: slot {k} was rewritten")
     return problems
 
 

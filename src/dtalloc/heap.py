@@ -1,10 +1,42 @@
-"""Heaps of two-slot cells and machine configurations for the target."""
+"""Heaps of two-slot cells, the flag protocol that fills them, and
+machine configurations for the target.
+
+The flag protocol is stated here once, for typing, the machine,
+normalization and the heap audits alike. A tuple is allocated at flags
+(0,0) and filled left to right: slot 1 may be written while flag 1 is 0,
+slot 2 only at flags (1,0), and each write sets its slot's flag. A slot
+may be read only when its flag is 1.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import Expr, Loc, Sigma, subterms
+from .syntax import Assign1, Assign2, Expr, Fst, Loc, Sigma, Snd, subst, subterms
+
+# the slot that each projection reads and each assignment writes
+SLOT = {Fst: 1, Snd: 2, Assign1: 1, Assign2: 2}
+
+
+def writable(ty: Sigma, i: int) -> bool:
+    """Slot i of a tuple at ty may be written: slot 1 while flag 1 is 0,
+    slot 2 at flags (1,0)."""
+    return ty.flag1 == 0 if i == 1 else (ty.flag1 == 1 and ty.flag2 == 0)
+
+
+def filled(ty: Sigma, i: int) -> Sigma:
+    """The pair type of a tuple at ty once slot i is written."""
+    return Sigma(ty.binder, ty.dom, 1, ty.cod, ty.flag2 if i == 1 else 1)
+
+
+def readable(ty: Sigma, i: int) -> bool:
+    """Slot i of a tuple at ty may be read: its flag is 1."""
+    return (ty.flag1 if i == 1 else ty.flag2) == 1
+
+
+def slot_type(ty: Sigma, i: int, t: Expr) -> Expr:
+    """The type of slot i of the tuple t at ty; slot 2 sees slot 1 as fst t."""
+    return ty.dom if i == 1 else subst(ty.cod, Fst(t), ty.binder)
 
 
 @dataclass(frozen=True)
@@ -14,8 +46,6 @@ class _Uninit:
 
 
 UNINIT = _Uninit()
-
-Slot = "Expr | _Uninit"
 
 
 @dataclass(frozen=True)
@@ -33,6 +63,22 @@ class HeapCell:
     @property
     def flags(self) -> tuple[int, int]:
         return (self.cell_type.flag1, self.cell_type.flag2)
+
+    def slot(self, i: int) -> Expr | _Uninit:
+        return self.slot1 if i == 1 else self.slot2
+
+    def read(self, i: int) -> Expr | None:
+        """Slot i when it is readable and holds a value, else None."""
+        if readable(self.cell_type, i):
+            v = self.slot(i)
+            if v is not UNINIT:
+                return v
+        return None
+
+    def write(self, i: int, v: Expr) -> HeapCell:
+        """This cell with v in slot i and the pair type filled there."""
+        ty = filled(self.cell_type, i)
+        return HeapCell(ty, v, self.slot2) if i == 1 else HeapCell(ty, self.slot1, v)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .heap import SLOT
 from .syntax import (
     App,
     Assign1,
@@ -280,18 +281,16 @@ class _Modeler:
                 return MApp(MVar("maybe-snd"), self.model(t, env))
             case Malloc():
                 return MPair(MPair(MNone(), MNone()), MRefl())
-            case Assign1(t, v):
+            case Assign1(t, v) | Assign2(t, v):
+                # the tuple's two maybe-slots, with the written one replaced
                 mt = self.model(t, env)
                 mv = self.model(v, env)
                 if isinstance(mt, MPair) and isinstance(mt.fst, MPair):
-                    return MPair(MPair(MJust(mv), mt.fst.snd), MRefl())
-                return MPair(MPair(MJust(mv), MSnd(MFst(mt))), MRefl())
-            case Assign2(t, v):
-                mt = self.model(t, env)
-                mv = self.model(v, env)
-                if isinstance(mt, MPair) and isinstance(mt.fst, MPair):
-                    return MPair(MPair(mt.fst.fst, MJust(mv)), MRefl())
-                return MPair(MPair(MFst(MFst(mt)), MJust(mv)), MRefl())
+                    slots = [mt.fst.fst, mt.fst.snd]
+                else:
+                    slots = [MFst(MFst(mt)), MSnd(MFst(mt))]
+                slots[SLOT[type(e)] - 1] = MJust(mv)
+                return MPair(MPair(*slots), MRefl())
             case CTag(t):
                 return self.model(t, env)
             case Loc():

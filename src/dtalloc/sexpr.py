@@ -382,14 +382,11 @@ def print_expr(e: Expr, lang: Lang = Lang.SOURCE) -> str:
             if lang is Lang.SOURCE:
                 raise ValueError("malloc is not printable as source syntax")
             return f"(malloc ({b} {print_expr(t1, lang)}) {print_expr(t2, lang)})"
-        case Assign1(t, v):
+        case Assign1(t, v) | Assign2(t, v):
+            head = type(e).__name__.lower()
             if lang is Lang.SOURCE:
-                raise ValueError("assign1 is not printable as source syntax")
-            return f"(assign1 {print_expr(t, lang)} {print_expr(v, lang)})"
-        case Assign2(t, v):
-            if lang is Lang.SOURCE:
-                raise ValueError("assign2 is not printable as source syntax")
-            return f"(assign2 {print_expr(t, lang)} {print_expr(v, lang)})"
+                raise ValueError(f"{head} is not printable as source syntax")
+            return f"({head} {print_expr(t, lang)} {print_expr(v, lang)})"
         case CTag(inner):
             if lang is Lang.SOURCE:
                 raise ValueError("ctag is not printable as source syntax")

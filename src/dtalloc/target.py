@@ -5,6 +5,7 @@ Pairs and closures do not exist here. A tuple comes into being empty
 type of the tuple records with two flags how much of it has been filled.
 Projection and closure application demand the flags they need, so a
 program that reads too early fails to type rather than reading garbage.
+The rules of this protocol are stated once, in heap.py.
 ctag repackages a fully filled tuple of code and environment as a
 function.
 
@@ -24,7 +25,18 @@ from dataclasses import dataclass, field
 
 from . import conversion
 from .errors import ErrKind, FuelExhausted, StuckError, TypeCheckError
-from .heap import UNINIT, Config, Heap, HeapCell, locs_in
+from .heap import (
+    SLOT,
+    UNINIT,
+    Config,
+    Heap,
+    HeapCell,
+    filled,
+    locs_in,
+    readable,
+    slot_type,
+    writable,
+)
 from .machine import EVAL_FIELDS, Machine
 from .sexpr import Lang, print_expr
 from .syntax import (
@@ -237,6 +249,12 @@ def infer(lang: Lang, heap: Heap, ctx: Context, e: Expr) -> Expr:
     return _synth(lang, heap, ctx, e, _norm_ty)
 
 
+# typing's flag errors, per slot
+_UNREADABLE = {1: "first slot may be uninitialized", 2: "second slot may be uninitialized"}
+_UNWRITABLE = {1: "first slot is already initialized",
+               2: "second assignment needs a filled first slot and an empty second slot"}
+
+
 def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
     # view shows the head of an eliminated type: _norm_ty in synthesis,
     # _head in checking mode; the mode carries into every subterm whose
@@ -298,24 +316,15 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
                 )
             check(lang, heap, ctx, a, fn_ty.dom)
             return subst(fn_ty.cod, a, fn_ty.binder)
-        case Fst(inner):
+        case Fst(inner) | Snd(inner):
+            i = SLOT[type(e)]
             t = view(heap, ctx, _synth(lang, heap, ctx, inner, view), inner.pos)
             if not isinstance(t, Sigma):
                 raise TypeCheckError(ErrKind.NOT_A_PAIR, "projection from a non-pair", inner.pos)
-            if t.flag1 != 1:
-                raise TypeCheckError(
-                    ErrKind.FLAG_ERROR, "first slot may be uninitialized", e.pos
-                )
-            return t.dom
-        case Snd(inner):
-            t = view(heap, ctx, _synth(lang, heap, ctx, inner, view), inner.pos)
-            if not isinstance(t, Sigma):
-                raise TypeCheckError(ErrKind.NOT_A_PAIR, "projection from a non-pair", inner.pos)
-            if (t.flag1, t.flag2) != (1, 1):
-                raise TypeCheckError(
-                    ErrKind.FLAG_ERROR, "second slot may be uninitialized", e.pos
-                )
-            return subst(t.cod, Fst(inner), t.binder)
+            # snd needs slot 1 readable too: its type reads fst inner
+            if not (readable(t, i) and readable(t, 1)):
+                raise TypeCheckError(ErrKind.FLAG_ERROR, _UNREADABLE[i], e.pos)
+            return slot_type(t, i, inner)
         case Pair(a, d, annot):
             _reject_foreign(lang, e)
             if not isinstance(annot, Sigma):
@@ -355,50 +364,29 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
             t2r = subst(t2, Var(x2), x)
             _sort_of(lang, heap, ctx2, t2r, "allocated component type")
             return Sigma(x2, t1, 0, t2r, 0)
-        case Assign1(t, v):
+        case Assign1(t, v) | Assign2(t, v):
             _reject_foreign(lang, e)
+            i = SLOT[type(e)]
             ty = view(heap, ctx, _synth(lang, heap, ctx, t, view), t.pos)
             if not isinstance(ty, Sigma):
                 raise TypeCheckError(ErrKind.NOT_A_PAIR, "assignment to a non-tuple", t.pos)
-            if ty.flag1 != 0:
-                raise TypeCheckError(
-                    ErrKind.FLAG_ERROR, "first slot is already initialized", e.pos
-                )
-            check(lang, heap, ctx, v, ty.dom)
-            return Sigma(ty.binder, ty.dom, 1, ty.cod, ty.flag2)
-        case Assign2(t, v):
-            _reject_foreign(lang, e)
-            ty = view(heap, ctx, _synth(lang, heap, ctx, t, view), t.pos)
-            if not isinstance(ty, Sigma):
-                raise TypeCheckError(ErrKind.NOT_A_PAIR, "assignment to a non-tuple", t.pos)
-            if (ty.flag1, ty.flag2) != (1, 0):
-                raise TypeCheckError(
-                    ErrKind.FLAG_ERROR,
-                    "second assignment needs a filled first slot and an empty second slot",
-                    e.pos,
-                )
-            check(lang, heap, ctx, v, subst(ty.cod, Fst(t), ty.binder))
-            return Sigma(ty.binder, ty.dom, 1, ty.cod, 1)
+            if not writable(ty, i):
+                raise TypeCheckError(ErrKind.FLAG_ERROR, _UNWRITABLE[i], e.pos)
+            check(lang, heap, ctx, v, slot_type(ty, i, t))
+            return filled(ty, i)
         case CTag(t):
             _reject_foreign(lang, e)
             ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, t), t.pos)
+            unpaired = TypeCheckError(
+                ErrKind.NOT_A_FUNCTION, "ctag expects a code-and-environment pair", t.pos
+            )
             if not isinstance(ty, Sigma):
-                raise TypeCheckError(
-                    ErrKind.NOT_A_FUNCTION, "ctag expects a code-and-environment pair", t.pos
-                )
-            if (ty.flag1, ty.flag2) != (1, 1):
-                raise TypeCheckError(
-                    ErrKind.FLAG_ERROR, "ctag needs both slots initialized", e.pos
-                )
+                raise unpaired
+            if not (readable(ty, 1) and readable(ty, 2)):
+                raise TypeCheckError(ErrKind.FLAG_ERROR, "ctag needs both slots initialized", e.pos)
             code_ty = _norm_ty(heap, ctx, ty.dom, t.pos)
-            if not isinstance(code_ty, CodeTy):
-                raise TypeCheckError(
-                    ErrKind.NOT_A_FUNCTION, "ctag expects a code-and-environment pair", t.pos
-                )
-            if ty.binder in free_vars(ty.cod):
-                raise TypeCheckError(
-                    ErrKind.NOT_A_FUNCTION, "ctag expects a code-and-environment pair", t.pos
-                )
+            if not isinstance(code_ty, CodeTy) or ty.binder in free_vars(ty.cod):
+                raise unpaired
             try:
                 env_ok = tgt_equiv(heap, ctx, ty.cod, code_ty.env_ty)
             except FuelExhausted:
@@ -406,9 +394,7 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
                     ErrKind.EQUIV_FAIL, "conversion ran out of fuel for ctag", e.pos
                 )
             if not env_ok:
-                raise TypeCheckError(
-                    ErrKind.NOT_A_FUNCTION, "ctag expects a code-and-environment pair", t.pos
-                )
+                raise unpaired
             return _closure_type(code_ty, Snd(t))
     raise TypeError(f"unknown expression node: {e!r}")
 
@@ -453,52 +439,47 @@ def _cell(heap: Heap, i: int, what: str) -> HeapCell:
     return cell
 
 
+# the machine's flag errors and rule names, per slot or form
+_UNREAD = {1: "first slot is uninitialized", 2: "second slot is uninitialized"}
+_UNWRITTEN = {1: "first slot was already written",
+              2: "second slot needs a filled first slot and an empty second"}
+_NOT_A_TUPLE = {1: "first projection of a non-tuple value",
+                2: "second projection of a non-tuple value"}
+_RULE = {Fst: "fst-loc", Snd: "snd-loc", Assign1: "assign1", Assign2: "assign2"}
+
+
 def _contract(heap: Heap, e: Expr) -> tuple[Heap, Expr, str]:
     match e:
         case Let(x, bound, _, body):
             return heap, subst(body, bound, x), "let"
-        case App(CTag(Loc(i)), a):
-            cell = _cell(heap, i, "application")
-            if cell.flags != (1, 1) or cell.slot1 is UNINIT or cell.slot2 is UNINIT:
+        case App(CTag(Loc(n)), a):
+            cell = _cell(heap, n, "application")
+            c, env = cell.read(1), cell.read(2)
+            if c is None or env is None:
                 raise StuckError("application through a partly initialized tuple")
-            if not isinstance(cell.slot1, Code):
+            if not isinstance(c, Code):
                 raise StuckError("tagged tuple does not hold code")
-            c = cell.slot1
-            return heap, subst_many(c.body, {c.env_binder: cell.slot2, c.arg_binder: a}), "app-ctag"
+            return heap, subst_many(c.body, {c.env_binder: env, c.arg_binder: a}), "app-ctag"
         case App(f, _):
             raise StuckError(f"cannot apply {type(f).__name__}")
-        case Fst(Loc(i)):
-            cell = _cell(heap, i, "projection")
-            if cell.flags[0] != 1 or cell.slot1 is UNINIT:
-                raise StuckError("first slot is uninitialized")
-            return heap, cell.slot1, "fst-loc"
-        case Fst():
-            raise StuckError("first projection of a non-tuple value")
-        case Snd(Loc(i)):
-            cell = _cell(heap, i, "projection")
-            if cell.flags[1] != 1 or cell.slot2 is UNINIT:
-                raise StuckError("second slot is uninitialized")
-            return heap, cell.slot2, "snd-loc"
-        case Snd():
-            raise StuckError("second projection of a non-tuple value")
+        case Fst(Loc(n)) | Snd(Loc(n)):
+            i = SLOT[type(e)]
+            v = _cell(heap, n, "projection").read(i)
+            if v is None:
+                raise StuckError(_UNREAD[i])
+            return heap, v, _RULE[type(e)]
+        case Fst() | Snd():
+            raise StuckError(_NOT_A_TUPLE[SLOT[type(e)]])
         case Malloc(x, t1, t2):
             # stored types are not evaluated
-            heap2, i = heap.alloc(HeapCell(Sigma(x, t1, 0, t2, 0), UNINIT, UNINIT))
-            return heap2, Loc(i), "malloc"
-        case Assign1(Loc(i) as t, v):
-            cell = _cell(heap, i, "assignment")
-            if cell.flags[0] != 0:
-                raise StuckError("first slot was already written")
-            ty = cell.cell_type
-            new_ty = Sigma(ty.binder, ty.dom, 1, ty.cod, ty.flag2)
-            return heap.with_cell(i, HeapCell(new_ty, v, cell.slot2)), t, "assign1"
-        case Assign2(Loc(i) as t, v):
-            cell = _cell(heap, i, "assignment")
-            if cell.flags != (1, 0):
-                raise StuckError("second slot needs a filled first slot and an empty second")
-            ty = cell.cell_type
-            new_ty = Sigma(ty.binder, ty.dom, 1, ty.cod, 1)
-            return heap.with_cell(i, HeapCell(new_ty, cell.slot1, v)), t, "assign2"
+            heap2, n = heap.alloc(HeapCell(Sigma(x, t1, 0, t2, 0), UNINIT, UNINIT))
+            return heap2, Loc(n), "malloc"
+        case Assign1(Loc(n) as t, v) | Assign2(Loc(n) as t, v):
+            i = SLOT[type(e)]
+            cell = _cell(heap, n, "assignment")
+            if not writable(cell.cell_type, i):
+                raise StuckError(_UNWRITTEN[i])
+            return heap.with_cell(n, cell.write(i, v)), t, _RULE[type(e)]
         case Assign1() | Assign2():
             raise StuckError("assignment to a non-tuple value")
         case CTag():
@@ -564,33 +545,29 @@ def heap_wf(heap: Heap) -> HeapReport:
         if not isinstance(cell.cell_type, Sigma):
             problems.append(f"{where}: cell type is not a pair type")
             continue
-        f1, f2 = cell.flags
-        if (f1, f2) == (0, 1):
+        if cell.flags == (0, 1):
             problems.append(f"{where}: second slot filled before the first")
-        for which, flag, slot in ((1, f1, cell.slot1), (2, f2, cell.slot2)):
-            if flag == 0 and slot is not UNINIT:
-                problems.append(f"{where}: slot {which} written but flag is 0")
-            if flag == 1 and slot is UNINIT:
-                problems.append(f"{where}: slot {which} flagged but empty")
+        for k in (1, 2):
+            slot, flagged = cell.slot(k), readable(cell.cell_type, k)
+            if not flagged and slot is not UNINIT:
+                problems.append(f"{where}: slot {k} written but flag is 0")
+            if flagged and slot is UNINIT:
+                problems.append(f"{where}: slot {k} flagged but empty")
             if slot is not UNINIT:
                 if not is_tgt_value(slot):
-                    problems.append(f"{where}: slot {which} holds a non-value")
+                    problems.append(f"{where}: slot {k} holds a non-value")
                 for loc in sorted(locs_in(slot)):
                     if heap.cell(loc) is None:
-                        problems.append(f"{where}: slot {which} mentions dangling location {loc}")
+                        problems.append(f"{where}: slot {k} mentions dangling location {loc}")
         for loc in sorted(locs_in(cell.cell_type)):
             if heap.cell(loc) is None:
                 problems.append(f"{where}: cell type mentions dangling location {loc}")
-        empty = Context()
-        if f1 == 1 and cell.slot1 is not UNINIT:
+        for k in (1, 2):
+            v = cell.read(k)
+            if v is None:
+                continue
             try:
-                tgt_check(heap, empty, cell.slot1, cell.cell_type.dom)
+                tgt_check(heap, Context(), v, slot_type(cell.cell_type, k, Loc(i)))
             except (TypeCheckError, FuelExhausted) as err:
-                problems.append(f"{where}: slot 1 does not type at its slot type ({err})")
-        if f2 == 1 and cell.slot2 is not UNINIT:
-            expected = subst(cell.cell_type.cod, Fst(Loc(i)), cell.cell_type.binder)
-            try:
-                tgt_check(heap, empty, cell.slot2, expected)
-            except (TypeCheckError, FuelExhausted) as err:
-                problems.append(f"{where}: slot 2 does not type at its slot type ({err})")
+                problems.append(f"{where}: slot {k} does not type at its slot type ({err})")
     return HeapReport(not problems, problems)

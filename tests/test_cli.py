@@ -255,3 +255,22 @@ def test_run_reads_600_lets_nested_in_bound_position(tmp_path, capsys):
     p.write_text(term)
     assert main(["run", str(p)]) == 0
     assert capsys.readouterr().out == "unit\n"
+
+
+@pytest.mark.parametrize("name, cmd, code, err", [
+    ("assign1_twice", "check", 1, "error[FlagError] 1:1 first slot is already initialized"),
+    ("assign1_twice", "run", 3, "error[Stuck] first slot was already written"),
+    ("assign2_first", "check", 1, "error[FlagError] 1:1 second assignment needs a filled"
+     " first slot and an empty second slot"),
+    ("assign2_first", "run", 3, "error[Stuck] second slot needs a filled first slot and an"
+     " empty second"),
+    ("fst_flag0", "check", 1, "error[FlagError] 1:1 first slot may be uninitialized"),
+    ("fst_flag0", "run", 3, "error[Stuck] first slot is uninitialized"),
+    ("snd_flag10", "check", 1, "error[FlagError] 1:1 second slot may be uninitialized"),
+    ("snd_flag10", "run", 3, "error[Stuck] second slot is uninitialized"),
+])
+def test_flag_protocol_errors_name_their_slot(name, cmd, code, err, capsys):
+    path = CORPUS / "negative" / f"{name}.tgt"
+    assert main([cmd, "--lang", "target", str(path)]) == code
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", err + "\n")

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from dtalloc.alloc import translate, translate_ctx
 from dtalloc.conversion import equiv, normalize, subtype
 from dtalloc.errors import ErrKind, FuelExhausted, StuckError, TypeCheckError
-from dtalloc.harness import GenSpec, gen_typed, load_corpus
+from dtalloc.harness import GenSpec, _heap_transition_problems, gen_typed, load_corpus
 from dtalloc.heap import Config, Heap, HeapCell, UNINIT
 from dtalloc.sexpr import Lang, parse
 from dtalloc.source import src_infer
@@ -28,6 +28,7 @@ from dtalloc.target import (
     tgt_eval,
     tgt_infer,
     tgt_normalize,
+    tgt_step,
     tgt_steps,
     tgt_subtype,
     tgt_trace,
@@ -35,6 +36,7 @@ from dtalloc.target import (
 )
 from dtalloc.syntax import (
     _CHILD_FIELDS,
+    Assign1,
     Assign2,
     BOX,
     Clo,
@@ -309,6 +311,17 @@ def test_replayed_assignment_converts_to_location():
     assert not tgt_equiv(final.heap, Context(), other, loc)
 
 
+def test_cell_comparison_renames_the_pair_binder_away_from_definitions():
+    # the first cell's second component is its own first component, not
+    # the let-bound x, so the two cells differ whatever x unfolds to
+    heap = Heap((
+        HeapCell(tparse("(Sigma (x Star 0) (x 0))"), UNINIT, UNINIT),
+        HeapCell(tparse("(Sigma (x Star 0) (Unit 0))"), UNINIT, UNINIT),
+    ))
+    assert not equiv({}, Loc(0), Loc(1), heap)
+    assert not equiv({"x": UNIT_TY}, Loc(0), Loc(1), heap)
+
+
 def test_normalize_equiv_and_subtype_leave_the_callers_heap_alone():
     heap = tgt_eval(tparse(
         "(let (y (malloc (x Unit) Unit) (Sigma (x Unit 0) (Unit 0))) y)"
@@ -326,6 +339,68 @@ def test_normalize_equiv_and_subtype_leave_the_callers_heap_alone():
     assert subtype({}, Fst(tparse(CHAIN)), UNIT, heap=heap)
     assert heap.cells is before
     assert heap.cells == (HeapCell(Sigma("x", UNIT_TY, 0, UNIT_TY, 0), UNINIT, UNINIT),)
+
+
+# ---------------------------------------------------------------------------
+# The flag protocol, asked of every layer
+
+STORED, OTHER = UNIT_TY, Pi("z", UNIT_TY, UNIT_TY)
+REACHABLE = [(0, 0), (1, 0), (1, 1)]
+
+
+def _one_cell(flags):
+    """A heap of one tuple of two Star slots at flags, each filled slot
+    holding STORED."""
+    slots = [STORED if f else UNINIT for f in flags]
+    return Heap((HeapCell(Sigma("x", STAR, flags[0], STAR, flags[1]), *slots),))
+
+
+def _accepts(heap, e):
+    """Whether typing, the machine and normalization each accept e."""
+    try:
+        tgt_infer(heap, Context(), e)
+        typed = True
+    except TypeCheckError:
+        typed = False
+    try:
+        tgt_step(Config(heap, e))
+        stepped = True
+    except StuckError:
+        stepped = False
+    return typed, stepped, not alpha_eq(tgt_normalize(heap, Context(), e), e)
+
+
+@pytest.mark.parametrize("flags", REACHABLE)
+@pytest.mark.parametrize("i", [1, 2])
+def test_typing_machine_and_normalization_agree_on_the_flag_protocol(flags, i):
+    heap = _one_cell(flags)
+    read = (Fst, Snd)[i - 1](Loc(0))
+    typed, stepped, normalized = _accepts(heap, read)
+    assert typed == stepped == normalized == (flags[i - 1] == 1)
+    assign = (Assign1, Assign2)[i - 1]
+    # of the reachable flags, slot 1 is writable at (0,0), slot 2 at (1,0)
+    writable = flags == ((0, 0), (1, 0))[i - 1]
+    assert _accepts(heap, assign(Loc(0), OTHER)) == (writable,) * 3
+    # replaying the stored value into a filled slot is the one write that
+    # normalization takes as the location itself
+    typed, stepped, normalized = _accepts(heap, assign(Loc(0), STORED))
+    assert typed == stepped == writable
+    assert normalized == (writable or flags[i - 1] == 1)
+
+
+def test_heap_transitions_are_unchanged_flags_or_one_permitted_write():
+    legal = {
+        ((0, 0), (0, 0)),
+        ((0, 0), (1, 0)),
+        ((1, 0), (1, 0)),
+        ((1, 0), (1, 1)),
+        ((1, 1), (1, 1)),
+    }
+    for old in REACHABLE:
+        for new in REACHABLE:
+            ok = not _heap_transition_problems(_one_cell(old), _one_cell(new))
+            assert ok == ((old, new) in legal), (old, new)
+    assert _heap_transition_problems(_one_cell((0, 0)), Heap()) == ["heap shrank"]
 
 
 # ---------------------------------------------------------------------------
