@@ -22,6 +22,7 @@ from dtalloc.harness import (  # noqa: E402
     load_corpus,
     source_step_pairs,
     summary_line,
+    verdict_counts,
 )
 from dtalloc.syntax import Context  # noqa: E402
 
@@ -46,7 +47,8 @@ def main() -> int:
             for r in reports:
                 print(r.line())
         print(f"{label}: {summary_line(reports)}")
-        failures += sum(1 for r in reports if r.verdict != "pass")
+        counts = verdict_counts(reports)
+        failures += counts["failed"] + counts["fuel"]
 
     corpus = load_corpus(args.corpus)
     reports = [check_preservation(name, Context(), e) for name, e in corpus]

@@ -22,6 +22,7 @@ from .harness import (
     check_sort_preservation,
     source_step_pairs,
     summary_line,
+    verdict_counts,
 )
 from .heap import Heap
 from .model import Unsupported, emit_model
@@ -90,7 +91,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str, lang: Lang):
-    return parse(Path(path).read_text(), lang)
+    """Parse a UTF-8 file; the first byte that is not UTF-8 is a parse
+    error at its position."""
+    # newlines as a text-mode read gives them; the bytes of \r and \n
+    # never occur inside a multi-byte character
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lines = data[: err.start].decode("utf-8").split("\n")
+        raise ParseError("input is not valid UTF-8", len(lines), len(lines[-1]) + 1) from None
+    return parse(text, lang)
 
 
 def _cmd_check(args) -> int:
@@ -139,22 +150,18 @@ def _cmd_preserve(args) -> int:
     ]
     for i, (a, b) in enumerate(source_step_pairs(e, fuel=args.fuel)):
         reports.append(check_reduction_preserved(f"{name}.step{i}", a, b, fuel=args.fuel))
+    counts = verdict_counts(reports)
     if args.json:
         for r in reports:
             print(r.to_json())
-        counts = {"pass": 0, "fail": 0, "fuel": 0}
-        for r in reports:
-            counts[r.verdict] += 1
-        print(json.dumps(
-            {"passed": counts["pass"], "failed": counts["fail"], "fuel": counts["fuel"]}
-        ))
+        print(json.dumps(counts))
     else:
         for r in reports:
             print(r.line())
         print(summary_line(reports))
-    if any(r.verdict == "fuel" for r in reports):
+    if counts["fuel"]:
         return 3
-    if any(r.verdict == "fail" for r in reports):
+    if counts["failed"]:
         return 1
     return 0
 

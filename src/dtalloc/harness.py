@@ -89,11 +89,18 @@ class Report:
         )
 
 
+def verdict_counts(reports: list[Report]) -> dict[str, int]:
+    """How many reports passed, failed and ran out of fuel, in that order."""
+    verdicts = [r.verdict for r in reports]
+    return {
+        "passed": verdicts.count("pass"),
+        "failed": verdicts.count("fail"),
+        "fuel": verdicts.count("fuel"),
+    }
+
+
 def summary_line(reports: list[Report]) -> str:
-    passed = sum(1 for r in reports if r.verdict == "pass")
-    failed = sum(1 for r in reports if r.verdict == "fail")
-    fuel = sum(1 for r in reports if r.verdict == "fuel")
-    return f"passed={passed} failed={failed} fuel={fuel}"
+    return " ".join(f"{k}={n}" for k, n in verdict_counts(reports).items())
 
 
 def _classify(err: Exception) -> tuple[str, str]:

@@ -19,12 +19,14 @@ emitted text keeps that occurrence as written.
 Terms follow the same packing: malloc is the fully-None pair with a
 trivial proof, the assignments update one slot, projections go through
 maybe-fst and maybe-snd, ctag disappears, lets are inlined, and code
-becomes a curried function.
+becomes a curried function. The text is built straight from the target
+syntax; an inlined definition renames the binders it would otherwise be
+captured by.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .heap import SLOT
 from .syntax import (
@@ -47,8 +49,8 @@ from .syntax import (
     UnitTm,
     UnitTy,
     Univ,
-    Universe,
     Var,
+    free_vars,
     fresh_name,
 )
 
@@ -57,185 +59,29 @@ class Unsupported(Exception):
     """Raised for terms the model does not cover."""
 
 
-# ---------------------------------------------------------------------------
-# Model expressions
+class _Packed(NamedTuple):
+    """A tuple built in place: the text of its two maybe-slots, which an
+    assignment replaces one at a time."""
 
-@dataclass(frozen=True)
-class ModelExpr:
-    pass
+    slot1: str
+    slot2: str
 
-
-@dataclass(frozen=True)
-class MVar(ModelExpr):
-    name: str
+    def __str__(self) -> str:
+        return f"(pair (pair {self.slot1} {self.slot2}) refl)"
 
 
-@dataclass(frozen=True)
-class MConst(ModelExpr):
-    name: str
+# An environment maps each let-bound name to its definition's model and the
+# names free in that model.
+Env = dict[str, tuple["str | _Packed", set[str]]]
 
 
-@dataclass(frozen=True)
-class MPi(ModelExpr):
-    binder: str
-    dom: ModelExpr
-    body: ModelExpr
-
-
-@dataclass(frozen=True)
-class MSigma(ModelExpr):
-    binder: str
-    dom: ModelExpr
-    body: ModelExpr
-
-
-@dataclass(frozen=True)
-class MExists(ModelExpr):
-    binder: str
-    dom: ModelExpr
-    body: ModelExpr
-
-
-@dataclass(frozen=True)
-class MLam(ModelExpr):
-    binder: str
-    dom: ModelExpr
-    body: ModelExpr
-
-
-@dataclass(frozen=True)
-class MApp(ModelExpr):
-    fn: ModelExpr
-    arg: ModelExpr
-
-
-@dataclass(frozen=True)
-class MPair(ModelExpr):
-    fst: ModelExpr
-    snd: ModelExpr
-
-
-@dataclass(frozen=True)
-class MFst(ModelExpr):
-    expr: ModelExpr
-
-
-@dataclass(frozen=True)
-class MSnd(ModelExpr):
-    expr: ModelExpr
-
-
-@dataclass(frozen=True)
-class MEq(ModelExpr):
-    lhs: ModelExpr
-    rhs: ModelExpr
-
-
-@dataclass(frozen=True)
-class MMaybe(ModelExpr):
-    ty: ModelExpr
-
-
-@dataclass(frozen=True)
-class MJust(ModelExpr):
-    expr: ModelExpr
-
-
-@dataclass(frozen=True)
-class MNone(ModelExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class MRefl(ModelExpr):
-    pass
-
-
-def render(m: ModelExpr) -> str:
-    match m:
-        case MVar(x) | MConst(x):
-            return x
-        case MPi(b, d, t):
-            return f"(pi ({b} : {render(d)}) {render(t)})"
-        case MSigma(b, d, t):
-            return f"(sigma ({b} : {render(d)}) {render(t)})"
-        case MExists(b, d, t):
-            return f"(exists ({b} : {render(d)}) {render(t)})"
-        case MLam(b, d, t):
-            return f"(lam ({b} : {render(d)}) {render(t)})"
-        case MApp(f, a):
-            return f"({render(f)} {render(a)})"
-        case MPair(a, b):
-            return f"(pair {render(a)} {render(b)})"
-        case MFst(e):
-            return f"(fst {render(e)})"
-        case MSnd(e):
-            return f"(snd {render(e)})"
-        case MEq(a, b):
-            return f"(eq {render(a)} {render(b)})"
-        case MMaybe(t):
-            return f"(Maybe {render(t)})"
-        case MJust(e):
-            return f"(Just {render(e)})"
-        case MNone():
-            return "None"
-        case MRefl():
-            return "refl"
-    raise TypeError(f"unknown model node: {m!r}")
-
-
-def mfree(m: ModelExpr) -> set[str]:
-    match m:
-        case MVar(x):
-            return {x}
-        case MConst() | MNone() | MRefl():
-            return set()
-        case MPi(b, d, t) | MSigma(b, d, t) | MExists(b, d, t) | MLam(b, d, t):
-            return mfree(d) | (mfree(t) - {b})
-        case MApp(a, b) | MPair(a, b) | MEq(a, b):
-            return mfree(a) | mfree(b)
-        case MFst(e) | MSnd(e) | MMaybe(e) | MJust(e):
-            return mfree(e)
-    raise TypeError(f"unknown model node: {m!r}")
-
-
-def msubst(m: ModelExpr, name: str, repl: ModelExpr) -> ModelExpr:
-    match m:
-        case MVar(x):
-            return repl if x == name else m
-        case MConst() | MNone() | MRefl():
-            return m
-        case MPi(b, d, t) | MSigma(b, d, t) | MExists(b, d, t) | MLam(b, d, t):
-            ctor = type(m)
-            d2 = msubst(d, name, repl)
-            if b == name:
-                return ctor(b, d2, t)
-            if b in mfree(repl):
-                b2 = fresh_name(b, mfree(repl) | mfree(t) | {name})
-                t = msubst(t, b, MVar(b2))
-                b = b2
-            return ctor(b, d2, msubst(t, name, repl))
-        case MApp(a, b):
-            return MApp(msubst(a, name, repl), msubst(b, name, repl))
-        case MPair(a, b):
-            return MPair(msubst(a, name, repl), msubst(b, name, repl))
-        case MEq(a, b):
-            return MEq(msubst(a, name, repl), msubst(b, name, repl))
-        case MFst(e):
-            return MFst(msubst(e, name, repl))
-        case MSnd(e):
-            return MSnd(msubst(e, name, repl))
-        case MMaybe(e):
-            return MMaybe(msubst(e, name, repl))
-        case MJust(e):
-            return MJust(msubst(e, name, repl))
-    raise TypeError(f"unknown model node: {m!r}")
-
-
-# ---------------------------------------------------------------------------
-# Translation into the model
-
-_UNIV_NAMES = {Universe.STAR: "Star", Universe.BOX: "Box"}
+def _free(e: Expr, env: Env) -> set[str]:
+    """The names free in e's model: e's free names, each inlined one
+    replaced by the free names of its definition."""
+    names: set[str] = set()
+    for x in free_vars(e):
+        names |= env[x][1] if x in env else {x}
+    return names
 
 
 class _Modeler:
@@ -243,54 +89,52 @@ class _Modeler:
         self.schemas: set[str] = set()
         self.helpers: set[str] = set()
 
-    def model(self, e: Expr, env: dict[str, ModelExpr]) -> ModelExpr:
+    def model(self, e: Expr, env: Env) -> str | _Packed:
         match e:
             case Var(x):
-                return env.get(x, MVar(x))
+                return env[x][0] if x in env else x
             case UnitTm():
-                return MConst("unit")
+                return "unit"
             case UnitTy():
-                return MConst("Unit")
+                return "Unit"
             case Univ(u):
-                return MConst(_UNIV_NAMES[u])
+                return u.value
             case Pi(x, dom, cod):
                 d = self.model(dom, env)
-                x2, env2 = self._under(x, env)
-                return MPi(x2, d, self.model(cod, env2))
+                x2, env2 = self._under(x, env, cod)
+                return f"(pi ({x2} : {d}) {self.model(cod, env2)})"
             case Sigma():
                 return self._sigma(e, env)
             case CodeTy(n, envty, x, argty, body) | Code(n, envty, x, argty, body):
                 # code types become curried function types, code curried functions
-                former = MPi if isinstance(e, CodeTy) else MLam
+                former = "pi" if isinstance(e, CodeTy) else "lam"
                 d1 = self.model(envty, env)
-                n2, env_n = self._under(n, env)
+                n2, env_n = self._under(n, env, argty, body)
                 d2 = self.model(argty, env_n)
-                x2, env_nx = self._under(x, env_n)
-                return former(n2, d1, former(x2, d2, self.model(body, env_nx)))
+                x2, env_nx = self._under(x, env_n, body)
+                inner = f"({former} ({x2} : {d2}) {self.model(body, env_nx)})"
+                return f"({former} ({n2} : {d1}) {inner})"
             case App(f, a):
-                return MApp(self.model(f, env), self.model(a, env))
+                return f"({self.model(f, env)} {self.model(a, env)})"
             case Let(x, bound, _, body):
                 env2 = dict(env)
-                env2[x] = self.model(bound, env)
+                env2[x] = (self.model(bound, env), _free(bound, env))
                 return self.model(body, env2)
-            case Fst(t):
-                self.helpers.add("maybe-fst")
-                return MApp(MVar("maybe-fst"), self.model(t, env))
-            case Snd(t):
-                self.helpers.add("maybe-snd")
-                return MApp(MVar("maybe-snd"), self.model(t, env))
+            case Fst(t) | Snd(t):
+                helper = ("maybe-fst", "maybe-snd")[SLOT[type(e)] - 1]
+                self.helpers.add(helper)
+                return f"({helper} {self.model(t, env)})"
             case Malloc():
-                return MPair(MPair(MNone(), MNone()), MRefl())
+                return _Packed("None", "None")
             case Assign1(t, v) | Assign2(t, v):
                 # the tuple's two maybe-slots, with the written one replaced
                 mt = self.model(t, env)
-                mv = self.model(v, env)
-                if isinstance(mt, MPair) and isinstance(mt.fst, MPair):
-                    slots = [mt.fst.fst, mt.fst.snd]
+                if isinstance(mt, _Packed):
+                    slots = list(mt)
                 else:
-                    slots = [MFst(MFst(mt)), MSnd(MFst(mt))]
-                slots[SLOT[type(e)] - 1] = MJust(mv)
-                return MPair(MPair(*slots), MRefl())
+                    slots = [f"(fst (fst {mt}))", f"(snd (fst {mt}))"]
+                slots[SLOT[type(e)] - 1] = f"(Just {self.model(v, env)})"
+                return _Packed(*slots)
             case CTag(t):
                 return self.model(t, env)
             case Loc():
@@ -299,49 +143,48 @@ class _Modeler:
                 raise Unsupported(f"{type(e).__name__.lower()} is not a target form")
         raise TypeError(f"unknown expression node: {e!r}")
 
-    def _under(self, x: str, env: dict[str, ModelExpr]):
-        """Descend below a binder: drop any inlined definition it shadows
-        and rename it away from names free in the remaining ones."""
+    def _under(self, x: str, env: Env, *scope: Expr) -> tuple[str, Env]:
+        """Descend below a binder x over the children in scope: drop any
+        inlined definition it shadows and rename it away from names free
+        in the remaining ones and in its scope."""
         env2 = {k: v for k, v in env.items() if k != x}
-        taken = set()
-        for v in env2.values():
-            taken |= mfree(v)
+        taken = set().union(*(names for _, names in env2.values()))
         if x in taken:
+            for s in scope:
+                taken |= _free(s, env2)
             x2 = fresh_name(x, taken | set(env2))
-            env2[x] = MVar(x2)
+            env2[x] = (x2, {x2})
             return x2, env2
         return x, env2
 
-    def _sigma(self, e: Sigma, env: dict[str, ModelExpr]) -> ModelExpr:
-        a = self.model(e.dom, env)
-        x2, env2 = self._under(e.binder, env)
-        b = self.model(e.cod, env2)
+    def _sigma(self, e: Sigma, env: Env) -> str:
+        x, dom, cod = e.binder, e.dom, e.cod
+        a = self.model(dom, env)
+        x2, env2 = self._under(x, env, cod)
+        b = self.model(cod, env2)
         flags = (e.flag1, e.flag2)
         if flags == (0, 1):
             raise Unsupported("no schema for a pair filled right to left")
-        packed = MSigma(x2, MMaybe(a), MMaybe(b))
-        avoid = mfree(packed) | {x2}
+        avoid = _free(dom, env) | _free(cod, env2) | {x2}
         p = fresh_name("p", avoid)
         if flags == (0, 0):
             self.schemas.add("sigma00")
-            refinement = MEq(MVar(p), MPair(MNone(), MNone()))
+            refinement = f"(eq {p} (pair None None))"
         elif flags == (1, 0):
             self.schemas.add("sigma10")
             e1 = fresh_name("e1", avoid | {p})
-            refinement = MExists(e1, a, MEq(MVar(p), MPair(MJust(MVar(e1)), MNone())))
+            refinement = f"(exists ({e1} : {a}) (eq {p} (pair (Just {e1}) None)))"
         else:
             self.schemas.add("sigma11")
             e1 = fresh_name("e1", avoid | {p})
             e2 = fresh_name("e2", avoid | {p, e1})
-            b_at_e1 = msubst(b, x2, MVar(e1))
-            refinement = MExists(
-                e1,
-                a,
-                MExists(
-                    e2, b_at_e1, MEq(MVar(p), MPair(MJust(MVar(e1)), MJust(MVar(e2))))
-                ),
+            # the second witness's type: cod with the first witness for x
+            b_at_e1 = self.model(cod, {**env, x: (e1, {e1})})
+            refinement = (
+                f"(exists ({e1} : {a}) (exists ({e2} : {b_at_e1})"
+                f" (eq {p} (pair (Just {e1}) (Just {e2})))))"
             )
-        return MSigma(p, packed, refinement)
+        return f"(sigma ({p} : (sigma ({x2} : (Maybe {a})) (Maybe {b}))) {refinement})"
 
 
 _HELPER_DOCS = {
@@ -350,14 +193,14 @@ _HELPER_DOCS = {
 }
 
 
-def model_expr(e: Expr) -> ModelExpr:
+def model_expr(e: Expr) -> str:
     """The model of a closed target term or type."""
-    return _Modeler().model(e, {})
+    return str(_Modeler().model(e, {}))
 
 
 def emit_model(e: Expr) -> str:
     """The full emitted file: a header describing the input and the
-    schemas and helpers in play, then the rendered model."""
+    schemas and helpers in play, then the model."""
     from .sexpr import Lang, print_expr
 
     m = _Modeler()
@@ -367,5 +210,5 @@ def emit_model(e: Expr) -> str:
     lines.append(f"; schemas: {schemas}")
     for h in sorted(m.helpers):
         lines.append(_HELPER_DOCS[h])
-    lines.append(render(body))
+    lines.append(str(body))
     return "\n".join(lines) + "\n"

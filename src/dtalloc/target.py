@@ -63,7 +63,6 @@ from .syntax import (
     Universe,
     Var,
     free_vars,
-    fresh_name,
     heap_free,
     push_binder,
     subst,
@@ -411,15 +410,7 @@ def _closure_type(code_ty: CodeTy, env: Expr) -> Pi:
     substituted for its environment binder, rebuilt as a Pi over the
     argument. A closure's env is its environment value, a tagged tuple's
     its second projection."""
-    n, x = code_ty.env_binder, code_ty.arg_binder
-    argty, res = code_ty.arg_ty, code_ty.result_ty
-    if x in free_vars(env):
-        x2 = fresh_name(x, free_vars(env) | free_vars(res) | free_vars(argty) | {n})
-        res = subst(res, Var(x2), x)
-        x = x2
-    if x == n:
-        return Pi(x, subst(argty, env, n), res)
-    return Pi(x, subst(argty, env, n), subst(res, env, n))
+    return subst(Pi(code_ty.arg_binder, code_ty.arg_ty, code_ty.result_ty), env, code_ty.env_binder)
 
 
 # ---------------------------------------------------------------------------

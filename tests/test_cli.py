@@ -245,6 +245,32 @@ def test_too_deep_input_is_one_error_line(tmp_path, capsys, cmd, depth):
     assert out.err == f"error[TooDeep] {cmd}: input nests too deeply\n"
 
 
+def test_model_takes_a_200_deep_projection_chain(tmp_path, capsys):
+    # the model inlines each let's model text; substituting the definitions
+    # into the term instead ran out of Python frames at about 110 levels
+    p = tmp_path / "deep.src"
+    p.write_text(_fst_pair_chain(200))
+    assert main(["model", str(p)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.splitlines()[-1].startswith("(maybe-fst (pair (pair (Just (maybe-fst ")
+
+
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    p = tmp_path / "bad.src"
+    p.write_bytes(b"(pair unit unit (Sigma (x Unit) Unit))\n\xff\xfe")
+    assert main(["check", str(p)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error[ParseError] 2:1 input is not valid UTF-8\n"
+    p.write_bytes(b"(pair unit unit (Sigma (x Unit) Unit))\xff\xfe")
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error[ParseError] 1:")
+    assert "Traceback" not in err
+
+
 def test_run_reads_600_lets_nested_in_bound_position(tmp_path, capsys):
     # the reader keeps open lists on a stack of its own; recursing once per
     # level, it ran out of Python frames at about 500 levels

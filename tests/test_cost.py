@@ -2,15 +2,15 @@
 
 Each test counts calls of an uncached helper (the name analysis, which
 walks one node, the sort inference behind target._sort_of, the
-normalizer's step, or the machine's value test) instead of timing
-anything, so it gives the same answer on any machine.
+normalizer's step, the machine's value test, or the model's step)
+instead of timing anything, so it gives the same answer on any machine.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from dtalloc import conversion, syntax, target
+from dtalloc import conversion, model, syntax, target
 from dtalloc.alloc import translate
 from dtalloc.conversion import normalize
 from dtalloc.harness import check_step_preservation
@@ -74,6 +74,20 @@ def value_tests(monkeypatch):
         return machine.is_value(e)
 
     monkeypatch.setattr(target, "_MACHINE", replace(machine, is_value=counted))
+    return seen
+
+
+@pytest.fixture
+def model_calls(monkeypatch):
+    """A list that grows by one for every node the model translates."""
+    seen = []
+    uncounted = model._Modeler.model
+
+    def counted(self, e, env):
+        seen.append(e)
+        return uncounted(self, e, env)
+
+    monkeypatch.setattr(model._Modeler, "model", counted)
     return seen
 
 
@@ -172,3 +186,15 @@ def test_target_evaluation_tests_values_linearly_in_the_steps(value_tests):
     # the steps double; stepping from the root re-tested every node above
     # the redex and made 3.97x as many value tests per doubling
     assert counts[32] <= 2.5 * counts[16], counts
+
+
+def test_model_of_nested_pairs_is_linear_in_the_depth(model_calls):
+    counts = {}
+    for n in (8, 16, 32):
+        model_calls.clear()
+        model.emit_model(_compiled_nested_pairs(n))
+        counts[n] = len(model_calls)
+    # 81 / 161 / 321: every let is modeled once, where it is bound, and
+    # inlining its definition does not model it again
+    assert counts[16] <= 2.1 * counts[8], counts
+    assert counts[32] <= 2.1 * counts[16], counts

@@ -22,6 +22,7 @@ from dtalloc.harness import (
     readback,
     source_step_pairs,
     summary_line,
+    verdict_counts,
 )
 from dtalloc.errors import FuelExhausted, StuckError
 from dtalloc.heap import Config, Heap, HeapCell, UNINIT
@@ -74,6 +75,14 @@ def test_report_line_and_json():
         == '{"case": "c1", "detail": "", "prop": "type-preservation", "verdict": "pass"}'
     )
     assert summary_line([r, Report("c2", "p", "fail", "boom")]) == "passed=1 failed=1 fuel=0"
+
+
+def test_verdict_counts_keep_their_order():
+    reports = [Report(f"c{i}", "p", v) for i, v in enumerate(["fuel", "pass", "fuel", "fail"])]
+    counts = verdict_counts(reports)
+    assert list(counts.items()) == [("passed", 1), ("failed", 1), ("fuel", 2)]
+    assert summary_line(reports) == "passed=1 failed=1 fuel=2"
+    assert verdict_counts([]) == {"passed": 0, "failed": 0, "fuel": 0}
 
 
 def test_readback_observations():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from dtalloc.alloc import translate
-from dtalloc.model import Unsupported, emit_model, model_expr, render
+from dtalloc.model import Unsupported, emit_model, model_expr
 from dtalloc.sexpr import Lang, parse
 from dtalloc.syntax import (
     Assign1,
@@ -15,6 +15,7 @@ from dtalloc.syntax import (
     Context,
     CodeTy,
     Fst,
+    Let,
     Loc,
     Malloc,
     Pair,
@@ -28,10 +29,15 @@ from dtalloc.syntax import (
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def m(e):
-    return render(model_expr(e))
+    return model_expr(e)
+
+
+def mt(text):
+    return model_expr(parse(text, Lang.TARGET))
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +69,31 @@ def test_sigma_schema_dependent_witness():
     ty = Sigma("X", STAR, 1, Pi("y", Var("X"), STAR), 1)
     out = m(ty)
     assert "(exists (e2 : (pi (y : e1) Star))" in out
+
+
+def test_sigma_witness_type_renames_only_what_it_would_capture():
+    # the inner pair type does not mention x, so its own first witness
+    # keeps the name e1 inside the outer witness's type
+    out = mt("(Sigma (x Unit 1) ((Sigma (a Unit 1) (Unit 1)) 1))")
+    inner = (
+        "(sigma (p : (sigma (a : (Maybe Unit)) (Maybe Unit)))"
+        " (exists (e1 : Unit) (exists (e2 : Unit) (eq p (pair (Just e1) (Just e2))))))"
+    )
+    assert out == (
+        f"(sigma (p : (sigma (x : (Maybe Unit)) (Maybe {inner})))"
+        f" (exists (e1 : Unit) (exists (e2 : {inner}) (eq p (pair (Just e1) (Just e2))))))"
+    )
+
+
+def test_sigma_witness_type_renames_a_witness_that_would_capture():
+    # the inner pair type mentions x, which becomes the outer witness e1 in
+    # the second witness's type: the inner witness moves to e11
+    out = mt("(Sigma (x Star 1) ((Sigma (a x 1) (x 1)) 1))")
+    assert out.endswith(
+        "(exists (e1 : Star) (exists (e2 : (sigma (p : (sigma (a : (Maybe e1)) (Maybe e1)))"
+        " (exists (e11 : e1) (exists (e2 : e1) (eq p (pair (Just e11) (Just e2)))))))"
+        " (eq p (pair (Just e1) (Just e2))))))"
+    )
 
 
 def test_sigma_backwards_flags_unsupported():
@@ -128,6 +159,27 @@ def test_let_inlining_respects_shadowing():
     assert out == "((lam (n : Unit) (lam (x : Unit) x)) unit)"
 
 
+def test_let_inlining_renames_a_binder_that_would_capture():
+    # a's definition mentions the code's x, so the Pi's own x is renamed
+    out = mt("(code ((n Unit) (x Unit)) (let (a x Unit) (Pi (x Unit) a)))")
+    assert out == "(lam (n : Unit) (lam (x : Unit) (pi (x1 : Unit) x)))"
+
+
+def test_let_inlining_renames_a_binder_away_from_its_scope():
+    # the Pi's y must move away from a's y, and also from the y1 its body
+    # reads: y1 there is the code's argument
+    out = mt("(code ((y Unit) (y1 Unit)) (let (a y Unit) (Pi (y Unit) (app a y1))))")
+    assert out == "(lam (y : Unit) (lam (y1 : Unit) (pi (y2 : Unit) (y y1))))"
+
+
+def test_unused_let_is_still_modeled():
+    text = emit_model(parse("(let (a (fst t) Unit) unit)", Lang.TARGET))
+    assert text.splitlines()[2].startswith("; maybe-fst :")
+    assert text.endswith("\nunit\n")
+    with pytest.raises(Unsupported):
+        model_expr(Let("a", Loc(0), UNIT_TY, UNIT))
+
+
 def test_code_models_as_curried_lambda():
     c = Code("n", UNIT_TY, "x", UNIT_TY, Var("x"))
     assert m(c) == "(lam (n : Unit) (lam (x : Unit) x))"
@@ -171,3 +223,13 @@ def test_emit_header_schema_listing():
     nested = Sigma("q", ty, 0, Sigma("r", UNIT_TY, 1, UNIT_TY, 0), 0)
     text = emit_model(nested)
     assert "; schemas: sigma00 sigma10 sigma11" in text
+
+
+def test_corpus_models_match_golden():
+    # the dtalloc model output of every corpus program, each after a line
+    # naming its file
+    parts = []
+    for f in sorted(CORPUS.glob("*.src")):
+        e = parse(f.read_text())
+        parts.append(f"== {f.name}\n" + emit_model(translate(Context(), e)))
+    assert "".join(parts) == (GOLDEN / "model_corpus.txt").read_text()
