@@ -44,6 +44,7 @@ from .syntax import (
     fresh_name,
     subst,
 )
+from .target import _SOURCE, _reject_foreign
 
 
 class _Translator:
@@ -91,10 +92,6 @@ class _Translator:
                 if isinstance(e, Pi):
                     return Pi(x2, dt, ct)
                 return Sigma(x2, dt, 1, ct, 1)
-            case Sigma():
-                raise TypeCheckError(
-                    ErrKind.LANG_VIOLATION, "partially initialized pair type in source", e.pos
-                )
             case Let(x, bound, annot, body):
                 bt = self.tr(ctx, bound)
                 at = self.tr(ctx, annot)
@@ -136,11 +133,8 @@ class _Translator:
                 ty = Sigma(z, self.tr(ctx, code_ty), 0, self.tr(ctx, code_ty.env_ty), 0)
                 return _fill(ys, ty, self.tr(ctx, c), self.tr(ctx, env), lambda y2: CTag(Var(y2)))
             case _:
-                raise TypeCheckError(
-                    ErrKind.LANG_VIOLATION,
-                    f"{type(e).__name__.lower()} is not a source form",
-                    e.pos,
-                )
+                # a partial pair type or a form the source lacks
+                _reject_foreign(_SOURCE, e)
 
 
 def _fill(ys: tuple[Name, Name, Name], ty: Sigma, v1: Expr, v2: Expr, tail) -> Expr:

@@ -1,16 +1,15 @@
 """Definitional equality for both languages.
 
 Terms are compared by full normalization followed by a structural walk.
-Normalization performs beta steps (application of closures, projections
-of pair literals, lets), unfolds let-bound context variables, and runs
-the allocation primitives against a private scratch copy of the ambient
-heap. It rebuilds only what it changes: a node whose children all come
-back as the same objects, with no binder renamed, is returned as it is,
-so a normal form shares every unchanged subterm with its input. The
-structural walk treats two locations as equal when the cells they denote
-agree: equivalent cell types, flags included, and equivalent readable
-slots. Location ids themselves never matter, so values that allocated in
-different orders still compare equal.
+Normalization contracts redexes by the machines' own rules
+(machine.contract) against a private scratch heap, and unfolds let-bound
+context variables. It rebuilds only what it changes: a node whose
+children all come back as the same objects, with no binder renamed, is
+returned as it is, so a normal form shares every unchanged subterm with
+its input. The structural walk treats two locations as equal when the
+cells they denote agree: equivalent cell types, flags included, and
+equivalent readable slots. Location ids themselves never matter, so
+values that allocated in different orders still compare equal.
 
 The type checker asks for a normal form only where it must: a type it
 synthesizes for printing, or one whose head it has to see and does not
@@ -24,8 +23,9 @@ from __future__ import annotations
 
 from operator import is_
 
-from .errors import FuelExhausted
-from .heap import SLOT, UNINIT, Heap, HeapCell, writable
+from .errors import FuelExhausted, StuckError
+from .heap import SLOT, Heap
+from .machine import contract
 from .syntax import (
     _ARGS,
     _CHILD_ARGS,
@@ -59,7 +59,6 @@ from .syntax import (
     alpha_eq,
     fresh_name,
     subst,
-    subst_many,
 )
 
 DEFAULT_FUEL = 100_000
@@ -83,20 +82,21 @@ class Fuel:
 class Normalizer:
     """Full normalization against a scratch heap.
 
-    defs maps let-bound context variables to their definitions; unfolding
-    is memoized per name. The scratch heap reads the given heap's cells
-    until the first allocation or assignment, which copies the cell list,
-    so normalization never touches the caller's state. Binders whose
-    names collide with a definition (or with a free name of one) are
-    renamed before descending, which keeps unfolding capture-free.
+    A redex's evaluation positions are normalized, then machine.contract
+    contracts it. The rest is conversion's own: unfolding the definitions
+    in defs (memoized per name), congruence under binders, code as a
+    value, and the replay rule for assignments. Each write replaces the
+    scratch heap, as in the machine, never the caller's. Binders, a
+    malloc's too, whose names collide with a definition (or a free name of
+    one) are renamed before descending, which keeps unfolding
+    capture-free. Patterns capture by field name, cheaper than by position.
     """
 
     def __init__(self, defs: dict[Name, Expr], heap: Heap | None = None, fuel: Fuel | None = None):
         self.defs = dict(defs)
         self.memo: dict[Name, Expr] = {}
         self._unfolding: set[Name] = set()
-        # the caller's tuple until the first write, then a private list
-        self.cells: tuple[HeapCell, ...] | list[HeapCell] = heap.cells if heap is not None else ()
+        self.heap = heap if heap is not None else Heap()
         self.fuel = fuel if fuel is not None else Fuel()
         self._forbidden: frozenset[Name] | None = None
 
@@ -112,24 +112,24 @@ class Normalizer:
         b2 = fresh_name(b, self._forbidden.union(*map(all_names, parts)))
         return b2, [subst(p, Var(b2), b) for p in parts]
 
-    # --- scratch heap ------------------------------------------------------
-
-    def cell(self, loc_id: int) -> HeapCell | None:
-        if 0 <= loc_id < len(self.cells):
-            return self.cells[loc_id]
-        return None
-
-    def _writable(self) -> list[HeapCell]:
-        if isinstance(self.cells, tuple):
-            self.cells = list(self.cells)
-        return self.cells
-
     # --- normalization -----------------------------------------------------
+
+    def _reduce(self, redex: Expr, normal: bool = False) -> Expr:
+        """redex contracted on the scratch heap and normalized, unless normal
+        says the contractum is already; redex when no rule applies or it is stuck."""
+        try:
+            r = contract(self.heap, redex)
+        except StuckError:
+            return redex
+        if r is None:
+            return redex
+        self.heap, c, _ = r
+        return c if normal else self.norm(c)
 
     def norm(self, e: Expr) -> Expr:
         self.fuel.tick()
         match e:
-            case Var(x):
+            case Var(name=x):
                 if x in self.defs and x not in self._unfolding:
                     if x in self.memo:
                         return self.memo[x]
@@ -141,68 +141,38 @@ class Normalizer:
                     self.memo[x] = v
                     return v
                 return e
-            case Univ() | UnitTm() | UnitTy() | Loc():
+            # code is a value and its body runs only when applied;
+            # normalizing under its binders would fire allocations on the
+            # scratch heap where later substitution cannot reach
+            case Univ() | UnitTm() | UnitTy() | Loc() | Code():
                 return e
-            case Let(x, bound, _, body):
+            case Let(binder=x, bound=bound, annot=annot, body=body):
                 v = self.norm(bound)
-                return self.norm(subst(body, v, x))
-            case Code():
-                # code is a value and its body runs only when applied;
-                # normalizing under its binders would fire allocations on
-                # the scratch heap where later substitution cannot reach
-                return e
+                return self._reduce(e if v is bound else Let(x, v, annot, body))
             case Pi() | Sigma() | CodeTy() | Clo() | Pair() | CTag():
                 return self._descend(e)
-            case App(f, a):
+            case App(fn=f, arg=a):
                 fn = self.norm(f)
                 an = self.norm(a)
-                if isinstance(fn, Clo) and isinstance(fn.code, Code):
-                    c = fn.code
-                    m = {c.env_binder: fn.env}
-                    m[c.arg_binder] = an
-                    return self.norm(subst_many(c.body, m))
-                if isinstance(fn, CTag) and isinstance(fn.expr, Loc):
-                    c = self.cell(fn.expr.loc_id)
-                    cv, ev = (None, None) if c is None else (c.read(1), c.read(2))
-                    if cv is not None and ev is not None:
-                        cn = self.norm(cv)
-                        if isinstance(cn, Code):
-                            m = {cn.env_binder: ev}
-                            m[cn.arg_binder] = an
-                            return self.norm(subst_many(cn.body, m))
-                return e if fn is f and an is a else App(fn, an)
-            case Fst(inner) | Snd(inner):
-                i = SLOT[type(e)]
+                return self._reduce(e if fn is f and an is a else App(fn, an))
+            case Fst(expr=inner) | Snd(expr=inner):
                 t = self.norm(inner)
-                if isinstance(t, Pair):
-                    return t.fst if i == 1 else t.snd
-                if isinstance(t, Loc):
-                    c = self.cell(t.loc_id)
-                    slot = None if c is None else c.read(i)
-                    if slot is not None:
-                        return self.norm(slot)
-                return e if t is inner else type(e)(t)
-            case Malloc(b, t1, t2):
+                # a component of a normalized pair is normal already
+                return self._reduce(e if t is inner else type(e)(t), isinstance(t, Pair))
+            case Malloc(binder=b, ty1=t1, ty2=t2):
                 # stored types stay unevaluated, as in the machine
                 b2, [t2r] = self._under(b, [t2])
-                cells = self._writable()
-                cells.append(HeapCell(Sigma(b2, t1, 0, t2r, 0), UNINIT, UNINIT))
-                return Loc(len(cells) - 1)
-            case Assign1(t, v) | Assign2(t, v):
-                i = SLOT[type(e)]
+                return self._reduce(e if b2 is b else Malloc(b2, t1, t2r), True)
+            case Assign1(tuple_=t, value=v) | Assign2(tuple_=t, value=v):
                 tn = self.norm(t)
                 vn = self.norm(v)
-                c = self.cell(tn.loc_id) if isinstance(tn, Loc) else None
-                if c is not None:
-                    if writable(c.cell_type, i):
-                        self._writable()[tn.loc_id] = c.write(i, vn)
-                        return tn
-                    # slots are write-once, so an assignment whose effect is
-                    # already recorded is the location itself
-                    old = c.read(i)
-                    if old is not None and alpha_eq(vn, self.norm(old)):
-                        return tn
-                return e if tn is t and vn is v else type(e)(tn, vn)
+                redex = e if tn is t and vn is v else type(e)(tn, vn)
+                r = self._reduce(redex, True)
+                # slots are write-once, so an assignment whose effect is
+                # already recorded is the location itself
+                c = self.heap.cell(tn.loc_id) if r is redex and isinstance(tn, Loc) else None
+                old = None if c is None else c.read(SLOT[type(e)])
+                return tn if old is not None and alpha_eq(vn, self.norm(old)) else r
         raise TypeError(f"unknown expression node: {e!r}")
 
     def _descend(self, e: Expr) -> Expr:
@@ -243,8 +213,8 @@ class _Cmp(_Alpha):
     def locs_eq(self, i: int, j: int, m1: dict, m2: dict, k: int) -> bool:
         """Two locations are equal when their cells agree: equivalent cell
         types, flags included, and equivalent readable slots."""
-        c1 = self.n1.cell(i)
-        c2 = self.n2.cell(j)
+        c1 = self.n1.heap.cell(i)
+        c2 = self.n2.heap.cell(j)
         if c1 is None or c2 is None:
             return False
         # whole pair types, so normalization renames the binder where it must

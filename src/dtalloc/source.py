@@ -18,20 +18,17 @@ machine.
 from __future__ import annotations
 
 from . import conversion
-from .errors import StuckError
 from .heap import Heap
-from .machine import EVAL_FIELDS, Machine
+from .machine import EVAL_FIELDS, STUCK, Machine
 from .sexpr import Lang, print_expr
 from .syntax import (
     _memoize,
-    App,
     Clo,
     Code,
     CodeTy,
     Context,
     Expr,
     Fst,
-    Let,
     Pair,
     Pi,
     Sigma,
@@ -39,11 +36,8 @@ from .syntax import (
     UnitTm,
     UnitTy,
     Univ,
-    Var,
-    subst,
-    subst_many,
 )
-from .target import check, infer, wf
+from .target import _FOREIGN, check, infer, wf
 
 _SOURCE = Lang.SOURCE
 _NO_HEAP = Heap()
@@ -96,31 +90,13 @@ def _is_value(e: Expr) -> bool:
     return False
 
 
-def _contract(heap: None, e: Expr) -> tuple[None, Expr, str]:
-    match e:
-        case Let(x, bound, _, body):
-            return heap, subst(body, bound, x), "let"
-        case App(Clo(Code() as c, env), a):
-            return heap, subst_many(c.body, {c.env_binder: env, c.arg_binder: a}), "app-clo"
-        case App(f, _):
-            raise StuckError(f"cannot apply {type(f).__name__}")
-        case Fst(Pair(a, _)):
-            return heap, a, "fst-pair"
-        case Fst():
-            raise StuckError("first projection of a non-pair value")
-        case Snd(Pair(_, d)):
-            return heap, d, "snd-pair"
-        case Snd():
-            raise StuckError("second projection of a non-pair value")
-        case Clo():
-            raise StuckError("closure over a non-code value")
-        case Var(x):
-            raise StuckError(f"free variable '{x}' cannot step")
-    raise StuckError(f"{type(e).__name__} cannot step in the source machine")
-
-
-_MACHINE = Machine({**EVAL_FIELDS, Clo: ("code", "env"), Pair: ("fst", "snd")},
-                   is_src_value, _contract)
+# the allocation forms are foreign, so this machine never allocates
+_MACHINE = Machine(
+    {**EVAL_FIELDS, Clo: ("code", "env"), Pair: ("fst", "snd")}, is_src_value,
+    {**STUCK, Fst: "first projection of a non-pair value",
+     Snd: "second projection of a non-pair value", Clo: "closure over a non-code value",
+     Expr: "{e.__class__.__name__} cannot step in the source machine"},
+    frozenset(cls for cls, (lang, _) in _FOREIGN.items() if lang is _SOURCE))
 
 
 def src_step(e: Expr) -> tuple[Expr, str] | None:

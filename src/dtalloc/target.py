@@ -24,20 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import conversion
-from .errors import ErrKind, FuelExhausted, StuckError, TypeCheckError
+from .errors import ErrKind, FuelExhausted, TypeCheckError
 from .heap import (
     SLOT,
     UNINIT,
     Config,
     Heap,
-    HeapCell,
     filled,
     locs_in,
     readable,
     slot_type,
     writable,
 )
-from .machine import EVAL_FIELDS, Machine
+from .machine import EVAL_FIELDS, STUCK, Machine
 from .sexpr import Lang, print_expr
 from .syntax import (
     App,
@@ -66,7 +65,6 @@ from .syntax import (
     heap_free,
     push_binder,
     subst,
-    subst_many,
     subterms,
 )
 
@@ -242,8 +240,8 @@ def infer(lang: Lang, heap: Heap, ctx: Context, e: Expr) -> Expr:
     component mentions its binder can change under conversion.
 
     Source pair types carry flags (1,1), so the flag checks below never
-    fire on a source term. The arms of forms that one language lacks ask
-    _FOREIGN first.
+    fire on a source term. A form that one language lacks asks _FOREIGN
+    before its arm.
     """
     return _synth(lang, heap, ctx, e, _norm_ty)
 
@@ -258,6 +256,8 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
     # view shows the head of an eliminated type: _norm_ty in synthesis,
     # _head in checking mode; the mode carries into every subterm whose
     # type only feeds the result
+    if type(e) in _FOREIGN:
+        _reject_foreign(lang, e)
     match e:
         case Var(x):
             b = ctx.lookup(x)
@@ -284,7 +284,6 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
             s = _sort_of(lang, heap, ctx2, subst(cod, Var(x2), x), "function codomain")
             return Univ(s)
         case Sigma(x, dom, _, cod, _):
-            _reject_foreign(lang, e)
             s1 = _sort_of(lang, heap, ctx, dom, "pair type component")
             ctx2, x2 = push_binder(ctx, x, dom)
             s2 = _sort_of(lang, heap, ctx2, subst(cod, Var(x2), x), "pair type component")
@@ -325,7 +324,6 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
                 raise TypeCheckError(ErrKind.FLAG_ERROR, _UNREADABLE[i], e.pos)
             return slot_type(t, i, inner)
         case Pair(a, d, annot):
-            _reject_foreign(lang, e)
             if not isinstance(annot, Sigma):
                 raise TypeCheckError(
                     ErrKind.ANNOT_MISMATCH, "pair annotation must be a pair type", e.pos
@@ -335,7 +333,6 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
             check(lang, heap, ctx, d, subst(annot.cod, a, annot.binder))
             return annot
         case Clo(c, env, annot):
-            _reject_foreign(lang, e)
             code_ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, c), c.pos)
             if not isinstance(code_ty, CodeTy):
                 raise TypeCheckError(
@@ -351,20 +348,17 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
             _ensure_equiv(heap, ctx, annot, computed, e.pos, "closure annotation")
             return annot
         case Loc(i):
-            _reject_foreign(lang, e)
             cell = heap.cell(i)
             if cell is None:
                 raise TypeCheckError(ErrKind.UNKNOWN_LOC, f"location {i} is not allocated", e.pos)
             return cell.cell_type
         case Malloc(x, t1, t2):
-            _reject_foreign(lang, e)
             _sort_of(lang, heap, ctx, t1, "allocated component type")
             ctx2, x2 = push_binder(ctx, x, t1)
             t2r = subst(t2, Var(x2), x)
             _sort_of(lang, heap, ctx2, t2r, "allocated component type")
             return Sigma(x2, t1, 0, t2r, 0)
         case Assign1(t, v) | Assign2(t, v):
-            _reject_foreign(lang, e)
             i = SLOT[type(e)]
             ty = view(heap, ctx, _synth(lang, heap, ctx, t, view), t.pos)
             if not isinstance(ty, Sigma):
@@ -374,7 +368,6 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
             check(lang, heap, ctx, v, slot_type(ty, i, t))
             return filled(ty, i)
         case CTag(t):
-            _reject_foreign(lang, e)
             ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, t), t.pos)
             unpaired = TypeCheckError(
                 ErrKind.NOT_A_FUNCTION, "ctag expects a code-and-environment pair", t.pos
@@ -423,66 +416,14 @@ def is_tgt_value(e: Expr) -> bool:
     return isinstance(e, _VALUE_FORMS) or (isinstance(e, CTag) and isinstance(e.expr, Loc))
 
 
-def _cell(heap: Heap, i: int, what: str) -> HeapCell:
-    cell = heap.cell(i)
-    if cell is None:
-        raise StuckError(f"{what} through a dangling location")
-    return cell
-
-
-# the machine's flag errors and rule names, per slot or form
-_UNREAD = {1: "first slot is uninitialized", 2: "second slot is uninitialized"}
-_UNWRITTEN = {1: "first slot was already written",
-              2: "second slot needs a filled first slot and an empty second"}
-_NOT_A_TUPLE = {1: "first projection of a non-tuple value",
-                2: "second projection of a non-tuple value"}
-_RULE = {Fst: "fst-loc", Snd: "snd-loc", Assign1: "assign1", Assign2: "assign2"}
-
-
-def _contract(heap: Heap, e: Expr) -> tuple[Heap, Expr, str]:
-    match e:
-        case Let(x, bound, _, body):
-            return heap, subst(body, bound, x), "let"
-        case App(CTag(Loc(n)), a):
-            cell = _cell(heap, n, "application")
-            c, env = cell.read(1), cell.read(2)
-            if c is None or env is None:
-                raise StuckError("application through a partly initialized tuple")
-            if not isinstance(c, Code):
-                raise StuckError("tagged tuple does not hold code")
-            return heap, subst_many(c.body, {c.env_binder: env, c.arg_binder: a}), "app-ctag"
-        case App(f, _):
-            raise StuckError(f"cannot apply {type(f).__name__}")
-        case Fst(Loc(n)) | Snd(Loc(n)):
-            i = SLOT[type(e)]
-            v = _cell(heap, n, "projection").read(i)
-            if v is None:
-                raise StuckError(_UNREAD[i])
-            return heap, v, _RULE[type(e)]
-        case Fst() | Snd():
-            raise StuckError(_NOT_A_TUPLE[SLOT[type(e)]])
-        case Malloc(x, t1, t2):
-            # stored types are not evaluated
-            heap2, n = heap.alloc(HeapCell(Sigma(x, t1, 0, t2, 0), UNINIT, UNINIT))
-            return heap2, Loc(n), "malloc"
-        case Assign1(Loc(n) as t, v) | Assign2(Loc(n) as t, v):
-            i = SLOT[type(e)]
-            cell = _cell(heap, n, "assignment")
-            if not writable(cell.cell_type, i):
-                raise StuckError(_UNWRITTEN[i])
-            return heap.with_cell(n, cell.write(i, v)), t, _RULE[type(e)]
-        case Assign1() | Assign2():
-            raise StuckError("assignment to a non-tuple value")
-        case CTag():
-            raise StuckError("ctag of a non-tuple value")
-        case Var(x):
-            raise StuckError(f"free variable '{x}' cannot step")
-    raise StuckError(f"{type(e).__name__} cannot step in the target machine")
-
-
 _ASSIGN = ("tuple_", "value")
-_MACHINE = Machine({**EVAL_FIELDS, CTag: ("expr",), Assign1: _ASSIGN, Assign2: _ASSIGN},
-                   is_tgt_value, _contract)
+# pair and closure literals have no rule here
+_MACHINE = Machine(
+    {**EVAL_FIELDS, CTag: ("expr",), Assign1: _ASSIGN, Assign2: _ASSIGN}, is_tgt_value,
+    {**STUCK, Fst: "first projection of a non-tuple value",
+     Snd: "second projection of a non-tuple value", CTag: "ctag of a non-tuple value",
+     Assign1: "assignment to a non-tuple value", Assign2: "assignment to a non-tuple value",
+     Expr: "{e.__class__.__name__} cannot step in the target machine"})
 
 
 def _as_config(start: Config | Expr) -> Config:

@@ -122,14 +122,17 @@ def test_translation_preserves_behaviour_on_nested_pairs():
 
 def test_translate_requires_source_forms():
     with pytest.raises(TypeCheckError) as exc:
-        translate(Context(), Malloc("x", UNIT_TY, UNIT_TY))
+        translate(Context(), parse("(fst (malloc (x Unit) Unit))", Lang.TARGET))
     assert exc.value.kind is ErrKind.LANG_VIOLATION
+    assert (exc.value.message, exc.value.pos) == ("malloc is not a source form", (1, 6))
 
 
 def test_translate_rejects_partial_sigma():
     with pytest.raises(TypeCheckError) as exc:
-        translate(Context(), Sigma("x", UNIT_TY, 1, UNIT_TY, 0))
+        translate(Context(), parse("(Pi (p (Sigma (x Unit 1) (Unit 0))) Unit)", Lang.TARGET))
     assert exc.value.kind is ErrKind.LANG_VIOLATION
+    assert exc.value.message == "partially initialized pair type in source"
+    assert exc.value.pos == (1, 8)
 
 
 def test_translate_clo_needs_code_typed_function():

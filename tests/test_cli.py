@@ -1,13 +1,21 @@
 """Command-line interface: subcommands and exit codes."""
 
+import contextlib
+import io
 import json
+import re
+import runpy
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtalloc.cli import main
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 GOLDEN_PAIR = (
     "(let (y (malloc (x Unit) Unit) (Sigma (x Unit 0) (Unit 0)))"
@@ -300,3 +308,50 @@ def test_flag_protocol_errors_name_their_slot(name, cmd, code, err, capsys):
     assert main([cmd, "--lang", "target", str(path)]) == code
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", err + "\n")
+
+
+def test_corpus_outputs_match_golden():
+    # stdout, stderr and exit code of every subcommand the script runs on
+    # every corpus and negative file, byte for byte
+    recorder = runpy.run_path(str(ROOT / "scripts" / "record_cli_golden.py"))
+    assert recorder["render"]() == (GOLDEN / "cli_corpus.txt").read_text()
+
+
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+_FUZZ_FILES = sorted(CORPUS.glob("*.src")) + sorted((CORPUS / "negative").iterdir())
+_KEYWORDS = ["(", ")", "unit", "Unit", "Star", "Box", "x", "0", "1", "let", "pair", "fst",
+             "snd", "app", "clo", "code", "Code", "Pi", "Sigma", "malloc", "assign1",
+             "assign2", "ctag"]
+_FUZZ_COMMANDS = (["check"], ["compile"], ["run"], ["run", "--lang", "target"],
+                  ["preserve", "--fuel", "50"], ["model"])
+
+
+@st.composite
+def _mutated_program(draw):
+    """A corpus file with one to three tokens inserted, deleted or replaced."""
+    tokens = _TOKEN.findall(draw(st.sampled_from(_FUZZ_FILES)).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("insert", "delete", "replace") if tokens else ("insert",)))
+        i = draw(st.integers(0, len(tokens) - (op != "insert")))
+        if op == "delete":
+            del tokens[i]
+        else:
+            word = draw(st.sampled_from(_KEYWORDS + tokens))
+            tokens[i : i + (op == "replace")] = [word]
+    return " ".join(tokens) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_mutated_program())
+def test_mutated_programs_end_in_a_documented_exit(text, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz.src"
+    path.write_text(text)
+    for cmd in _FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*cmd, str(path)])
+        assert 0 <= code <= 4, (cmd, text)
+        if code and not (cmd[0] == "preserve" and code in (1, 3) and not err.getvalue()):
+            # preserve's own exits 1 and 3 are property verdicts, printed on stdout
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error["), (cmd, text, lines)

@@ -18,23 +18,26 @@ from dtalloc.errors import FuelExhausted, StuckError
 from dtalloc.harness import GenSpec, gen_typed
 from dtalloc.heap import UNINIT, Config, Heap, HeapCell
 from dtalloc.sexpr import Lang, parse
-from dtalloc.source import src_eval, src_step, src_steps
+from dtalloc.source import src_equiv, src_eval, src_step, src_steps
 from dtalloc.syntax import (
     UNIT,
     UNIT_TY,
     App,
+    Assign1,
     Clo,
     Code,
     Context,
+    CTag,
     Fst,
     Let,
     Loc,
+    Malloc,
     Pair,
     Sigma,
     Snd,
     Var,
 )
-from dtalloc.target import tgt_eval, tgt_step, tgt_steps
+from dtalloc.target import tgt_equiv, tgt_eval, tgt_step, tgt_steps
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 NEGATIVE = CORPUS / "negative"
@@ -104,6 +107,8 @@ def test_target_negatives_run_as_stepping_from_the_root(path):
 
 
 HALF_FILLED = Heap((HeapCell(Sigma("x", UNIT_TY, 1, UNIT_TY, 0), UNIT, UNINIT),))
+# a full tuple whose first slot is not code
+FILLED = Heap((HeapCell(Sigma("x", UNIT_TY, 1, UNIT_TY, 1), UNIT, UNIT),))
 
 
 @pytest.mark.parametrize(
@@ -114,6 +119,14 @@ HALF_FILLED = Heap((HeapCell(Sigma("x", UNIT_TY, 1, UNIT_TY, 0), UNIT, UNINIT),)
          "second slot is uninitialized"),
         (Config(Heap(), Fst(Loc(3))), "projection through a dangling location"),
         (Config(Heap(), App(UNIT, UNIT)), "cannot apply UnitTm"),
+        (Config(Heap(), App(CTag(Loc(3)), UNIT)), "application through a dangling location"),
+        (Config(Heap(), Assign1(Loc(3), UNIT)), "assignment through a dangling location"),
+        (Config(HALF_FILLED, App(CTag(Loc(0)), UNIT)),
+         "application through a partly initialized tuple"),
+        (Config(FILLED, App(CTag(Loc(0)), UNIT)), "tagged tuple does not hold code"),
+        (Config(Heap(), Assign1(UNIT, UNIT)), "assignment to a non-tuple value"),
+        (Config(Heap(), CTag(UNIT)), "ctag of a non-tuple value"),
+        (Config(Heap(), Snd(UNIT)), "second projection of a non-tuple value"),
     ],
 )
 def test_stuck_target_terms(config, message):
@@ -127,10 +140,38 @@ def test_stuck_target_terms(config, message):
         (Let("y", UNIT, UNIT_TY, Snd(Var("y"))), "second projection of a non-pair value"),
         (Pair(UNIT, Var("z"), UNIT_TY), "free variable 'z' cannot step"),
         (Loc(0), "Loc cannot step in the source machine"),
+        (Clo(UNIT, UNIT, UNIT_TY), "closure over a non-code value"),
+        # foreign forms: the source machine allocates nothing
+        (Malloc("x", UNIT_TY, UNIT_TY), "Malloc cannot step in the source machine"),
+        (Assign1(Loc(0), UNIT), "Assign1 cannot step in the source machine"),
+        (App(CTag(Loc(0)), UNIT), "CTag cannot step in the source machine"),
     ],
 )
 def test_stuck_source_terms(e, message):
     assert _assert_agrees(SOURCE, e)[1] == message
+
+
+def _assert_steps_convert(e):
+    """Every step of e and of its compiled program relates its two states
+    by conversion; a target step is judged under the heap after it, so an
+    assignment converts by the replay rule."""
+    states = [s for s, _ in src_steps(e)]
+    for s, s2 in zip(states, states[1:]):
+        assert src_equiv(Context(), s, s2), (s, s2)
+    configs = [c for c, _ in tgt_steps(_compiled(e))]
+    for c, c2 in zip(configs, configs[1:]):
+        assert tgt_equiv(c2.heap, Context(), c.expr, c2.expr), (c, c2)
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.src")), ids=lambda p: p.stem)
+def test_corpus_steps_are_conversions(path):
+    _assert_steps_convert(parse(path.read_text(), Lang.SOURCE))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 100_000), depth=st.integers(1, 5))
+def test_generated_steps_are_conversions(seed, depth):
+    _assert_steps_convert(gen_typed(GenSpec(depth=depth, seed=seed, closed=True))[1])
 
 
 def _lets_in_bound(n):
