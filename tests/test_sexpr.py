@@ -1,5 +1,8 @@
 """Surface syntax: reading and printing both languages."""
 
+import runpy
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -171,3 +174,12 @@ def test_target_print_parse_roundtrip(seed):
     _, e, _ = gen_typed(GenSpec(depth=3, seed=seed, closed=True))
     te = translate(Context(), e)
     assert alpha_eq(parse(print_expr(te, Lang.TARGET), Lang.TARGET), te)
+
+
+def test_reader_and_printer_match_golden():
+    # what the reader makes of every corpus file, every reader message,
+    # forms of every head and seeded token mutations, and what the printer
+    # makes of generated and compiled terms, byte for byte
+    root = Path(__file__).resolve().parent.parent
+    recorder = runpy.run_path(str(root / "scripts" / "record_sexpr_golden.py"))
+    assert recorder["render"]() == (root / "tests" / "golden" / "sexpr_corpus.txt").read_text()
