@@ -15,6 +15,7 @@ Checks, one Report each:
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -104,9 +105,12 @@ def summary_line(reports: list[Report]) -> str:
 
 
 def _classify(err: Exception) -> tuple[str, str]:
-    """Map an exception to a verdict; conversion fuel counts as fuel."""
+    """Map an exception to a verdict; conversion fuel counts as fuel, and
+    so does running out of stack, which says nothing about the compiler."""
     if isinstance(err, FuelExhausted):
         return "fuel", str(err)
+    if isinstance(err, RecursionError):
+        return "fuel", "input nests too deeply"
     if isinstance(err, TypeCheckError) and err.kind is ErrKind.EQUIV_FAIL:
         return "fuel", err.render()
     if isinstance(err, TypeCheckError):
@@ -305,25 +309,41 @@ def gen_lemma4(spec: GenSpec) -> tuple[Context, str, Expr, Expr, Expr]:
 # ---------------------------------------------------------------------------
 # Checks
 
+def _judged(prop: str):
+    """Make a check of prop from its body, which returns the failure text,
+    or None when the check passes: the check returns the body's Report, and
+    an exception the body raises is classified."""
+
+    def judged(body):
+        @functools.wraps(body)
+        def check(case_id: str, *args, **kwargs) -> Report:
+            try:
+                failure = body(case_id, *args, **kwargs)
+            except Exception as err:  # noqa: BLE001 - verdicts, not crashes
+                return Report(case_id, prop, *_classify(err))
+            if failure is None:
+                return Report(case_id, prop, "pass")
+            return Report(case_id, prop, "fail", failure)
+
+        return check
+
+    return judged
+
+
+@_judged("type-preservation")
 def check_preservation(
     case_id: str, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL
-) -> Report:
-    prop = "type-preservation"
-    try:
-        a = src_infer(ctx, e)
-        te = translate(ctx, e)
-        tctx = translate_ctx(ctx)
-        got = tgt_infer(Heap(), tctx, te)
-        want = translate(ctx, a)
-        ok = tgt_subtype(Heap(), tctx, got, want, fuel=fuel)
-    except Exception as err:  # noqa: BLE001 - verdicts, not crashes
-        verdict, detail = _classify(err)
-        return Report(case_id, prop, verdict, detail)
-    if ok:
-        return Report(case_id, prop, "pass")
-    return Report(case_id, prop, "fail", "compiled type is not below the compiled source type")
+) -> str | None:
+    a = src_infer(ctx, e)
+    te = translate(ctx, e)
+    tctx = translate_ctx(ctx)
+    got = tgt_infer(Heap(), tctx, te)
+    want = translate(ctx, a)
+    if not tgt_subtype(Heap(), tctx, got, want, fuel=fuel):
+        return "compiled type is not below the compiled source type"
 
 
+@_judged("substitution")
 def check_subst_commute(
     case_id: str,
     ctx: Context,
@@ -332,51 +352,31 @@ def check_subst_commute(
     e: Expr,
     e_prime: Expr,
     fuel: int = DEFAULT_FUEL,
-) -> Report:
-    prop = "substitution"
-    try:
-        lhs = translate(ctx, subst(e, e_prime, x))
-        rhs = subst(translate(ctx.extend(x, a_ty), e), translate(ctx, e_prime), x)
-        ok = tgt_equiv(Heap(), translate_ctx(ctx), lhs, rhs, fuel=fuel)
-    except Exception as err:  # noqa: BLE001
-        verdict, detail = _classify(err)
-        return Report(case_id, prop, verdict, detail)
-    if ok:
-        return Report(case_id, prop, "pass")
-    return Report(case_id, prop, "fail", "substitution does not commute with compilation")
+) -> str | None:
+    lhs = translate(ctx, subst(e, e_prime, x))
+    rhs = subst(translate(ctx.extend(x, a_ty), e), translate(ctx, e_prime), x)
+    if not tgt_equiv(Heap(), translate_ctx(ctx), lhs, rhs, fuel=fuel):
+        return "substitution does not commute with compilation"
 
 
+@_judged("reduction-preserved")
 def check_reduction_preserved(
     case_id: str, e: Expr, e_next: Expr, fuel: int = DEFAULT_FUEL
-) -> Report:
+) -> str | None:
     """e steps to e_next in the source; the compiled e must run to a value
     equivalent to the compiled e_next under the final heap."""
-    prop = "reduction-preserved"
-    try:
-        te = translate(Context(), e)
-        final = tgt_eval(te, fuel)
-        ok = tgt_equiv(final.heap, Context(), final.expr, translate(Context(), e_next), fuel=fuel)
-    except Exception as err:  # noqa: BLE001
-        verdict, detail = _classify(err)
-        return Report(case_id, prop, verdict, detail)
-    if ok:
-        return Report(case_id, prop, "pass")
-    return Report(case_id, prop, "fail", "compiled run disagrees with the stepped program")
+    final = tgt_eval(translate(Context(), e), fuel)
+    want = translate(Context(), e_next)
+    if not tgt_equiv(final.heap, Context(), final.expr, want, fuel=fuel):
+        return "compiled run disagrees with the stepped program"
 
 
-def check_differential(case_id: str, e: Expr, fuel: int = DEFAULT_FUEL) -> Report:
-    prop = "differential"
-    try:
-        v = src_eval(e, fuel)
-        obs_src = readback(Config(Heap(), v))
-        final = tgt_eval(translate(Context(), e), fuel)
-        obs_tgt = readback(final)
-    except Exception as err:  # noqa: BLE001
-        verdict, detail = _classify(err)
-        return Report(case_id, prop, verdict, detail)
-    if obs_src == obs_tgt:
-        return Report(case_id, prop, "pass")
-    return Report(case_id, prop, "fail", f"source saw {obs_src} but target saw {obs_tgt}")
+@_judged("differential")
+def check_differential(case_id: str, e: Expr, fuel: int = DEFAULT_FUEL) -> str | None:
+    obs_src = readback(Config(Heap(), src_eval(e, fuel)))
+    obs_tgt = readback(tgt_eval(translate(Context(), e), fuel))
+    if obs_src != obs_tgt:
+        return f"source saw {obs_src} but target saw {obs_tgt}"
 
 
 def _heap_transition_problems(old: Heap, new: Heap) -> list[str]:
@@ -401,31 +401,24 @@ def _heap_transition_problems(old: Heap, new: Heap) -> list[str]:
     return problems
 
 
-def check_step_preservation(case_id: str, e: Expr, fuel: int = DEFAULT_FUEL) -> Report:
+@_judged("step-preservation")
+def check_step_preservation(case_id: str, e: Expr, fuel: int = DEFAULT_FUEL) -> str | None:
     """Type every machine state of the compiled program and audit the heap."""
-    prop = "step-preservation"
-    try:
-        te = translate(Context(), e)
-        steps = tgt_steps(te, fuel)
-        prev_cfg: Config | None = None
-        prev_ty: Expr | None = None
-        for cfg, _rule in steps:
-            # heaps are immutable and an audited heap has no (0,1) cell, so a
-            # step that kept its heap object passes both audits again
-            if prev_cfg is None or cfg.heap is not prev_cfg.heap:
-                bad = heap_wf(cfg.heap).problems
-                if not bad and prev_cfg is not None:
-                    bad = _heap_transition_problems(prev_cfg.heap, cfg.heap)
-                if bad:
-                    return Report(case_id, prop, "fail", "; ".join(bad))
-            ty = tgt_infer(cfg.heap, Context(), cfg.expr)
-            if prev_ty is not None and not tgt_subtype(cfg.heap, Context(), ty, prev_ty, fuel=fuel):
-                return Report(case_id, prop, "fail", "type grew across a machine step")
-            prev_cfg, prev_ty = cfg, ty
-    except Exception as err:  # noqa: BLE001
-        verdict, detail = _classify(err)
-        return Report(case_id, prop, verdict, detail)
-    return Report(case_id, prop, "pass")
+    prev_cfg: Config | None = None
+    prev_ty: Expr | None = None
+    for cfg, _rule in tgt_steps(translate(Context(), e), fuel):
+        # heaps are immutable and an audited heap has no (0,1) cell, so a
+        # step that kept its heap object passes both audits again
+        if prev_cfg is None or cfg.heap is not prev_cfg.heap:
+            bad = heap_wf(cfg.heap).problems
+            if not bad and prev_cfg is not None:
+                bad = _heap_transition_problems(prev_cfg.heap, cfg.heap)
+            if bad:
+                return "; ".join(bad)
+        ty = tgt_infer(cfg.heap, Context(), cfg.expr)
+        if prev_ty is not None and not tgt_subtype(cfg.heap, Context(), ty, prev_ty, fuel=fuel):
+            return "type grew across a machine step"
+        prev_cfg, prev_ty = cfg, ty
 
 
 def check_sort_preservation(

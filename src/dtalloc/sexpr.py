@@ -3,14 +3,17 @@
 One term per input. Comments run from `;` to end of line. The source
 language rejects the allocation forms (malloc, assign1, assign2, ctag)
 and flagged pair types; location literals are runtime-only and rejected
-everywhere, although the printer can render them for traces.
+everywhere, although the printer can render them for traces. Each form's
+syntax is written once, in `_FORMS`, for both the reader and the printer.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import partial
+from operator import attrgetter
 
 from .syntax import (
     App,
@@ -59,27 +62,8 @@ class ParseError(Exception):
         return self.render()
 
 
-RESERVED = {
-    "let", "code", "Code", "clo", "Pi", "app", "pair", "Sigma",
-    "malloc", "assign1", "assign2", "ctag", "fst", "snd", "loc",
-    "unit", "Unit", "Star", "Box",
-}
-
-_FORM_HEADS = (
-    "let", "code", "Code", "clo", "Pi", "app", "pair", "Sigma",
-    "malloc", "assign1", "assign2", "ctag", "fst", "snd",
-)
-
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _INT = re.compile(r"-?[0-9]+")
-
-
-@dataclass
-class _Tok:
-    kind: str  # "(", ")", "atom"
-    text: str
-    line: int
-    col: int
 
 
 @dataclass
@@ -96,245 +80,262 @@ class _SList:
     col: int
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            toks.append(_Tok(c, c, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            toks.append(_Tok("atom", text[i:j], line, col))
-            col += j - i
-            i = j
-    return toks
+_TOKEN = re.compile(r"[()]|[^ \t\r();]+")  # a parenthesis or an atom
 
 
-def _read_one(toks: list[_Tok]):
-    """The s-expression the tokens start with and the index after it, read
-    on an explicit stack of open lists, so nesting costs no Python frames."""
-    if not toks:
+def _read_one(text: str):
+    """The s-expression text holds, read on an explicit stack of open
+    lists, so nesting costs no Python frames."""
+    open_lists, done = [], None
+    for line, chars in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(chars.partition(";")[0]):
+            t, col = m.group(), m.start() + 1
+            if done is not None:
+                raise ParseError("unexpected trailing input", line, col)
+            if t == "(":
+                open_lists.append(_SList([], line, col))
+                continue
+            if t != ")":
+                item = _SAtom(t, line, col)
+            elif open_lists:
+                item = open_lists.pop()
+            else:
+                raise ParseError("unexpected ')'", line, col)
+            if open_lists:
+                open_lists[-1].items.append(item)
+            else:
+                done = item
+    if open_lists:
+        raise ParseError("unclosed parenthesis", open_lists[-1].line, open_lists[-1].col, (")",))
+    if done is None:
         raise ParseError("empty input", 1, 1)
-    open_lists: list[tuple[_Tok, list]] = []
-    for i, t in enumerate(toks):
-        if t.kind == "(":
-            open_lists.append((t, []))
-            continue
-        if t.kind == "atom":
-            item = _SAtom(t.text, t.line, t.col)
-        elif open_lists:
-            start, items = open_lists.pop()
-            item = _SList(items, start.line, start.col)
-        else:
-            raise ParseError("unexpected ')'", t.line, t.col)
-        if not open_lists:
-            return item, i + 1
-        open_lists[-1][1].append(item)
-    start = open_lists[-1][0]
-    raise ParseError("unclosed parenthesis", start.line, start.col, (")",))
+    return done
 
 
 def parse(text: str, lang: Lang = Lang.SOURCE) -> Expr:
     """Parse one term; raises ParseError with position and expectations."""
-    toks = _tokenize(text)
-    sx, rest = _read_one(toks)
-    if rest != len(toks):
-        extra = toks[rest]
-        raise ParseError("unexpected trailing input", extra.line, extra.col)
-    return _build(sx, lang)
+    return _build(_read_one(text), lang)
+
+
+# ---------------------------------------------------------------------------
+# The forms
+#
+# One row per form head: its node type, its shape, which the reader names
+# when a form has the wrong length, and the labels of the lists in its last
+# layout, in order. A shape is written as the form itself: x and n stand
+# for binder names, f1 and f2 for initialization flags, a form for a term
+# that must be that form, any other name for a term and any other list for
+# a group, a list inside a group being checked with it; the arguments come
+# in constructor order. A shape with two layouts gives the one without
+# flags first, and their first groups tell them apart: the source reads
+# and prints that one, each flag being 1, and the target reads both and
+# prints the flags. A new node type needs one row here.
+
+_FORMS = {
+    "let": (Let, "(let (x e A) body)", "let binding"),
+    "code": (Code, "(code ((n A1) (x A)) e)", "binder list"),
+    "Code": (CodeTy, "(Code ((n A1) (x A)) e)", "binder list"),
+    "clo": (Clo, "(clo e1 e2 (Pi (x A) B))", "closure annotation"),
+    "Pi": (Pi, "(Pi (x A) B)", "Pi binder"),
+    "app": (App, "(app e1 e2)"),
+    "pair": (Pair, "(pair e1 e2 (Sigma (x A) B))", "pair annotation"),
+    "Sigma": (Sigma, "(Sigma (x A) B) or (Sigma (x A f1) (B f2))", "Sigma binder",
+              "flagged Sigma component"),
+    "malloc": (Malloc, "(malloc (x A) B)", "malloc binder"),
+    "assign1": (Assign1, "(assign1 e e2)"),
+    "assign2": (Assign2, "(assign2 e e2)"),
+    "ctag": (CTag, "(ctag e)"),
+    "fst": (Fst, "(fst e)"),
+    "snd": (Snd, "(snd e)"),
+}
+
+_TARGET_ONLY = {"malloc", "assign1", "assign2", "ctag"}
+
+# the atoms that are words, and the nodes they read as
+_WORDS = {"unit": UnitTm, "Unit": UnitTy, "Star": partial(Univ, Universe.STAR),
+          "Box": partial(Univ, Universe.BOX)}
+
+_FORM_HEADS = tuple(_FORMS)
+RESERVED = {*_FORMS, "loc", *_WORDS}
+
+# A layout's reader plan is its steps in pre-order, each (op, k, inner,
+# extra), the piece being item k of the form's list and then item by item
+# along inner. A group is checked when the reader reaches it and a term is
+# read before the pieces after it, so messages come in the order of a
+# left-to-right, top-down reading.
+_NAME, _TERM, _FLAG, _GROUP, _ANNOT, _BUILD = "name", "term", "flag", "group", "annot", "build"
+_ROLES = {"x": _NAME, "n": _NAME, "f1": _FLAG, "f2": _FLAG}
+
+
+def _show(sx) -> str:
+    return sx.text if type(sx) is _SAtom else "(" + " ".join(map(_show, sx.items)) + ")"
+
+
+def _fits(sx, pattern: _SList) -> bool:
+    """Whether sx is a list as long as pattern, with a list where it has one."""
+    return (
+        type(sx) is _SList
+        and len(sx.items) == len(pattern.items)
+        and all(type(p) is _SAtom or _fits(i, p) for i, p in zip(sx.items, pattern.items))
+    )
+
+
+def _layouts(head: str) -> list:
+    """Per layout of a head's shape: the layout read as an s-expression,
+    its steps, the roles of its arguments, and its text with a NUL in place
+    of each argument."""
+    shape, *labels = _FORMS[head][1:]
+    forms = [_read_one(text) for text in shape.split(" or ")]
+    label = dict(zip((k for k, p in enumerate(forms[-1].items) if type(p) is _SList), labels))
+
+    def walk(sx, path, steps, roles):
+        text = []
+        for k, p in enumerate(sx.items):
+            at, annot = path + (k,), type(p) is _SList and _show(p.items[0]) in _FORMS
+            if at == (0,):
+                text.append(p.text)
+            elif type(p) is _SAtom or annot:
+                roles.append(_TERM if annot else _ROLES.get(p.text, _TERM))
+                steps.append((roles[-1], at[0], at[1:], None))
+                text.append("\0")
+            else:
+                if not path:
+                    alts = [_show(f.items[k]) for f in forms if type(f.items[k]) is _SList]
+                    message = f"malformed {label[k]}, expected {' or '.join(alts)}"
+                    steps.append((_GROUP, k, (), (p, message, {})))
+                text.append(walk(p, at, steps, roles))
+            if annot:
+                h = p.items[0].text
+                steps.append((_ANNOT, k, (), (_FORMS[h][0], f"{label[k]} must be a {h} form")))
+        return "(" + " ".join(text) + ")"
+
+    layouts = [(form, [], []) for form in forms]
+    return [(form, steps, roles, walk(form, (), steps, roles)) for form, steps, roles in layouts]
+
+
+def _plans(head: str, lang: Lang) -> tuple:
+    """A head's reader plan in lang, (length, message, steps), and printer
+    plan, (template with a gap for each argument, getter of the arguments,
+    flags that must be 1, refusal); a message in place of a plan refuses
+    the form."""
+    cls, shape = _FORMS[head][:2]
+    if head in _TARGET_ONLY and lang is Lang.SOURCE:
+        return (f"target-only form '{head}' is not source syntax",
+                f"{head} is not printable as source syntax")
+    *bare, (form, steps, roles, _) = layouts = _layouts(head)
+    steps = (*steps, (_BUILD, 0, (), (cls, ())))
+    flags = tuple(i for i, r in enumerate(roles) if r is _FLAG)
+    for _, plain, _, _ in bare:
+        # the flagged layout's first group is read in place of the plain one's
+        full = steps if lang is Lang.TARGET else f"flagged {head} is target-only syntax"
+        (op, k, _, (pattern, message, _)), *rest = plain
+        group = (op, k, (), (pattern, message, {len(form.items[k].items): full}))
+        steps = (group, *rest, (_BUILD, 0, (), (cls, flags)))
+    names = [f.name for f in fields(cls)][:-1]
+    ones = [names[i] for i in flags] if lang is Lang.SOURCE else []
+    names = [n for n in names if n not in ones]
+    template = [None] * (2 * len(names) + 1)
+    template[0::2] = layouts[0 if lang is Lang.SOURCE else -1][3].split("\0")
+    get = attrgetter(*names) if len(names) > 1 else lambda e, f=names[0]: (getattr(e, f),)
+    read = len(form.items), f"malformed form, expected {shape}", steps
+    return read, (template, get, ones, f"flagged {head} is not printable as source syntax")
+
+
+# _build reads a term as the one argument of a root form that builds it
+_ROOT = ((_TERM, 0, (), None), (_BUILD, 0, (), (lambda e, pos: e, ())))
+_LOC = "location literals are runtime-only and cannot be parsed"
+_PLANS = {lang: {h: _plans(h, lang) for h in _FORMS} for lang in Lang}
+_READ = {lang: {"loc": _LOC, **{h: p[0] for h, p in ps.items()}} for lang, ps in _PLANS.items()}
+_PRINT = {lang: {_FORMS[h][0]: p[1] for h, p in ps.items()} for lang, ps in _PLANS.items()}
+_ATOM_TEXT = {
+    Var: attrgetter("name"),
+    Univ: lambda e: e.kind.value,
+    UnitTm: lambda e: "unit",
+    UnitTy: lambda e: "Unit",
+    Loc: lambda e: f"(loc {e.loc_id})",
+}
 
 
 def _fail(sx, message: str, expected: tuple[str, ...] = ()):
     raise ParseError(message, sx.line, sx.col, expected)
 
 
-def _binder_name(sx) -> str:
-    if not isinstance(sx, _SAtom):
-        _fail(sx, "expected a binder name")
-    t = sx.text
+def _atom(sx: _SAtom) -> Expr:
+    t, pos = sx.text, (sx.line, sx.col)
+    if t in _WORDS:
+        return _WORDS[t](pos=pos)
     if t in RESERVED:
-        _fail(sx, f"reserved word '{t}' cannot be used as a name")
-    if _INT.fullmatch(t) or not _IDENT.fullmatch(t):
-        _fail(sx, f"invalid name '{t}'")
-    return t
-
-
-def _flag(sx) -> int:
-    if isinstance(sx, _SAtom) and sx.text in ("0", "1"):
-        return int(sx.text)
-    _fail(sx, "expected an initialization flag", ("0", "1"))
-
-
-def _need(sx, count: int, shape: str):
-    if len(sx.items) != count:
-        _fail(sx, f"malformed form, expected {shape}")
+        _fail(sx, f"reserved word '{t}' is not a term by itself")
+    if _INT.fullmatch(t):
+        _fail(sx, f"unexpected number '{t}'")
+    if not _IDENT.fullmatch(t):
+        _fail(sx, f"invalid identifier '{t}'")
+    return Var(t, pos=pos)
 
 
 def _build(sx, lang: Lang) -> Expr:
-    pos = (sx.line, sx.col)
-    if isinstance(sx, _SAtom):
-        t = sx.text
-        if t == "unit":
-            return UnitTm(pos=pos)
-        if t == "Unit":
-            return UnitTy(pos=pos)
-        if t == "Star":
-            return Univ(Universe.STAR, pos=pos)
-        if t == "Box":
-            return Univ(Universe.BOX, pos=pos)
-        if t in RESERVED:
-            _fail(sx, f"reserved word '{t}' is not a term by itself")
-        if _INT.fullmatch(t):
-            _fail(sx, f"unexpected number '{t}'")
-        if not _IDENT.fullmatch(t):
-            _fail(sx, f"invalid identifier '{t}'")
-        return Var(t, pos=pos)
-
-    if not sx.items:
-        _fail(sx, "empty form", _FORM_HEADS)
-    head = sx.items[0]
-    if not isinstance(head, _SAtom):
-        _fail(sx, "expected a form keyword", _FORM_HEADS)
-    h = head.text
-
-    if h == "let":
-        _need(sx, 3, "(let (x e A) body)")
-        spec = sx.items[1]
-        if not isinstance(spec, _SList) or len(spec.items) != 3:
-            _fail(sx.items[1], "malformed let binding, expected (x e A)")
-        x = _binder_name(spec.items[0])
-        bound = _build(spec.items[1], lang)
-        annot = _build(spec.items[2], lang)
-        body = _build(sx.items[2], lang)
-        return Let(x, bound, annot, body, pos=pos)
-
-    if h in ("code", "Code"):
-        shape = f"({h} ((n A1) (x A)) e)"
-        _need(sx, 3, shape)
-        binders = sx.items[1]
-        if (
-            not isinstance(binders, _SList)
-            or len(binders.items) != 2
-            or not all(isinstance(b, _SList) and len(b.items) == 2 for b in binders.items)
-        ):
-            _fail(sx.items[1], f"malformed binder list, expected ((n A1) (x A))")
-        n = _binder_name(binders.items[0].items[0])
-        env_ty = _build(binders.items[0].items[1], lang)
-        x = _binder_name(binders.items[1].items[0])
-        arg_ty = _build(binders.items[1].items[1], lang)
-        body = _build(sx.items[2], lang)
-        if h == "code":
-            return Code(n, env_ty, x, arg_ty, body, pos=pos)
-        return CodeTy(n, env_ty, x, arg_ty, body, pos=pos)
-
-    if h == "clo":
-        _need(sx, 4, "(clo e1 e2 (Pi (x A) B))")
-        c = _build(sx.items[1], lang)
-        env = _build(sx.items[2], lang)
-        annot = _build(sx.items[3], lang)
-        if not isinstance(annot, Pi):
-            _fail(sx.items[3], "closure annotation must be a Pi form")
-        return Clo(c, env, annot, pos=pos)
-
-    if h == "Pi":
-        _need(sx, 3, "(Pi (x A) B)")
-        spec = sx.items[1]
-        if not isinstance(spec, _SList) or len(spec.items) != 2:
-            _fail(sx.items[1], "malformed Pi binder, expected (x A)")
-        x = _binder_name(spec.items[0])
-        dom = _build(spec.items[1], lang)
-        cod = _build(sx.items[2], lang)
-        return Pi(x, dom, cod, pos=pos)
-
-    if h == "app":
-        _need(sx, 3, "(app e1 e2)")
-        return App(_build(sx.items[1], lang), _build(sx.items[2], lang), pos=pos)
-
-    if h == "pair":
-        _need(sx, 4, "(pair e1 e2 (Sigma (x A) B))")
-        a = _build(sx.items[1], lang)
-        d = _build(sx.items[2], lang)
-        annot = _build(sx.items[3], lang)
-        if not isinstance(annot, Sigma):
-            _fail(sx.items[3], "pair annotation must be a Sigma form")
-        return Pair(a, d, annot, pos=pos)
-
-    if h == "Sigma":
-        _need(sx, 3, "(Sigma (x A) B) or (Sigma (x A f1) (B f2))")
-        spec = sx.items[1]
-        if not isinstance(spec, _SList) or len(spec.items) not in (2, 3):
-            _fail(sx.items[1], "malformed Sigma binder, expected (x A) or (x A f1)")
-        if len(spec.items) == 2:
-            x = _binder_name(spec.items[0])
-            dom = _build(spec.items[1], lang)
-            cod = _build(sx.items[2], lang)
-            return Sigma(x, dom, 1, cod, 1, pos=pos)
-        if lang is Lang.SOURCE:
-            _fail(sx, "flagged Sigma is target-only syntax")
-        x = _binder_name(spec.items[0])
-        dom = _build(spec.items[1], lang)
-        f1 = _flag(spec.items[2])
-        codspec = sx.items[2]
-        if not isinstance(codspec, _SList) or len(codspec.items) != 2:
-            _fail(sx.items[2], "malformed flagged Sigma component, expected (B f2)")
-        cod = _build(codspec.items[0], lang)
-        f2 = _flag(codspec.items[1])
-        return Sigma(x, dom, f1, cod, f2, pos=pos)
-
-    if h == "malloc":
-        if lang is Lang.SOURCE:
-            _fail(sx, "target-only form 'malloc' is not source syntax")
-        _need(sx, 3, "(malloc (x A) B)")
-        spec = sx.items[1]
-        if not isinstance(spec, _SList) or len(spec.items) != 2:
-            _fail(sx.items[1], "malformed malloc binder, expected (x A)")
-        x = _binder_name(spec.items[0])
-        ty1 = _build(spec.items[1], lang)
-        ty2 = _build(sx.items[2], lang)
-        return Malloc(x, ty1, ty2, pos=pos)
-
-    if h in ("assign1", "assign2"):
-        if lang is Lang.SOURCE:
-            _fail(sx, f"target-only form '{h}' is not source syntax")
-        _need(sx, 3, f"({h} e e2)")
-        t = _build(sx.items[1], lang)
-        v = _build(sx.items[2], lang)
-        return (Assign1 if h == "assign1" else Assign2)(t, v, pos=pos)
-
-    if h == "ctag":
-        if lang is Lang.SOURCE:
-            _fail(sx, "target-only form 'ctag' is not source syntax")
-        _need(sx, 2, "(ctag e)")
-        return CTag(_build(sx.items[1], lang), pos=pos)
-
-    if h == "fst":
-        _need(sx, 2, "(fst e)")
-        return Fst(_build(sx.items[1], lang), pos=pos)
-
-    if h == "snd":
-        _need(sx, 2, "(snd e)")
-        return Snd(_build(sx.items[1], lang), pos=pos)
-
-    if h == "loc":
-        _fail(sx, "location literals are runtime-only and cannot be parsed")
-
-    _fail(head, f"unknown form '{h}'", _FORM_HEADS)
+    """The term sx denotes, read top-down on an explicit stack of the forms
+    above the one being read; sx is read as the argument of a root form."""
+    plans = _READ[lang]
+    steps, i, args, cur, above = _ROOT, 0, [], _SList([sx], sx.line, sx.col), []
+    while True:
+        op, k, inner, extra = steps[i]
+        i += 1
+        item = cur.items[k]
+        for k in inner:
+            item = item.items[k]
+        if op is _TERM:
+            if type(item) is _SAtom:
+                args.append(_atom(item))
+                continue
+            items = item.items
+            if not items:
+                _fail(item, "empty form", _FORM_HEADS)
+            head = items[0]
+            if type(head) is not _SAtom:
+                _fail(item, "expected a form keyword", _FORM_HEADS)
+            plan = plans.get(head.text)
+            if plan is None:
+                _fail(head, f"unknown form '{head.text}'", _FORM_HEADS)
+            if type(plan) is str:
+                _fail(item, plan)
+            if len(items) != plan[0]:
+                _fail(item, plan[1])
+            above.append((steps, i, args, cur))
+            steps, i, args, cur = plan[2], 0, [], item
+        elif op is _BUILD:
+            cls, ones = extra
+            for k in ones:
+                args.insert(k, 1)
+            node = cls(*args, pos=(cur.line, cur.col))
+            if not above:
+                return node
+            steps, i, args, cur = above.pop()
+            args.append(node)
+        elif op is _NAME:
+            if type(item) is not _SAtom:
+                _fail(item, "expected a binder name")
+            if item.text in RESERVED:
+                _fail(item, f"reserved word '{item.text}' cannot be used as a name")
+            if not _IDENT.fullmatch(item.text):
+                _fail(item, f"invalid name '{item.text}'")
+            args.append(item.text)
+        elif op is _GROUP:  # extra: the group's pattern, the message, other layouts by length
+            pattern, message, others = extra
+            if not _fits(item, pattern):
+                steps = others.get(len(item.items) if type(item) is _SList else None)
+                if steps is None:
+                    _fail(item, message)
+                if type(steps) is str:
+                    _fail(cur, steps)
+                i -= 1  # the other layout's own check of the group
+        elif op is _FLAG:
+            if type(item) is not _SAtom or item.text not in ("0", "1"):
+                _fail(item, "expected an initialization flag", ("0", "1"))
+            args.append(int(item.text))
+        else:  # _ANNOT
+            if not isinstance(args[-1], extra[0]):
+                _fail(item, extra[1])
 
 
 def print_expr(e: Expr, lang: Lang = Lang.SOURCE) -> str:
@@ -344,53 +345,25 @@ def print_expr(e: Expr, lang: Lang = Lang.SOURCE) -> str:
     ValueError; locations render as (loc N) for traces even though the
     parser will not read them back.
     """
-    match e:
-        case Var(x):
-            return x
-        case Univ(u):
-            return u.value
-        case UnitTm():
-            return "unit"
-        case UnitTy():
-            return "Unit"
-        case Let(b, bound, annot, body):
-            bound_s, annot_s = print_expr(bound, lang), print_expr(annot, lang)
-            return f"(let ({b} {bound_s} {annot_s}) {print_expr(body, lang)})"
-        case Code(n, envty, x, argty, body) | CodeTy(n, envty, x, argty, body):
-            head = "code" if isinstance(e, Code) else "Code"
-            envty_s, argty_s = print_expr(envty, lang), print_expr(argty, lang)
-            return f"({head} (({n} {envty_s}) ({x} {argty_s})) {print_expr(body, lang)})"
-        case Clo(c, env, pi):
-            return f"(clo {print_expr(c, lang)} {print_expr(env, lang)} {print_expr(pi, lang)})"
-        case Pi(b, dom, cod):
-            return f"(Pi ({b} {print_expr(dom, lang)}) {print_expr(cod, lang)})"
-        case App(f, a):
-            return f"(app {print_expr(f, lang)} {print_expr(a, lang)})"
-        case Pair(a, d, s):
-            return f"(pair {print_expr(a, lang)} {print_expr(d, lang)} {print_expr(s, lang)})"
-        case Sigma(b, dom, f1, cod, f2):
-            if lang is Lang.SOURCE:
-                if (f1, f2) != (1, 1):
-                    raise ValueError("flagged Sigma is not printable as source syntax")
-                return f"(Sigma ({b} {print_expr(dom, lang)}) {print_expr(cod, lang)})"
-            return f"(Sigma ({b} {print_expr(dom, lang)} {f1}) ({print_expr(cod, lang)} {f2}))"
-        case Fst(inner):
-            return f"(fst {print_expr(inner, lang)})"
-        case Snd(inner):
-            return f"(snd {print_expr(inner, lang)})"
-        case Malloc(b, t1, t2):
-            if lang is Lang.SOURCE:
-                raise ValueError("malloc is not printable as source syntax")
-            return f"(malloc ({b} {print_expr(t1, lang)}) {print_expr(t2, lang)})"
-        case Assign1(t, v) | Assign2(t, v):
-            head = type(e).__name__.lower()
-            if lang is Lang.SOURCE:
-                raise ValueError(f"{head} is not printable as source syntax")
-            return f"({head} {print_expr(t, lang)} {print_expr(v, lang)})"
-        case CTag(inner):
-            if lang is Lang.SOURCE:
-                raise ValueError("ctag is not printable as source syntax")
-            return f"(ctag {print_expr(inner, lang)})"
-        case Loc(i):
-            return f"(loc {i})"
-    raise TypeError(f"unknown expression node: {e!r}")
+    plans = _PRINT[lang]
+    out, todo = [], [e]
+    while todo:
+        item = todo.pop()
+        cls = type(item)
+        if cls is str or cls is int:  # text, or a flag
+            out.append(str(item))
+        elif cls in plans:
+            plan = plans[cls]
+            if type(plan) is str:
+                raise ValueError(plan)
+            template, get, ones, refusal = plan
+            if ones and any(getattr(item, f) != 1 for f in ones):
+                raise ValueError(refusal)
+            parts = template.copy()
+            parts[1::2] = get(item)
+            todo += reversed(parts)
+        elif cls in _ATOM_TEXT:
+            out.append(_ATOM_TEXT[cls](item))
+        else:
+            raise TypeError(f"unknown expression node: {item!r}")
+    return "".join(out)

@@ -259,31 +259,31 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
     if type(e) in _FOREIGN:
         _reject_foreign(lang, e)
     match e:
-        case Var(x):
+        case Var(name=x):
             b = ctx.lookup(x)
             if b is None:
                 raise TypeCheckError(ErrKind.UNBOUND_VAR, f"unbound variable '{x}'", e.pos)
             return b.ty
-        case Let(x, bound, annot, body):
+        case Let(binder=x, bound=bound, annot=annot, body=body):
             _sort_of(lang, heap, ctx, annot, "let annotation")
             check(lang, heap, ctx, bound, annot)
             ctx2, x2 = push_binder(ctx, x, annot, defn=bound)
             body_ty = _synth(lang, heap, ctx2, subst(body, Var(x2), x), view)
             return subst(body_ty, bound, x2)
-        case Univ(Universe.STAR):
+        case Univ(kind=Universe.STAR):
             return Univ(Universe.BOX)
-        case Univ(Universe.BOX):
+        case Univ(kind=Universe.BOX):
             raise TypeCheckError(ErrKind.UNIVERSE_ERROR, "the top universe has no type", e.pos)
         case UnitTy():
             return Univ(Universe.STAR)
         case UnitTm():
             return UnitTy()
-        case Pi(x, dom, cod):
+        case Pi(binder=x, dom=dom, cod=cod):
             _sort_of(lang, heap, ctx, dom, "function domain")
             ctx2, x2 = push_binder(ctx, x, dom)
             s = _sort_of(lang, heap, ctx2, subst(cod, Var(x2), x), "function codomain")
             return Univ(s)
-        case Sigma(x, dom, _, cod, _):
+        case Sigma(binder=x, dom=dom, cod=cod):
             s1 = _sort_of(lang, heap, ctx, dom, "pair type component")
             ctx2, x2 = push_binder(ctx, x, dom)
             s2 = _sort_of(lang, heap, ctx2, subst(cod, Var(x2), x), "pair type component")
@@ -294,7 +294,8 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
                     e.pos,
                 )
             return Univ(_pair_sort(s1, s2))
-        case Code(n, envty, x, argty, body) | CodeTy(n, envty, x, argty, body):
+        case (Code(env_binder=n, env_ty=envty, arg_binder=x, arg_ty=argty, body=body)
+              | CodeTy(env_binder=n, env_ty=envty, arg_binder=x, arg_ty=argty, result_ty=body)):
             is_code = isinstance(e, Code)
             _require_closed(e, "code" if is_code else "code type")
             _sort_of(lang, heap, Context(), envty, "code environment type")
@@ -306,7 +307,7 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
             if is_code:
                 return CodeTy(n, envty, x2, argty, _synth(lang, heap, ctx_nx, body2, view))
             return Univ(_sort_of(lang, heap, ctx_nx, body2, "code result type"))
-        case App(f, a):
+        case App(fn=f, arg=a):
             fn_ty = view(heap, ctx, _synth(lang, heap, ctx, f, view), f.pos)
             if not isinstance(fn_ty, Pi):
                 raise TypeCheckError(
@@ -314,7 +315,7 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
                 )
             check(lang, heap, ctx, a, fn_ty.dom)
             return subst(fn_ty.cod, a, fn_ty.binder)
-        case Fst(inner) | Snd(inner):
+        case Fst(expr=inner) | Snd(expr=inner):
             i = SLOT[type(e)]
             t = view(heap, ctx, _synth(lang, heap, ctx, inner, view), inner.pos)
             if not isinstance(t, Sigma):
@@ -323,7 +324,7 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
             if not (readable(t, i) and readable(t, 1)):
                 raise TypeCheckError(ErrKind.FLAG_ERROR, _UNREADABLE[i], e.pos)
             return slot_type(t, i, inner)
-        case Pair(a, d, annot):
+        case Pair(fst=a, snd=d, annot_sigma=annot):
             if not isinstance(annot, Sigma):
                 raise TypeCheckError(
                     ErrKind.ANNOT_MISMATCH, "pair annotation must be a pair type", e.pos
@@ -332,7 +333,7 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
             check(lang, heap, ctx, a, annot.dom)
             check(lang, heap, ctx, d, subst(annot.cod, a, annot.binder))
             return annot
-        case Clo(c, env, annot):
+        case Clo(code=c, env=env, annot_pi=annot):
             code_ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, c), c.pos)
             if not isinstance(code_ty, CodeTy):
                 raise TypeCheckError(
@@ -347,18 +348,18 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
             _sort_of(lang, heap, ctx, annot, "closure annotation")
             _ensure_equiv(heap, ctx, annot, computed, e.pos, "closure annotation")
             return annot
-        case Loc(i):
+        case Loc(loc_id=i):
             cell = heap.cell(i)
             if cell is None:
                 raise TypeCheckError(ErrKind.UNKNOWN_LOC, f"location {i} is not allocated", e.pos)
             return cell.cell_type
-        case Malloc(x, t1, t2):
+        case Malloc(binder=x, ty1=t1, ty2=t2):
             _sort_of(lang, heap, ctx, t1, "allocated component type")
             ctx2, x2 = push_binder(ctx, x, t1)
             t2r = subst(t2, Var(x2), x)
             _sort_of(lang, heap, ctx2, t2r, "allocated component type")
             return Sigma(x2, t1, 0, t2r, 0)
-        case Assign1(t, v) | Assign2(t, v):
+        case Assign1(tuple_=t, value=v) | Assign2(tuple_=t, value=v):
             i = SLOT[type(e)]
             ty = view(heap, ctx, _synth(lang, heap, ctx, t, view), t.pos)
             if not isinstance(ty, Sigma):
@@ -367,7 +368,7 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
                 raise TypeCheckError(ErrKind.FLAG_ERROR, _UNWRITABLE[i], e.pos)
             check(lang, heap, ctx, v, slot_type(ty, i, t))
             return filled(ty, i)
-        case CTag(t):
+        case CTag(expr=t):
             ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, t), t.pos)
             unpaired = TypeCheckError(
                 ErrKind.NOT_A_FUNCTION, "ctag expects a code-and-environment pair", t.pos

@@ -232,8 +232,9 @@ def _fst_pair_chain(n):
 
 
 def test_compile_prints_nested_pairs_200_deep(tmp_path, capsys):
-    # the printer takes one Python frame per level; with two, compile hit
-    # the recursion limit at about 170 levels
+    # the printer keeps the pieces it has still to print on a stack of its
+    # own; with two Python frames per level, compile hit the recursion
+    # limit at about 170 levels
     p = tmp_path / "deep.src"
     p.write_text(_nested_pairs(200))
     assert main(["compile", str(p)]) == 0
@@ -251,6 +252,38 @@ def test_too_deep_input_is_one_error_line(tmp_path, capsys, cmd, depth):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error[TooDeep] {cmd}: input nests too deeply\n"
+
+
+def test_compile_takes_a_300_deep_projection_chain(tmp_path, capsys):
+    # the printer used to run out of Python frames at about 250 levels
+    p = tmp_path / "deep.src"
+    p.write_text(_fst_pair_chain(300))
+    assert main(["compile", str(p)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.count("(malloc ") == 300
+
+
+def test_run_takes_a_1000_deep_projection_chain(tmp_path, capsys):
+    # the reader used to run out of Python frames at about 600 levels
+    p = tmp_path / "deep.src"
+    p.write_text(_fst_pair_chain(1000))
+    assert main(["run", str(p)]) == 0
+    assert capsys.readouterr() == ("unit\n", "")
+
+
+def test_preserve_of_too_deep_input_is_fuel_not_fail(tmp_path, capsys):
+    # check accepts the program; the compiled judgement runs out of Python
+    # frames, which says nothing about the compiler: a fuel verdict, exit 3
+    p = tmp_path / "deep.src"
+    p.write_text(_nested_pairs(200))
+    assert main(["check", str(p)]) == 0
+    capsys.readouterr()
+    assert main(["preserve", str(p)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "CASE deep.type type-preservation fuel" in lines
+    assert not [line for line in lines if line.startswith("CASE ") and line.endswith(" fail")]
+    assert lines[-1].endswith("failed=0 fuel=1")
 
 
 def test_model_takes_a_200_deep_projection_chain(tmp_path, capsys):
@@ -280,8 +313,8 @@ def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
 
 
 def test_run_reads_600_lets_nested_in_bound_position(tmp_path, capsys):
-    # the reader keeps open lists on a stack of its own; recursing once per
-    # level, it ran out of Python frames at about 500 levels
+    # the reader keeps the forms it has open on a stack of its own; recursing
+    # once per level, it ran out of Python frames at about 500 levels
     term = "unit"
     for _ in range(600):
         term = f"(let (x {term} Unit) x)"

@@ -183,3 +183,21 @@ def test_reader_and_printer_match_golden():
     root = Path(__file__).resolve().parent.parent
     recorder = runpy.run_path(str(root / "scripts" / "record_sexpr_golden.py"))
     assert recorder["render"]() == (root / "tests" / "golden" / "sexpr_corpus.txt").read_text()
+
+
+def _deep_texts(n, lang):
+    """A projection chain and lets nested in bound position, n levels deep."""
+    sigma = "(Sigma (a Unit) Unit)" if lang is Lang.SOURCE else "(Sigma (a Unit 1) (Unit 1))"
+    chain = "unit"
+    for _ in range(n):
+        chain = f"(fst (pair {chain} unit {sigma}))"
+    lets = "(let (x " * n + "unit" + " Unit) x)" * n
+    return chain, lets
+
+
+@pytest.mark.parametrize("lang", [Lang.SOURCE, Lang.TARGET], ids=lambda lang: lang.value)
+def test_reader_and_printer_take_5000_levels(lang):
+    # five times Python's default recursion limit: neither walker takes a
+    # Python frame per level
+    for text in _deep_texts(5000, lang):
+        assert print_expr(parse(text, lang), lang) == text
