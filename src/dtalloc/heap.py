@@ -12,7 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import Assign1, Assign2, Expr, Fst, Loc, Sigma, Snd, subst, subterms
+from .syntax import (
+    _CHILD_FIELDS,
+    Assign1,
+    Assign2,
+    Expr,
+    Fst,
+    Loc,
+    Sigma,
+    Snd,
+    _memoize,
+    subst,
+)
 
 # the slot that each projection reads and each assignment writes
 SLOT = {Fst: 1, Snd: 2, Assign1: 1, Assign2: 2}
@@ -117,6 +128,22 @@ class Config:
     expr: Expr
 
 
-def locs_in(e: Expr) -> set[int]:
-    """All location ids mentioned by an expression."""
-    return {cur.loc_id for cur in subterms(e) if isinstance(cur, Loc)}
+_NO_LOCS: frozenset[int] = frozenset()
+
+
+def locs_in(e: Expr) -> frozenset[int]:
+    """All location ids mentioned by an expression, computed once per node
+    and cached on it, as syntax.free_vars is."""
+    locs = e.__dict__.get("_locs")
+    return locs if locs is not None else _memoize(e, "_locs", _locs_in)
+
+
+def _locs_in(e: Expr) -> frozenset[int]:
+    if type(e) is Loc:
+        return frozenset((e.loc_id,))
+    out = _NO_LOCS
+    for f in _CHILD_FIELDS[type(e)]:
+        locs = locs_in(getattr(e, f))
+        if locs:
+            out = out | locs
+    return out

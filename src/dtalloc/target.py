@@ -30,6 +30,7 @@ from .heap import (
     UNINIT,
     Config,
     Heap,
+    HeapCell,
     filled,
     locs_in,
     readable,
@@ -221,6 +222,12 @@ def tgt_check(heap: Heap, ctx: Context, e: Expr, ty: Expr) -> None:
 
 def tgt_infer(heap: Heap, ctx: Context, e: Expr) -> Expr:
     return infer(_TARGET, heap, ctx, e)
+
+
+def tgt_infer_checking(heap: Heap, ctx: Context, e: Expr) -> Expr:
+    """The type of e as checking mode synthesizes it (see infer): one to
+    compare, not to print."""
+    return _synth(_TARGET, heap, ctx, e, _head)
 
 
 def infer(lang: Lang, heap: Heap, ctx: Context, e: Expr) -> Expr:
@@ -471,36 +478,72 @@ class HeapReport:
 
 def heap_wf(heap: Heap) -> HeapReport:
     """Audit every cell: flag order, slot presence, value-ness, dangling
-    locations, and slot typing against the cell's pair type."""
+    locations, and slot typing against the cell's pair type.
+
+    A cell's audit reads only the cell, its index and the cells that the
+    locations in its slots and its type reach, so it is cached on the cell
+    object with the cells it read directly. It is reused when all of those
+    are the same objects here and none of them needs a fresh audit itself;
+    a run that writes one cell per step audits that cell and the cells that
+    reach it, not the whole heap.
+    """
+    kept = [cell.__dict__.get("_audit") for cell in heap.cells]
+    stale: set[int] = set()
+    users: dict[int, list[int]] = {}  # cell -> the kept audits that read it
+    for i, audit in enumerate(kept):
+        if audit is None or audit[0] != i or any(heap.cell(j) is not c for j, c in audit[1]):
+            stale.add(i)
+        else:
+            for j, _ in audit[1]:
+                users.setdefault(j, []).append(i)
+    todo = list(stale)
+    while todo:
+        for i in users.get(todo.pop(), ()):
+            if i not in stale:
+                stale.add(i)
+                todo.append(i)
     problems: list[str] = []
     for i, cell in enumerate(heap.cells):
-        where = f"cell {i}"
-        if not isinstance(cell.cell_type, Sigma):
-            problems.append(f"{where}: cell type is not a pair type")
-            continue
-        if cell.flags == (0, 1):
-            problems.append(f"{where}: second slot filled before the first")
-        for k in (1, 2):
-            slot, flagged = cell.slot(k), readable(cell.cell_type, k)
-            if not flagged and slot is not UNINIT:
-                problems.append(f"{where}: slot {k} written but flag is 0")
-            if flagged and slot is UNINIT:
-                problems.append(f"{where}: slot {k} flagged but empty")
-            if slot is not UNINIT:
-                if not is_tgt_value(slot):
-                    problems.append(f"{where}: slot {k} holds a non-value")
-                for loc in sorted(locs_in(slot)):
-                    if heap.cell(loc) is None:
-                        problems.append(f"{where}: slot {k} mentions dangling location {loc}")
-        for loc in sorted(locs_in(cell.cell_type)):
-            if heap.cell(loc) is None:
-                problems.append(f"{where}: cell type mentions dangling location {loc}")
-        for k in (1, 2):
-            v = cell.read(k)
-            if v is None:
-                continue
-            try:
-                tgt_check(heap, Context(), v, slot_type(cell.cell_type, k, Loc(i)))
-            except (TypeCheckError, FuelExhausted) as err:
-                problems.append(f"{where}: slot {k} does not type at its slot type ({err})")
+        if i in stale:
+            found, read = _audit_cell(heap, i, cell)
+            kept[i] = (i, tuple((j, heap.cell(j)) for j in sorted(read - {i})), found)
+            object.__setattr__(cell, "_audit", kept[i])
+        problems += kept[i][2]
     return HeapReport(not problems, problems)
+
+
+def _audit_cell(heap: Heap, i: int, cell: HeapCell) -> tuple[list[str], frozenset[int]]:
+    """The problems of cell i of heap, and the locations the audit read:
+    those in the cell's type and slots."""
+    problems: list[str] = []
+    where = f"cell {i}"
+    if not isinstance(cell.cell_type, Sigma):
+        return [f"{where}: cell type is not a pair type"], frozenset()
+    read = locs_in(cell.cell_type)
+    if cell.flags == (0, 1):
+        problems.append(f"{where}: second slot filled before the first")
+    for k in (1, 2):
+        slot, flagged = cell.slot(k), readable(cell.cell_type, k)
+        if not flagged and slot is not UNINIT:
+            problems.append(f"{where}: slot {k} written but flag is 0")
+        if flagged and slot is UNINIT:
+            problems.append(f"{where}: slot {k} flagged but empty")
+        if slot is not UNINIT:
+            if not is_tgt_value(slot):
+                problems.append(f"{where}: slot {k} holds a non-value")
+            read = read | locs_in(slot)
+            for loc in sorted(locs_in(slot)):
+                if heap.cell(loc) is None:
+                    problems.append(f"{where}: slot {k} mentions dangling location {loc}")
+    for loc in sorted(locs_in(cell.cell_type)):
+        if heap.cell(loc) is None:
+            problems.append(f"{where}: cell type mentions dangling location {loc}")
+    for k in (1, 2):
+        v = cell.read(k)
+        if v is None:
+            continue
+        try:
+            tgt_check(heap, Context(), v, slot_type(cell.cell_type, k, Loc(i)))
+        except (TypeCheckError, FuelExhausted) as err:
+            problems.append(f"{where}: slot {k} does not type at its slot type ({err})")
+    return problems, read

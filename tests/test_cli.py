@@ -351,6 +351,7 @@ def test_corpus_outputs_match_golden():
 
 
 _TOKEN = re.compile(r"[()]|[^\s()]+")
+_COMMENT = re.compile(r";[^\n]*")
 _FUZZ_FILES = sorted(CORPUS.glob("*.src")) + sorted((CORPUS / "negative").iterdir())
 _KEYWORDS = ["(", ")", "unit", "Unit", "Star", "Box", "x", "0", "1", "let", "pair", "fst",
              "snd", "app", "clo", "code", "Code", "Pi", "Sigma", "malloc", "assign1",
@@ -361,8 +362,11 @@ _FUZZ_COMMANDS = (["check"], ["compile"], ["run"], ["run", "--lang", "target"],
 
 @st.composite
 def _mutated_program(draw):
-    """A corpus file with one to three tokens inserted, deleted or replaced."""
-    tokens = _TOKEN.findall(draw(st.sampled_from(_FUZZ_FILES)).read_text())
+    """A corpus file with one to three tokens inserted, deleted or replaced.
+    Comments are dropped first: the tokens are joined on one line, where a
+    comment would swallow everything after it."""
+    text = _COMMENT.sub("", draw(st.sampled_from(_FUZZ_FILES)).read_text())
+    tokens = _TOKEN.findall(text)
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(("insert", "delete", "replace") if tokens else ("insert",)))
         i = draw(st.integers(0, len(tokens) - (op != "insert")))

@@ -2,15 +2,17 @@
 
 Each test counts calls of an uncached helper (the name analysis, which
 walks one node, the sort inference behind target._sort_of, the
-normalizer's step, the machine's value test, or the model's step)
-instead of timing anything, so it gives the same answer on any machine.
+normalizer's step, the machine's value test, the model's step, the
+judgement's visit of one node, or the audit of one heap cell) instead of
+timing anything, so it gives the same answer on any machine.
 """
 
 from dataclasses import replace
 
 import pytest
+from families import FAMILIES
 
-from dtalloc import conversion, model, syntax, target
+from dtalloc import conversion, harness, model, syntax, target
 from dtalloc.alloc import translate
 from dtalloc.conversion import normalize
 from dtalloc.harness import check_step_preservation
@@ -74,6 +76,20 @@ def value_tests(monkeypatch):
         return machine.is_value(e)
 
     monkeypatch.setattr(target, "_MACHINE", replace(machine, is_value=counted))
+    return seen
+
+
+@pytest.fixture
+def synth_visits(monkeypatch):
+    """A list that grows by one for every node the target judgement visits."""
+    seen = []
+    uncounted = target._synth
+
+    def counted(lang, heap, ctx, e, view):
+        seen.append(e)
+        return uncounted(lang, heap, ctx, e, view)
+
+    monkeypatch.setattr(target, "_synth", counted)
     return seen
 
 
@@ -198,3 +214,42 @@ def test_model_of_nested_pairs_is_linear_in_the_depth(model_calls):
     # inlining its definition does not model it again
     assert counts[16] <= 2.1 * counts[8], counts
     assert counts[32] <= 2.1 * counts[16], counts
+
+
+@pytest.mark.parametrize("family, most", [("nested_pairs", 0.4), ("let_chain", 0.4),
+                                          ("closure_env", 1.0)])
+def test_local_step_check_visits_fewer_nodes_than_typing_whole_states(synth_visits, family, most):
+    counts = {}
+    for local in (True, False):
+        synth_visits.clear()
+        e = parse(FAMILIES[family](16))
+        assert check_step_preservation("t", e, local=local).verdict == "pass"
+        counts[local] = len(synth_visits)
+    # typing every whole state visited 9,265 / 18,345 / 10,480 nodes, the
+    # local check 2,107 / 2,795 / 3,955
+    assert counts[True] < counts[False], counts
+    assert counts[True] <= most * counts[False], counts
+
+
+def test_step_preservation_audits_one_cell_per_replaced_heap(monkeypatch):
+    audits, heaps = [], []
+    audit, audit_heap = target._audit_cell, harness.heap_wf
+
+    def counted_audit(heap, i, cell):
+        audits.append(i)
+        return audit(heap, i, cell)
+
+    def counted_heap(heap):
+        heaps.append(heap)
+        return audit_heap(heap)
+
+    monkeypatch.setattr(target, "_audit_cell", counted_audit)
+    monkeypatch.setattr(harness, "heap_wf", counted_heap)
+    for n in (8, 16):
+        audits.clear()
+        heaps.clear()
+        assert check_step_preservation("t", _nested_pairs(n)).verdict == "pass"
+        # the run starts with an empty heap, and every step that replaces
+        # the heap allocates or writes one cell that no other cell holds
+        # yet; auditing every cell of every heap made 164 / 648 audits
+        assert len(audits) == len(heaps) - 1 == 3 * n, (n, len(audits), len(heaps))

@@ -3,8 +3,11 @@
 from pathlib import Path
 
 import pytest
+from families import FAMILIES
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dtalloc import harness
+from dtalloc import harness, machine
 from dtalloc.alloc import translate
 from dtalloc.harness import (
     DEFAULT_FUEL,
@@ -26,10 +29,13 @@ from dtalloc.harness import (
 )
 from dtalloc.errors import FuelExhausted, StuckError
 from dtalloc.heap import Config, Heap, HeapCell, UNINIT
-from dtalloc.sexpr import parse
+from dtalloc.sexpr import Lang, parse
 from dtalloc.source import src_equiv, src_eval, src_infer, src_step
-from dtalloc.syntax import Context, Loc, Pi, STAR, Sigma, UNIT, UNIT_TY
-from dtalloc.target import tgt_eval
+from dtalloc.syntax import (
+    App, Assign1, Assign2, CTag, Code, CodeTy, Context, Fst, Let, Loc, Pi, STAR, Sigma, UNIT,
+    UNIT_TY, Var, subst,
+)
+from dtalloc.target import _MACHINE, tgt_eval
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -224,3 +230,196 @@ def test_step_preservation_fails_on_a_bad_allocating_step(monkeypatch, cells, pr
     r = _check_machine_run(monkeypatch, start, start, Heap(cells))
     assert r.verdict == "fail"
     assert problem in r.detail
+
+
+def _both_modes(case_id, e):
+    """The step-preservation reports of the local check and of typing
+    every whole state."""
+    return check_step_preservation(case_id, e), check_step_preservation(case_id, e, local=False)
+
+
+def test_local_step_check_agrees_with_whole_states_on_the_corpus():
+    for name, e in load_corpus(CORPUS):
+        local, whole = _both_modes(name, e)
+        assert local == whole == Report(name, "step-preservation", "pass")
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_local_step_check_agrees_with_whole_states_on_the_families(family):
+    for n in range(1, 9):
+        local, whole = _both_modes(f"{family}/{n}", parse(FAMILIES[family](n)))
+        assert local == whole and local.verdict == "pass", n
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_local_step_check_agrees_with_whole_states_on_generated_programs(seed):
+    _, e, _ = gen_typed(GenSpec(depth=4, seed=seed, closed=True))
+    local, whole = _both_modes(f"gen{seed}", e)
+    assert local == whole
+
+
+# Broken contraction rules, applied to the machines and to the rules the
+# local check compares a step with; conversion keeps its own binding of
+# machine.contract, so the checker still judges by the right rules.
+_contract = machine.contract
+
+
+def _let_substitutes_unit(heap, e):
+    if type(e) is Let:
+        return heap, subst(e.body, UNIT, e.binder), "let"
+    return _contract(heap, e)
+
+
+def _assign1_writes_slot_2(heap, e):
+    if type(e) is Assign1 and type(e.tuple_) is Loc:
+        i = e.tuple_.loc_id
+        return heap.with_cell(i, heap.cell(i).write(2, e.value)), e.tuple_, "assign1"
+    return _contract(heap, e)
+
+
+def _fst_reads_slot_2(heap, e):
+    if type(e) is Fst and type(e.expr) is Loc:
+        v = heap.cell(e.expr.loc_id).read(2)
+        if v is not None:
+            return heap, v, "fst-loc"
+    return _contract(heap, e)
+
+
+# a projection bound by a let whose body does not use it, so that a wrong
+# projection stops no machine
+_LET_FST = (
+    "(let (p (pair (pair unit unit (Sigma (b Unit) Unit)) unit (Sigma (a (Sigma (b Unit) Unit)) Unit))"
+    " (Sigma (a (Sigma (b Unit) Unit)) Unit))"
+    " (let (x (fst p) (Sigma (b Unit) Unit)) unit))"
+)
+
+
+@pytest.mark.parametrize(
+    "broken, caught",
+    [
+        (_let_substitutes_unit, "pair_nested"),
+        (_assign1_writes_slot_2, "pair_nested"),
+        (_fst_reads_slot_2, "let_fst"),
+    ],
+)
+def test_local_step_check_agrees_with_whole_states_on_a_broken_machine(
+    monkeypatch, broken, caught
+):
+    monkeypatch.setattr(machine, "contract", broken)
+    monkeypatch.setattr(harness, "contract", broken)
+    programs = load_corpus(CORPUS) + [("let_fst", parse(_LET_FST))]
+    programs += [(f"{f}/{n}", parse(FAMILIES[f](n))) for f in sorted(FAMILIES) for n in (1, 2, 3)]
+    verdicts = {}
+    for name, e in programs:
+        local, whole = _both_modes(name, e)
+        assert local == whole, name
+        verdicts[name] = local.verdict
+    assert verdicts[caught] == "fail"
+
+
+def _tgt(text):
+    return parse(text, Lang.TARGET)
+
+
+_FULL_UNITS = HeapCell(_tgt("(Sigma (a Unit 1) (Unit 1))"), UNIT, UNIT)
+_FULL_TYPES = HeapCell(_tgt("(Sigma (a Star 1) (Star 1))"), UNIT_TY, UNIT_TY)
+_EMPTY_UNITS = HeapCell(_tgt("(Sigma (a Unit 0) (Unit 0))"), UNINIT, UNINIT)
+_EMPTY_TYPES = HeapCell(_tgt("(Sigma (a Star 0) (Star 0))"), UNINIT, UNINIT)
+# a tuple whose second slot takes the type in its first, and two of them
+_NAMES_ITS_SLOT = _tgt("(Sigma (a Star 1) (a 0))")
+_TAKES_UNIT = HeapCell(_NAMES_ITS_SLOT, UNIT_TY, UNINIT)
+_TAKES_FUNCTIONS = HeapCell(_NAMES_ITS_SLOT, _tgt("(Pi (x Unit) Unit)"), UNINIT)
+_EMPTY_TYPE_SLOT = HeapCell(_tgt("(Sigma (a Star 0) (a 0))"), UNINIT, UNINIT)
+# identity functions (tagged tuples of code and environment) on such tuples
+# and on unit
+_IDENTITY = HeapCell(
+    Sigma("c", CodeTy("n", UNIT_TY, "x", _NAMES_ITS_SLOT, _NAMES_ITS_SLOT), 1, UNIT_TY, 1),
+    Code("n", UNIT_TY, "x", _NAMES_ITS_SLOT, Var("x")),
+    UNIT,
+)
+_UNIT_IDENTITY = HeapCell(
+    Sigma("c", _tgt("(Code ((n Unit) (x Unit)) Unit)"), 1, UNIT_TY, 1),
+    _tgt("(code ((n Unit) (x Unit)) x)"),
+    UNIT,
+)
+# a function from a type to an empty tuple whose first slot takes that type
+_ALLOCATING = HeapCell(
+    Sigma("c", _tgt("(Code ((n Unit) (x Star)) (Sigma (a x 0) (Unit 0)))"), 1, UNIT_TY, 1),
+    _tgt("(code ((n Unit) (x Star)) (malloc (a x) Unit))"),
+    UNIT,
+)
+
+
+def _let_reading_slot(bound):
+    """A let of bound, a tuple, whose body checks unit against its first slot."""
+    return Let("y", bound, _NAMES_ITS_SLOT, Let("u", UNIT, Fst(_tgt("y")), UNIT))
+
+
+# Wrong steps, each given by a state, its heap, what the step puts in place
+# of the redex and the heap after it, when the step replaced it. A local
+# check without one of its conditions lets each of them pass: the contractum
+# checks where that check looks, but the state after the step does not
+# type below the state before it.
+@pytest.mark.parametrize(
+    "heap, e, contractum, heap_after",
+    [
+        # the let body's type is the let-bound redex itself
+        (Heap(), _tgt("(let (t (let (z Unit Star) z) Star) (let (u unit t) u))"),
+         _tgt("(Pi (x Unit) Unit)"), None),
+        # the let body's type is that of a cell the step retyped
+        (Heap((_EMPTY_UNITS,)), Let("y", _tgt("(let (z unit Unit) z)"), UNIT_TY, Loc(0)),
+         UNIT, Heap((_EMPTY_TYPES,))),
+        # no frame checks the contractum, and its type is not the redex's
+        (Heap((_FULL_UNITS, _FULL_TYPES)), Fst(Let("z", Loc(0), _FULL_UNITS.cell_type, _tgt("z"))),
+         Loc(1), None),
+        # the contractum is not below the let annotation
+        (Heap(), _tgt("(let (t (let (z Unit Star) z) Star) unit)"), UNIT, None),
+        # the contractum does not type at the slot it is assigned to
+        (Heap((_EMPTY_UNITS,)), Assign1(Loc(0), _tgt("(let (z unit Unit) z)")), UNIT_TY, None),
+        # the let body checks a term against the let-bound type
+        (Heap(), _tgt("(let (t (let (z Unit Star) z) Star) (let (u unit t) unit))"),
+         _tgt("(Pi (x Unit) Unit)"), None),
+        # the second slot's type is the first slot of the tuple that the
+        # identity function returns
+        (Heap((_TAKES_UNIT, _TAKES_FUNCTIONS, _IDENTITY)),
+         Assign2(App(CTag(Loc(2)), Let("w", Loc(0), _NAMES_ITS_SLOT, _tgt("w"))), UNIT),
+         Loc(1), None),
+        # the step writes another type than the assignment's to the slot the
+        # let body reads
+        (Heap((_EMPTY_TYPE_SLOT,)),
+         _let_reading_slot(Assign1(Loc(0), UNIT_TY)),
+         Loc(0), Heap((HeapCell(_NAMES_ITS_SLOT, _tgt("(Pi (x Unit) Unit)"), UNINIT),))),
+        # the application's type is a tuple type over its argument, a type
+        (Heap((_ALLOCATING,)), App(CTag(Loc(0)), _tgt("(let (w Unit Star) w)")),
+         _tgt("(Pi (x Unit) Unit)"), None),
+        # the step fills the slot that the assignment around it is to fill
+        (Heap((_EMPTY_UNITS, _UNIT_IDENTITY)),
+         Assign1(Loc(0), App(CTag(Loc(1)), _tgt("(let (w unit Unit) w)"))),
+         UNIT, Heap((HeapCell(_tgt("(Sigma (a Unit 1) (Unit 0))"), UNIT, UNINIT), _UNIT_IDENTITY))),
+    ],
+    ids=["hole-in-type", "cell-retyped", "type-changed", "let-annotation", "assigned-value",
+         "let-definition", "first-slot", "heap-written", "argument-in-type", "cell-written"],
+)
+def test_local_step_check_types_the_whole_state_after_a_wrong_step(
+    monkeypatch, heap, e, contractum, heap_after
+):
+    frames = []
+    _MACHINE._refocus(e, frames)
+    after = Config(heap if heap_after is None else heap_after, machine._plug(frames, contractum))
+    steps = [(Config(heap, e), "init"), (after, "let")]
+    monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)
+    local, whole = _both_modes("t", parse("unit"))
+    assert local == whole and local.verdict == "fail"
+
+
+def test_local_step_check_types_the_whole_state_after_a_step_built_elsewhere(monkeypatch):
+    # the state after the step is right, but not the machine's plugging of
+    # the state before it, so no redex and contractum can be read off them
+    steps = [
+        (Config(Heap(), _tgt("(let (t (let (z Unit Star) z) Star) unit)")), "init"),
+        (Config(Heap(), _tgt("(let (t Unit Star) unit)")), "let"),
+    ]
+    monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)
+    local, whole = _both_modes("t", parse("unit"))
+    assert local == whole and local.verdict == "pass"

@@ -271,6 +271,58 @@ def test_heap_wf_rejects_ill_typed_slot():
     assert not report.ok
 
 
+def _fresh_cells(heap):
+    """heap with every cell rebuilt, so that no audit is cached on it."""
+    return Heap(tuple(HeapCell(c.cell_type, c.slot1, c.slot2) for c in heap.cells))
+
+
+def test_heap_wf_audits_again_every_cell_that_reaches_a_replaced_cell(monkeypatch):
+    import dtalloc.target as target
+
+    audited = []
+    audit = target._audit_cell
+
+    def counted(heap, i, cell):
+        audited.append(i)
+        return audit(heap, i, cell)
+
+    monkeypatch.setattr(target, "_audit_cell", counted)
+    units = Sigma("a", UNIT_TY, 1, UNIT_TY, 1)
+    pair_of_units = Sigma("a", units, 1, UNIT_TY, 1)
+    # cell 0 holds cell 1, which holds cell 2; cell 3 is reached by none
+    heap = Heap((
+        HeapCell(Sigma("a", pair_of_units, 1, UNIT_TY, 1), Loc(1), UNIT),
+        HeapCell(pair_of_units, Loc(2), UNIT),
+        HeapCell(units, UNIT, UNIT),
+        HeapCell(units, UNIT, UNIT),
+    ))
+    assert heap_wf(heap).ok
+    assert sorted(audited) == [0, 1, 2, 3]
+    audited.clear()
+    assert heap_wf(heap).ok
+    assert audited == []
+    retyped = heap.with_cell(2, HeapCell(Sigma("a", STAR, 1, STAR, 1), UNIT_TY, UNIT_TY))
+    report = heap_wf(retyped)
+    assert sorted(audited) == [0, 1, 2]
+    assert not report.ok
+    assert report == heap_wf(_fresh_cells(retyped))
+
+
+def test_heap_wf_reuses_an_audit_only_at_its_index_among_the_cells_it_read():
+    units = Sigma("a", UNIT_TY, 1, UNIT_TY, 1)
+    holder = HeapCell(Sigma("a", units, 1, UNIT_TY, 1), Loc(1), UNIT)
+    good, bad = HeapCell(units, UNIT, UNIT), HeapCell(Sigma("a", STAR, 1, STAR, 1), UNIT_TY, UNIT_TY)
+    ill_typed = HeapCell(units, UNIT_TY, UNIT)
+    # every cell audited once, in heaps other than the ones checked below
+    for heap in (Heap((holder, good)), Heap((good, bad)), Heap((ill_typed,))):
+        heap_wf(heap)
+    # the last heap holds one cell twice, whose audit is kept for index 1
+    for heap in (Heap((holder, bad)), Heap((good, ill_typed)), Heap((ill_typed, ill_typed))):
+        report = heap_wf(heap)
+        assert not report.ok
+        assert report == heap_wf(_fresh_cells(heap))
+
+
 # ---------------------------------------------------------------------------
 # Conversion over heaps
 
