@@ -3,7 +3,8 @@
 A pair literal becomes a malloc followed by two assignments, each step
 let-bound and annotated with the pair type at its current fill level. A
 closure becomes the same chain building a two-slot tuple of code and
-environment, finished with ctag. Everything else translates structurally.
+environment, finished with ctag. Everything else translates structurally,
+through the binder schema.
 
 The first assignment is what makes the second typeable: the second
 slot's type may mention the first component, and the target checker
@@ -14,12 +15,15 @@ the input term or its context.
 
 from __future__ import annotations
 
+from operator import is_
+
 from . import source
 from .errors import ErrKind, TypeCheckError
 from .heap import filled
 from .syntax import (
-    _CHILD_FIELDS,
-    App,
+    _ARGS,
+    _CHILD_ARGS,
+    _SCOPES,
     Assign1,
     Assign2,
     Clo,
@@ -28,23 +32,18 @@ from .syntax import (
     Context,
     CTag,
     Expr,
-    Fst,
     Let,
     Malloc,
     Name,
     Pair,
-    Pi,
     Sigma,
-    Snd,
-    UnitTm,
-    UnitTy,
-    Univ,
     Var,
+    _in_scope,
     all_names,
     fresh_name,
     subst,
 )
-from .target import _SOURCE, _reject_foreign
+from .target import _FOREIGN, _SOURCE, _reject_foreign
 
 
 class _Translator:
@@ -75,53 +74,19 @@ class _Translator:
         self.issued.add(name)
         return name
 
-    def push(self, ctx: Context, name: Name, ty: Expr, defn: Expr | None = None):
-        name2 = fresh_name(name, ctx.names() | self.issued)
-        self.reserved.add(name2)
-        return ctx.extend(name2, ty, defn), name2
-
     def tr(self, ctx: Context, e: Expr) -> Expr:
+        cls = type(e)
+        if cls in _FOREIGN:
+            # a partial pair type or a form the source lacks
+            _reject_foreign(_SOURCE, e)
         match e:
-            case Var() | Univ() | UnitTm() | UnitTy():
-                return e
-            case Pi(x, dom, cod) | Sigma(x, dom, 1, cod, 1):
-                ctx2, x2 = self.push(ctx, x, dom)
-                dt, ct = self.tr(ctx, dom), self.tr(ctx2, subst(cod, Var(x2), x))
-                if x2 == x and dt is dom and ct is cod:
-                    return e
-                if isinstance(e, Pi):
-                    return Pi(x2, dt, ct)
-                return Sigma(x2, dt, 1, ct, 1)
-            case Let(x, bound, annot, body):
-                bt = self.tr(ctx, bound)
-                at = self.tr(ctx, annot)
-                ctx2, x2 = self.push(ctx, x, annot, defn=bound)
-                return Let(x2, bt, at, self.tr(ctx2, subst(body, Var(x2), x)))
-            case Code(n, envty, x, argty, body) | CodeTy(n, envty, x, argty, body):
-                empty = Context()
-                envt = self.tr(empty, envty)
-                # n can still be renamed here: normalizing a closure's code
-                # type renames an env binder named like a let-bound variable,
-                # and the new name can be one this translator has issued
-                ctx_n, n2 = self.push(empty, n, envty)
-                argty2 = subst(argty, Var(n2), n) if x != n else argty
-                body2 = subst(body, Var(n2), n) if x != n else body
-                argt = self.tr(ctx_n, argty2)
-                ctx_nx, x2 = self.push(ctx_n, x, argty2)
-                bodyt = self.tr(ctx_nx, subst(body2, Var(x2), x))
-                return type(e)(n2, envt, x2, argt, bodyt)
-            case App() | Fst() | Snd():
-                return type(e)(*[self.tr(ctx, getattr(e, f)) for f in _CHILD_FIELDS[type(e)]])
             case Pair(e1, e2, annot):
                 if not isinstance(annot, Sigma):
                     raise TypeCheckError(
                         ErrKind.ANNOT_MISMATCH, "pair annotation must be a pair type", e.pos
                     )
                 ys = self.gensym(), self.gensym(), self.gensym()
-                ctx2, x2 = self.push(ctx, annot.binder, annot.dom)
-                at = self.tr(ctx, annot.dom)
-                bt = self.tr(ctx2, subst(annot.cod, Var(x2), annot.binder))
-                return _fill(ys, Sigma(x2, at, 0, bt, 0), self.tr(ctx, e1), self.tr(ctx, e2), Var)
+                return _fill(ys, self.tr(ctx, annot), self.tr(ctx, e1), self.tr(ctx, e2), Var)
             case Clo(c, env, _):
                 ys = self.gensym(), self.gensym(), self.gensym()
                 z = self.named("z")
@@ -130,24 +95,47 @@ class _Translator:
                     raise TypeCheckError(
                         ErrKind.NOT_A_FUNCTION, "closure over a term that is not code", c.pos
                     )
-                ty = Sigma(z, self.tr(ctx, code_ty), 0, self.tr(ctx, code_ty.env_ty), 0)
+                ty = Sigma(z, self.tr(ctx, code_ty), 1, self.tr(ctx, code_ty.env_ty), 1)
                 return _fill(ys, ty, self.tr(ctx, c), self.tr(ctx, env), lambda y2: CTag(Var(y2)))
-            case _:
-                # a partial pair type or a form the source lacks
-                _reject_foreign(_SOURCE, e)
+        if not _CHILD_ARGS[cls]:
+            return e
+        ctx = Context() if cls is Code or cls is CodeTy else ctx
+        # children in field order; each binder is pushed, typed by the child
+        # before it in source form, and renamed in the children it scopes,
+        # never to the name of an inner binder of e, which would capture it
+        old = _ARGS[cls](e)
+        args, scopes, d = list(old), _SCOPES[cls], 0
+        for c, depth in _CHILD_ARGS[cls]:
+            while d < depth:
+                b, scope = scopes[d]
+                x = args[b]
+                inner = {args[i] for i, _ in scopes[d + 1 :]} - {x}
+                x2 = fresh_name(x, ctx.names() | self.issued | inner)
+                self.reserved.add(x2)
+                ctx = ctx.extend(x2, src, e.bound if cls is Let else None)
+                if x2 != x:
+                    for s in _in_scope(args, b, scope):
+                        args[s] = subst(args[s], Var(x2), x)
+                    args[b] = x2
+                d += 1
+            src = args[c]
+            args[c] = self.tr(ctx, src)
+        if all(map(is_, args, old)):
+            return e
+        return cls(*args[:-1])
 
 
 def _fill(ys: tuple[Name, Name, Name], ty: Sigma, v1: Expr, v2: Expr, tail) -> Expr:
-    """Allocate a tuple at ty, of flags (0,0), and fill it with v1, then v2:
+    """Allocate a tuple at ty with flags (0,0) and fill it with v1, then v2:
     each step let-bound to the next name of ys and annotated with the pair
-    type at its fill level, ending in tail(the last name)."""
+    type at its fill level, ty itself once full, ending in tail(the last name)."""
     y, y1, y2 = ys
-    ty1 = filled(ty, 1)
+    ty0 = Sigma(ty.binder, ty.dom, 0, ty.cod, 0)
     return Let(
         y,
         Malloc(ty.binder, ty.dom, ty.cod),
-        ty,
-        Let(y1, Assign1(Var(y), v1), ty1, Let(y2, Assign2(Var(y1), v2), filled(ty1, 2), tail(y2))),
+        ty0,
+        Let(y1, Assign1(Var(y), v1), filled(ty0, 1), Let(y2, Assign2(Var(y1), v2), ty, tail(y2))),
     )
 
 

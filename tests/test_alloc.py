@@ -1,10 +1,19 @@
 """Compilation of pairs and closures into allocation chains."""
 
+import itertools
+
 import pytest
 
 from dtalloc.alloc import translate, translate_ctx
 from dtalloc.errors import ErrKind, TypeCheckError
-from dtalloc.harness import readback
+from dtalloc.harness import (
+    check_differential,
+    check_preservation,
+    check_reduction_preserved,
+    check_step_preservation,
+    readback,
+    source_step_pairs,
+)
 from dtalloc.heap import Config, Heap
 from dtalloc.sexpr import Lang, parse, print_expr
 from dtalloc.source import src_eval, src_infer
@@ -165,7 +174,57 @@ def test_compiled_type_checks_in_target():
         # let, to y1, which the translator has already issued, so the
         # translated code type renames it again, in its argument type too
         "(let (y unit Unit) (clo (code ((y Star) (x y)) x) Unit (Pi (x Unit) Unit)))",
+        # the same with the argument binder named like the env binder: n can
+        # still be renamed here, since normalizing the code type renames an
+        # env binder named like a let-bound variable and the new name can be
+        # one this translator has issued, and the renaming must reach the
+        # argument type, which the env binder scopes, and not the result
+        # type, which the argument binder of the same name shadows
+        "(let (y Unit Star) (clo (code ((y Star) (y y)) unit) Unit (Pi (a Unit) Unit)))",
+        "(let (z Unit Star) (clo (code ((z Star) (z z)) unit) Unit (Pi (w Unit) Unit)))",
+        # normalizing renames the env binder y to y1, which is renamed again
+        # here, and not to y11, the argument binder's name, which would
+        # capture the env binder in the result type
+        "(let (y Unit Star) (clo (code ((y Star) (y11 y)) y11) y (Pi (y11 y) y)))",
     ]:
         e = parse(text)
         src_infer(Context(), e)
         tgt_infer(Heap(), Context(), translate(Context(), e))
+
+
+# Closure and pair programs whose let, env, argument and pair-type binders
+# ({L}, {E}, {A}, {P}) are drawn from the translator's chain names y and y1,
+# its closure-tuple binder z and a user name x, so binders repeat each other
+# and the names the translator generates, as generated cases never do.
+SAME_NAME_TEMPLATES = [
+    "(let ({L} Unit Star) (clo (code (({E} Star) ({A} {E})) unit) {L} (Pi (a {L}) Unit)))",
+    "(let ({L} Unit Star) (clo (code (({E} Star) ({A} {E})) {A}) {L} (Pi ({A} {L}) {L})))",
+    "(let ({L} (clo (code ((n Unit) (w Unit)) Unit) unit (Pi (w Unit) Star)) (Pi (w Unit) Star))"
+    " (pair unit unit (Sigma ({P} Unit) (app {L} {P}))))",
+    "(let ({L} Unit Star) (clo (code (({E} Star) ({A} {E})) (pair {A} {A} (Sigma ({P} {E}) {E})))"
+    " {L} (Pi ({A} {L}) (Sigma ({P} {L}) {L}))))",
+    "(let ({L} Unit Star) (pair unit (clo (code (({E} Star) ({A} {E})) {A}) {L} (Pi ({A} {L}) {L}))"
+    " (Sigma ({P} {L}) (Pi ({A} {L}) {L}))))",
+]
+
+
+def test_same_name_binders_keep_every_property():
+    kept, failed = 0, []
+    for template in SAME_NAME_TEMPLATES:
+        slots = [k for k in "LEAP" if "{%s}" % k in template]
+        for names in itertools.product(("y", "y1", "x", "z"), repeat=len(slots)):
+            text = template.format(**dict(zip(slots, names)))
+            e = parse(text)
+            try:
+                src_infer(Context(), e)
+            except TypeCheckError:
+                continue
+            kept += 1
+            reports = [
+                check_preservation(text, Context(), e),
+                check_differential(text, e),
+                check_step_preservation(text, e),
+            ]
+            reports += [check_reduction_preserved(text, a, b) for a, b in source_step_pairs(e)]
+            failed += [(r.case_id, r.prop, r.detail) for r in reports if r.verdict != "pass"]
+    assert kept > 300 and not failed
