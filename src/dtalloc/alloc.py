@@ -41,6 +41,7 @@ from .syntax import (
     _in_scope,
     all_names,
     fresh_name,
+    kept,
     subst,
 )
 from .target import _FOREIGN, _SOURCE, _reject_foreign
@@ -149,7 +150,14 @@ def _reserved_for(ctx: Context, e: Expr) -> frozenset[Name]:
 
 
 def translate(ctx: Context, e: Expr) -> Expr:
-    """Compile a well-typed source term to the allocation target."""
+    """Compile a well-typed source term to the allocation target; the
+    compiled form of a term in the empty context is kept on it."""
+    if ctx.entries:
+        return _translate(ctx, e)
+    return kept(e, "_compiled", _translate, ctx, e)
+
+
+def _translate(ctx: Context, e: Expr) -> Expr:
     return _Translator(_reserved_for(ctx, e)).tr(ctx, e)
 
 

@@ -102,14 +102,18 @@ class Normalizer:
 
     # --- binder discipline -------------------------------------------------
 
-    def _under(self, b: Name, parts: list[Expr]) -> tuple[Name, list[Expr]]:
-        """Rename b away from the unfolding-sensitive names if needed."""
+    def _under(self, b: Name, parts: list[Expr], args=(), below=()) -> tuple[Name, list[Expr]]:
+        """Rename b away from the unfolding-sensitive names if needed. The
+        new name occurs in no part and names none of the node's binders
+        below b, which the scope plans in below index in args: any of them
+        would capture it."""
         if self._forbidden is None:
             # built on first use: most normalizations never go under a binder
             self._forbidden = frozenset(self.defs).union(*map(all_names, self.defs.values()))
         if b not in self._forbidden:
             return b, parts
-        b2 = fresh_name(b, self._forbidden.union(*map(all_names, parts)))
+        inner = [args[i] for i, _ in below]
+        b2 = fresh_name(b, self._forbidden.union(inner, *map(all_names, parts)))
         return b2, [subst(p, Var(b2), b) for p in parts]
 
     # --- normalization -----------------------------------------------------
@@ -181,10 +185,10 @@ class Normalizer:
         node without a position."""
         cls = type(e)
         old = _ARGS[cls](e)
-        args = list(old)
-        for b, scope in _SCOPES[cls]:
+        args, scopes = list(old), _SCOPES[cls]
+        for d, (b, scope) in enumerate(scopes):
             live = _in_scope(args, b, scope)
-            args[b], parts = self._under(args[b], [args[c] for c in live])
+            args[b], parts = self._under(args[b], [args[c] for c in live], args, scopes[d + 1 :])
             for c, p in zip(live, parts):
                 args[c] = p
         for c, _ in _CHILD_ARGS[cls]:

@@ -36,6 +36,7 @@ from .syntax import (
     UnitTm,
     UnitTy,
     Univ,
+    kept,
 )
 from .target import _FOREIGN, check, infer, wf
 
@@ -64,8 +65,11 @@ def src_check(ctx: Context, e: Expr, ty: Expr) -> None:
 
 
 def src_infer(ctx: Context, e: Expr) -> Expr:
-    """Infer the type of a source term, raising TypeCheckError on failure."""
-    return infer(_SOURCE, _NO_HEAP, ctx, e)
+    """Infer the type of a source term, raising TypeCheckError on failure;
+    the type of a term in the empty context is kept on it."""
+    if ctx.entries:
+        return infer(_SOURCE, _NO_HEAP, ctx, e)
+    return kept(e, "_src_type", infer, _SOURCE, _NO_HEAP, ctx, e)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +111,11 @@ def src_step(e: Expr) -> tuple[Expr, str] | None:
 
 
 def src_eval(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> Expr:
+    """The value e runs to, kept on e per fuel."""
+    return kept(e, f"_src_eval{fuel}", _run, e, fuel)
+
+
+def _run(e: Expr, fuel: int) -> Expr:
     return _MACHINE.run(None, e, fuel)[1]
 
 

@@ -425,6 +425,21 @@ def _heap_free(e: Expr) -> bool:
     )
 
 
+def kept(e: Expr, key: str, judge, *args, when=None):
+    """judge(*args), a judgement whose value depends on the node e alone,
+    made once and kept in e's __dict__ under key, where equality, hashing
+    and repr do not look; with when, only if when(e), asked on a miss. An
+    exception is never kept: the next call judges again and raises it
+    again, with the same kind, message and position."""
+    d = e.__dict__
+    if key in d:
+        return d[key]
+    value = judge(*args)
+    if when is None or when(e):
+        object.__setattr__(e, key, value)
+    return value
+
+
 def fresh_name(base: Name, avoid: set[Name] | frozenset[Name]) -> Name:
     """Deterministic fresh name: base itself, or base with the least free suffix."""
     if base not in avoid:

@@ -64,6 +64,7 @@ from .syntax import (
     Var,
     free_vars,
     heap_free,
+    kept,
     push_binder,
     subst,
     subterms,
@@ -184,12 +185,11 @@ def _sort_of(lang: Lang, heap: Heap, ctx: Context, e: Expr, what: str) -> Univer
     if lang is not _TARGET:
         # not through _infer_sort: one frame fewer per level of a source type
         return _universe(_head(heap, ctx, _synth(lang, heap, ctx, e, _head), e.pos), e, what)
-    s = e.__dict__.get("_tgt_sort")
-    if s is None:
-        s = _infer_sort(lang, heap, ctx, e, what)
-        if not free_vars(e) and heap_free(e):
-            object.__setattr__(e, "_tgt_sort", s)
-    return s
+    return kept(e, "_tgt_sort", _infer_sort, lang, heap, ctx, e, what, when=_closed_heap_free)
+
+
+def _closed_heap_free(e: Expr) -> bool:
+    return not free_vars(e) and heap_free(e)
 
 
 def _infer_sort(lang: Lang, heap: Heap, ctx: Context, e: Expr, what: str) -> Universe:
@@ -221,7 +221,10 @@ def tgt_check(heap: Heap, ctx: Context, e: Expr, ty: Expr) -> None:
 
 
 def tgt_infer(heap: Heap, ctx: Context, e: Expr) -> Expr:
-    return infer(_TARGET, heap, ctx, e)
+    """The type of e; kept on e when the heap and the context are empty."""
+    if heap.cells or ctx.entries:
+        return infer(_TARGET, heap, ctx, e)
+    return kept(e, "_tgt_type", infer, _TARGET, heap, ctx, e)
 
 
 def tgt_infer_checking(heap: Heap, ctx: Context, e: Expr) -> Expr:
@@ -445,7 +448,15 @@ def tgt_step(config: Config) -> tuple[Config, str] | None:
 
 
 def tgt_eval(start: Config | Expr, fuel: int = conversion.DEFAULT_FUEL) -> Config:
+    """The final state of a run; one from the empty heap is kept on its
+    term, per fuel."""
     config = _as_config(start)
+    if config.heap.cells:
+        return _run(config, fuel)
+    return kept(config.expr, f"_tgt_eval{fuel}", _run, config, fuel)
+
+
+def _run(config: Config, fuel: int) -> Config:
     return Config(*_MACHINE.run(config.heap, config.expr, fuel))
 
 
@@ -487,10 +498,10 @@ def heap_wf(heap: Heap) -> HeapReport:
     a run that writes one cell per step audits that cell and the cells that
     reach it, not the whole heap.
     """
-    kept = [cell.__dict__.get("_audit") for cell in heap.cells]
+    audits = [cell.__dict__.get("_audit") for cell in heap.cells]
     stale: set[int] = set()
     users: dict[int, list[int]] = {}  # cell -> the kept audits that read it
-    for i, audit in enumerate(kept):
+    for i, audit in enumerate(audits):
         if audit is None or audit[0] != i or any(heap.cell(j) is not c for j, c in audit[1]):
             stale.add(i)
         else:
@@ -506,9 +517,9 @@ def heap_wf(heap: Heap) -> HeapReport:
     for i, cell in enumerate(heap.cells):
         if i in stale:
             found, read = _audit_cell(heap, i, cell)
-            kept[i] = (i, tuple((j, heap.cell(j)) for j in sorted(read - {i})), found)
-            object.__setattr__(cell, "_audit", kept[i])
-        problems += kept[i][2]
+            audits[i] = (i, tuple((j, heap.cell(j)) for j in sorted(read - {i})), found)
+            object.__setattr__(cell, "_audit", audits[i])
+        problems += audits[i][2]
     return HeapReport(not problems, problems)
 
 

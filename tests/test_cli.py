@@ -91,6 +91,18 @@ def test_preserve_json(capsys):
     assert rows[-1]["failed"] == 0
 
 
+def test_preserve_passes_a_closure_whose_code_type_normalizes_under_a_binder(tmp_path, capsys):
+    # the closure arm compiles its normalized code type; with y defined,
+    # normalization renamed the env binder y to the argument binder's name
+    p = tmp_path / "capture.src"
+    p.write_text("(let (y Unit Star) (let (y Unit Star)"
+                 " (clo (code ((y Star) (y1 y)) y1) y (Pi (y1 y) y))))\n")
+    assert main(["preserve", str(p)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 6 and all(l.endswith(" pass") for l in out[:-1])
+    assert out[-1] == "passed=5 failed=0 fuel=0"
+
+
 @pytest.mark.parametrize(
     "path", sorted((CORPUS / "negative").glob("*.src")), ids=lambda p: p.stem
 )

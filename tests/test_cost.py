@@ -3,8 +3,9 @@
 Each test counts calls of an uncached helper (the name analysis, which
 walks one node, the sort inference behind target._sort_of, the
 normalizer's step, the machine's value test, the model's step, the
-judgement's visit of one node, or the audit of one heap cell) instead of
-timing anything, so it gives the same answer on any machine.
+judgement's visit of one node, the audit of one heap cell, a compilation
+or a machine run) instead of timing anything, so it gives the same answer
+on any machine.
 """
 
 from dataclasses import replace
@@ -12,10 +13,10 @@ from dataclasses import replace
 import pytest
 from families import FAMILIES
 
-from dtalloc import conversion, harness, model, syntax, target
+from dtalloc import alloc, conversion, harness, machine, model, syntax, target
 from dtalloc.alloc import translate
 from dtalloc.conversion import normalize
-from dtalloc.harness import check_step_preservation
+from dtalloc.harness import check_differential, check_preservation, check_step_preservation
 from dtalloc.heap import Heap
 from dtalloc.sexpr import parse
 from dtalloc.syntax import UNIT, Context, Var, free_vars, heap_free
@@ -104,6 +105,36 @@ def model_calls(monkeypatch):
         return uncounted(self, e, env)
 
     monkeypatch.setattr(model._Modeler, "model", counted)
+    return seen
+
+
+@pytest.fixture
+def translations(monkeypatch):
+    """A list that grows by the root term of every _Translator built."""
+    seen = []
+    uncached = alloc._translate
+
+    def counted(ctx, e):
+        seen.append(e)
+        return uncached(ctx, e)
+
+    monkeypatch.setattr(alloc, "_translate", counted)
+    return seen
+
+
+@pytest.fixture
+def machine_runs(monkeypatch):
+    """A list that grows by (start term, whether traced) for every run of
+    either machine from the empty heap."""
+    seen = []
+    uncounted = machine.Machine.run
+
+    def counted(self, heap, e, fuel, trace=None):
+        if heap is not None and not heap.cells:
+            seen.append((e, trace is not None))
+        return uncounted(self, heap, e, fuel, trace)
+
+    monkeypatch.setattr(machine.Machine, "run", counted)
     return seen
 
 
@@ -253,3 +284,16 @@ def test_step_preservation_audits_one_cell_per_replaced_heap(monkeypatch):
         # the heap allocates or writes one cell that no other cell holds
         # yet; auditing every cell of every heap made 164 / 648 audits
         assert len(audits) == len(heaps) - 1 == 3 * n, (n, len(audits), len(heaps))
+
+
+def test_the_checks_of_one_program_compile_and_run_it_once(translations, machine_runs):
+    e = parse(FAMILIES["closure_env"](2))
+    assert check_preservation("t", Context(), e).verdict == "pass"
+    assert check_differential("t", e).verdict == "pass"
+    assert check_step_preservation("t", e).verdict == "pass"
+    te = translate(Context(), e)
+    # each check compiled e anew, and the step check typed its first state
+    # again, before the compiled term and its judgements were kept on e
+    assert [x for x in translations if x is e] == [e]
+    # one evaluation, and the step check's own traced run
+    assert machine_runs == [(te, False), (te, True)]

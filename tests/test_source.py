@@ -258,6 +258,16 @@ def test_normalize_projection():
     assert src_normalize(Context(), e) == UNIT
 
 
+def test_normalize_renames_a_binder_away_from_the_binders_below_it():
+    # y is defined, so the code type's env binder y is renamed; renaming it
+    # to y1, its argument binder's name, made the result name the argument
+    ctx = Context().extend("y", STAR, UNIT_TY)
+    e = parse("(Code ((y Star) (y1 y)) y)")
+    n = src_normalize(ctx, e)
+    assert alpha_eq(n, e)
+    assert n.env_binder not in (n.arg_binder, "y")
+
+
 def test_check_against_supertype():
     src_check(Context(), UNIT_TY, BOX)
     with pytest.raises(TypeCheckError):
