@@ -2,12 +2,17 @@
 
 Subcommands: check, compile, run, preserve, model, gen. Exit codes:
 0 success, 1 type or property failure, 2 parse error, 3 out of fuel,
-stuck, or input nested too deeply, 4 usage error.
+stuck, or input nested too deeply, 4 usage error, 5 internal error (a
+bug in dtalloc, reported as one ``error[Internal]`` line).
+
+The argument parser is built on the first call of ``main`` and reused by
+every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -42,6 +47,7 @@ def _fuel(text: str) -> int:
     return fuel
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dtalloc",
@@ -233,6 +239,10 @@ def main(argv=None) -> int:
     except RecursionError:
         print(f"error[TooDeep] {args.cmd}: input nests too deeply", file=sys.stderr)
         return 3
+    except Exception as err:
+        message = " ".join(str(err).splitlines())
+        print(f"error[Internal] {args.cmd}: {type(err).__name__}: {message}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

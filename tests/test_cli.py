@@ -5,12 +5,14 @@ import io
 import json
 import re
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtalloc import cli
 from dtalloc.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -224,6 +226,66 @@ def test_help_exits_zero(capsys):
 def test_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.src")]) == 4
     assert "error[IO]" in capsys.readouterr().err
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_PAIR = str(CORPUS / "pair_simple.src")
+_PARSER_ARGVS = [
+    ["--help"],
+    ["check", "--help"],
+    [],
+    ["check"],
+    ["run", _PAIR, "--fuel", "-1"],
+    ["run", _PAIR, "--fuel", "abc"],
+    ["frobnicate", _PAIR],
+    ["check", str(CORPUS / "no_such_file.src")],
+    ["check", _PAIR],
+]
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    helps = {}
+    for columns in ("40", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        reused = [_outcome(argv) for argv in _PARSER_ARGVS]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            assert cli.build_parser() is not cli.build_parser()
+            fresh = [_outcome(argv) for argv in _PARSER_ARGVS]
+        assert reused == fresh, columns
+        assert [code for code, _, _ in reused] == [0, 0, 4, 4, 4, 4, 4, 4, 0]
+        helps[columns] = reused[0][1]
+    # argparse sizes its help to COLUMNS on every call, not once per parser
+    assert helps["40"] != helps["120"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["check", _PAIR], ["check"], ["--help"]], ids=["check", "no-file", "help"]
+)
+def test_main_without_argv_reads_sys_argv_on_a_reused_parser(argv, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["dtalloc", *argv])
+    reused = _outcome(None)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert reused == _outcome(None) == _outcome(argv)
+
+
+def test_a_bug_is_one_internal_error_line(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("broken\ninvariant")
+
+    monkeypatch.setitem(cli._DISPATCH, "check", broken)
+    assert main(["check", _PAIR]) == 5
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error[Internal] check: RuntimeError: broken invariant\n"
 
 
 def _nested_pairs(n):

@@ -3,17 +3,20 @@
 Each test counts calls of an uncached helper (the name analysis, which
 walks one node, the sort inference behind target._sort_of, the
 normalizer's step, the machine's value test, the model's step, the
-judgement's visit of one node, the audit of one heap cell, a compilation
-or a machine run) instead of timing anything, so it gives the same answer
-on any machine.
+judgement's visit of one node, the audit of one heap cell, a compilation,
+a machine run or the construction of an argument parser) instead of timing
+anything, so it gives the same answer on any machine.
 """
 
+import argparse
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from families import FAMILIES
 
-from dtalloc import alloc, conversion, harness, machine, model, syntax, target
+from dtalloc import alloc, cli, conversion, harness, machine, model, syntax, target
 from dtalloc.alloc import translate
 from dtalloc.conversion import normalize
 from dtalloc.harness import check_differential, check_preservation, check_step_preservation
@@ -135,6 +138,21 @@ def machine_runs(monkeypatch):
         return uncounted(self, heap, e, fuel, trace)
 
     monkeypatch.setattr(machine.Machine, "run", counted)
+    return seen
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """A list that grows by one for every argparse.ArgumentParser built,
+    subcommand parsers included."""
+    seen = []
+    uncounted = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        seen.append(self)
+        uncounted(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     return seen
 
 
@@ -297,3 +315,25 @@ def test_the_checks_of_one_program_compile_and_run_it_once(translations, machine
     assert [x for x in translations if x is e] == [e]
     # one evaluation, and the step check's own traced run
     assert machine_runs == [(te, False), (te, True)]
+
+
+def test_cli_main_builds_no_parser_after_its_first_call(parsers_built, capsys):
+    negatives = sorted((Path(__file__).resolve().parent.parent / "corpus" / "negative").iterdir())
+    argvs = [["check", str(p), "--lang", "target" if p.suffix == ".tgt" else "source"]
+             for p in negatives]
+    assert cli.main(argvs[0]) != 0
+    parsers_built.clear()
+    codes = [cli.main(argvs[i % len(argvs)]) for i in range(50)]
+    assert all(codes)
+    # building a parser per call was most of a negative file's check verdict
+    assert parsers_built == []
+
+
+def test_importing_the_cli_builds_no_parser(parsers_built):
+    spec = importlib.util.find_spec("dtalloc.cli")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert fresh is not cli and parsers_built == []
+    assert fresh.build_parser() is fresh.build_parser()
+    # dtalloc and its six subcommands
+    assert len(parsers_built) == 7
