@@ -8,13 +8,9 @@ from .errors import ErrKind, FuelExhausted, StuckError, TypeCheckError
 from .heap import Config, Heap, HeapCell, UNINIT
 from .sexpr import Lang, ParseError, parse, print_expr
 from .source import (
-    src_check,
-    src_equiv,
     src_eval,
     src_infer,
-    src_normalize,
     src_step,
-    src_subtype,
     src_trace,
     src_wf,
 )
@@ -30,16 +26,15 @@ from .syntax import (
     subst,
 )
 from .target import (
+    check,
     heap_wf,
-    tgt_check,
-    tgt_equiv,
+    infer,
     tgt_eval,
     tgt_infer,
-    tgt_normalize,
     tgt_step,
     tgt_subtype,
     tgt_trace,
-    tgt_wf,
+    wf,
 )
 
 __all__ = [
@@ -61,32 +56,27 @@ __all__ = [
     "UNIT",
     "UNIT_TY",
     "alpha_eq",
+    "check",
     "equiv",
     "free_vars",
     "heap_wf",
+    "infer",
     "normalize",
     "parse",
     "print_expr",
-    "src_check",
-    "src_equiv",
     "src_eval",
     "src_infer",
-    "src_normalize",
     "src_step",
-    "src_subtype",
     "src_trace",
     "src_wf",
     "subst",
     "subtype",
-    "tgt_check",
-    "tgt_equiv",
     "tgt_eval",
     "tgt_infer",
-    "tgt_normalize",
     "tgt_step",
     "tgt_subtype",
     "tgt_trace",
-    "tgt_wf",
     "translate",
     "translate_ctx",
+    "wf",
 ]

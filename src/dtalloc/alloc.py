@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from operator import is_
 
-from . import source
+from . import conversion, source
 from .errors import ErrKind, TypeCheckError
 from .heap import filled
 from .syntax import (
@@ -91,7 +91,7 @@ class _Translator:
             case Clo(c, env, _):
                 ys = self.gensym(), self.gensym(), self.gensym()
                 z = self.named("z")
-                code_ty = source.src_normalize(ctx, source.src_infer(ctx, c))
+                code_ty = conversion.normalize(ctx, source.src_infer(ctx, c))
                 if not isinstance(code_ty, CodeTy):
                     raise TypeCheckError(
                         ErrKind.NOT_A_FUNCTION, "closure over a term that is not code", c.pos

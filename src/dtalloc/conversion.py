@@ -15,7 +15,9 @@ The type checker asks for a normal form only where it must: a type it
 synthesizes for printing, or one whose head it has to see and does not
 show yet (see target.infer).
 
-Every entry point shares one fuel budget between the two sides; running
+Every entry point (normalize, equiv, subtype) takes the caller's
+Context and reads its definitions itself, so which variables unfold is
+decided here. Each shares one fuel budget between the two sides; running
 out raises FuelExhausted rather than returning a wrong answer.
 """
 
@@ -36,6 +38,7 @@ from .syntax import (
     Clo,
     Code,
     CodeTy,
+    Context,
     CTag,
     Expr,
     Fst,
@@ -73,8 +76,8 @@ class Fuel:
         self.left = limit
         self.limit = limit
 
-    def tick(self, n: int = 1) -> None:
-        self.left -= n
+    def tick(self) -> None:
+        self.left -= 1
         if self.left < 0:
             raise FuelExhausted(self.limit)
 
@@ -93,7 +96,7 @@ class Normalizer:
     """
 
     def __init__(self, defs: dict[Name, Expr], heap: Heap | None = None, fuel: Fuel | None = None):
-        self.defs = dict(defs)
+        self.defs = defs  # only read, so the two sides of a query share it
         self.memo: dict[Name, Expr] = {}
         self._unfolding: set[Name] = set()
         self.heap = heap if heap is not None else Heap()
@@ -254,41 +257,34 @@ class _Cmp(_Alpha):
         return False
 
 
-def normalize(
-    defs: dict[Name, Expr], e: Expr, heap: Heap | None = None, fuel: int = DEFAULT_FUEL
-) -> Expr:
-    """Normal form of e; scratch heap effects are discarded."""
-    return Normalizer(defs, heap, Fuel(fuel)).norm(e)
+def normalize(ctx: Context, e: Expr, heap: Heap | None = None, fuel: int = DEFAULT_FUEL) -> Expr:
+    """Normal form of e under the definitions of ctx; scratch heap effects
+    are discarded."""
+    return Normalizer(ctx.defs(), heap, Fuel(fuel)).norm(e)
 
 
 def equiv(
-    defs: dict[Name, Expr],
-    e1: Expr,
-    e2: Expr,
-    heap: Heap | None = None,
-    fuel: int = DEFAULT_FUEL,
+    ctx: Context, e1: Expr, e2: Expr, heap: Heap | None = None, fuel: int = DEFAULT_FUEL
 ) -> bool:
-    """Definitional equivalence of e1 and e2 under the given definitions."""
-    return alpha_eq(e1, e2) or _relate(_Cmp.eq, defs, e1, e2, heap, fuel)
+    """Definitional equivalence of e1 and e2 under the definitions of ctx."""
+    return alpha_eq(e1, e2) or _relate(_Cmp.eq, ctx, e1, e2, heap, fuel)
 
 
 def subtype(
-    defs: dict[Name, Expr],
-    small: Expr,
-    big: Expr,
-    heap: Heap | None = None,
-    fuel: int = DEFAULT_FUEL,
+    ctx: Context, small: Expr, big: Expr, heap: Heap | None = None, fuel: int = DEFAULT_FUEL
 ) -> bool:
     """Subtyping: equivalence, Star below Box, and covariant result types."""
-    return alpha_eq(small, big) or _relate(_Cmp.sub, defs, small, big, heap, fuel)
+    return alpha_eq(small, big) or _relate(_Cmp.sub, ctx, small, big, heap, fuel)
 
 
-def _relate(relation, defs: dict[Name, Expr], a: Expr, b: Expr, heap: Heap | None, fuel: int):
+def _relate(relation, ctx: Context, a: Expr, b: Expr, heap: Heap | None, fuel: int):
     """relation (_Cmp.eq or _Cmp.sub) between the normal forms of a and b.
 
-    Both sides normalize against their own scratch copy of heap and share
-    one fuel budget.
+    Both sides unfold the definitions of ctx, normalize against their own
+    scratch copy of heap and share one fuel budget. equiv and subtype
+    collect the definitions here, past their alpha-equivalence shortcut.
     """
+    defs = ctx.defs()
     box = Fuel(fuel)
     n1 = Normalizer(defs, heap, box)
     n2 = Normalizer(defs, heap, box)

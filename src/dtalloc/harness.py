@@ -27,7 +27,7 @@ from .errors import ErrKind, FuelExhausted, StuckError, TypeCheckError
 from .heap import UNINIT, Config, Heap, filled, locs_in, writable
 from .machine import contract
 from .sexpr import Lang, parse
-from .source import src_check, src_equiv, src_eval, src_infer, src_normalize, src_steps
+from .source import src_eval, src_infer, src_steps
 from .syntax import (
     _ARGS,
     _CHILD_FIELDS,
@@ -61,15 +61,12 @@ from .syntax import (
 )
 from .target import (
     _MACHINE,
+    check,
     heap_wf,
-    tgt_equiv,
     tgt_eval,
-    tgt_check,
     tgt_infer,
     tgt_infer_checking,
-    tgt_normalize,
     tgt_steps,
-    tgt_subtype,
 )
 
 DEFAULT_FUEL = conversion.DEFAULT_FUEL
@@ -169,7 +166,7 @@ class _Gen:
         return name
 
     def _sort(self, ctx: Context, ty: Expr) -> Univ:
-        return src_normalize(ctx, src_infer(ctx, ty))
+        return conversion.normalize(ctx, src_infer(ctx, ty))
 
     def gen(self, ctx: Context, depth: int) -> tuple[Expr, Expr]:
         """A term and its type, valid in ctx."""
@@ -285,7 +282,7 @@ def gen_typed(spec: GenSpec) -> tuple[Context, Expr, Expr]:
     g = _Gen(rng)
     term, ty = g.gen(ctx, spec.depth)
     inferred = src_infer(ctx, term)
-    if not src_equiv(ctx, inferred, ty):
+    if not conversion.equiv(ctx, inferred, ty):
         raise AssertionError(f"generated case claims a wrong type (seed={spec.seed})")
     return ctx, term, ty
 
@@ -312,7 +309,7 @@ def gen_lemma4(spec: GenSpec) -> tuple[Context, str, Expr, Expr, Expr]:
     e, _ = g.gen(ctx_x, spec.depth)
     e_prime, _ = g._value_of(ctx, a_ty)
     src_infer(ctx_x, e)
-    src_check(ctx, e_prime, a_ty)
+    check(Lang.SOURCE, Heap(), ctx, e_prime, a_ty)
     return ctx, x, a_ty, e, e_prime
 
 
@@ -349,7 +346,7 @@ def check_preservation(
     tctx = translate_ctx(ctx)
     got = tgt_infer(Heap(), tctx, te)
     want = translate(ctx, a)
-    if not tgt_subtype(Heap(), tctx, got, want, fuel=fuel):
+    if not conversion.subtype(tctx, got, want, fuel=fuel):
         return "compiled type is not below the compiled source type"
 
 
@@ -365,7 +362,7 @@ def check_subst_commute(
 ) -> str | None:
     lhs = translate(ctx, subst(e, e_prime, x))
     rhs = subst(translate(ctx.extend(x, a_ty), e), translate(ctx, e_prime), x)
-    if not tgt_equiv(Heap(), translate_ctx(ctx), lhs, rhs, fuel=fuel):
+    if not conversion.equiv(translate_ctx(ctx), lhs, rhs, fuel=fuel):
         return "substitution does not commute with compilation"
 
 
@@ -377,7 +374,7 @@ def check_reduction_preserved(
     equivalent to the compiled e_next under the final heap."""
     final = tgt_eval(translate(Context(), e), fuel)
     want = translate(Context(), e_next)
-    if not tgt_equiv(final.heap, Context(), final.expr, want, fuel=fuel):
+    if not conversion.equiv(Context(), final.expr, want, final.heap, fuel):
         return "compiled run disagrees with the stepped program"
 
 
@@ -520,7 +517,7 @@ def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> bool:
     node = frames[j][0]
     try:
         if type(node) is Let:
-            tgt_check(cfg.heap, Context(), path[j + 1], node.annot)
+            check(Lang.TARGET, cfg.heap, Context(), path[j + 1], node.annot)
         else:
             tgt_infer_checking(cfg.heap, Context(), path[j])
         return not any(_reads_hole_term(*frame) for frame in frames[: j + 1]) or _contracts_to(
@@ -557,7 +554,9 @@ def check_step_preservation(
             ty = prev_ty
         else:
             ty = tgt_infer(cfg.heap, Context(), cfg.expr)
-            if prev_ty is not None and not tgt_subtype(cfg.heap, Context(), ty, prev_ty, fuel=fuel):
+            if prev_ty is not None and not conversion.subtype(
+                Context(), ty, prev_ty, cfg.heap, fuel
+            ):
                 return "type grew across a machine step"
         prev_cfg, prev_ty = cfg, ty
 
@@ -568,12 +567,12 @@ def check_sort_preservation(
     """A type's universe survives compilation."""
     prop = "sort-preservation"
     try:
-        s_src = src_normalize(ctx, src_infer(ctx, ty), fuel)
+        s_src = conversion.normalize(ctx, src_infer(ctx, ty), fuel=fuel)
         if not isinstance(s_src, Univ):
             return Report(case_id, prop, "pass", "not a type; nothing to check")
         tctx = translate_ctx(ctx)
         t_ty = translate(ctx, ty)
-        s_tgt = tgt_normalize(Heap(), tctx, tgt_infer(Heap(), tctx, t_ty), fuel)
+        s_tgt = conversion.normalize(tctx, tgt_infer(Heap(), tctx, t_ty), fuel=fuel)
         ok = isinstance(s_tgt, Univ) and s_tgt.kind == s_src.kind
     except Exception as err:  # noqa: BLE001
         verdict, detail = _classify(err)

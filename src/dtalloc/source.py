@@ -11,8 +11,8 @@ abstract over either level, while pair types keep both components at the
 same level.
 
 Typing is the target's judgement (`target.infer`) run at Lang.SOURCE with
-an empty heap; this module keeps the source's entry points and its
-machine.
+an empty heap; this module keeps the source types and values of closed
+terms on their nodes, and the source machine.
 """
 
 from __future__ import annotations
@@ -38,30 +38,15 @@ from .syntax import (
     Univ,
     kept,
 )
-from .target import _FOREIGN, check, infer, wf
+from .target import _FOREIGN, infer, wf
 
 _SOURCE = Lang.SOURCE
 _NO_HEAP = Heap()
 
 
+# kept for perfbench/workloads.py, which calls it by this name
 def src_wf(e: Expr) -> None:
     wf(_SOURCE, e)
-
-
-def src_equiv(ctx: Context, a: Expr, b: Expr, fuel: int = conversion.DEFAULT_FUEL) -> bool:
-    return conversion.equiv(ctx.defs(), a, b, fuel=fuel)
-
-
-def src_subtype(ctx: Context, small: Expr, big: Expr, fuel: int = conversion.DEFAULT_FUEL) -> bool:
-    return conversion.subtype(ctx.defs(), small, big, fuel=fuel)
-
-
-def src_normalize(ctx: Context, e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> Expr:
-    return conversion.normalize(ctx.defs(), e, fuel=fuel)
-
-
-def src_check(ctx: Context, e: Expr, ty: Expr) -> None:
-    check(_SOURCE, _NO_HEAP, ctx, e, ty)
 
 
 def src_infer(ctx: Context, e: Expr) -> Expr:

@@ -113,31 +113,16 @@ def wf(lang: Lang, e: Expr) -> None:
         _reject_foreign(lang, cur)
 
 
-def tgt_wf(e: Expr) -> None:
-    wf(_TARGET, e)
-
-
-def tgt_equiv(
-    heap: Heap, ctx: Context, a: Expr, b: Expr, fuel: int = conversion.DEFAULT_FUEL
-) -> bool:
-    return conversion.equiv(ctx.defs(), a, b, heap=heap, fuel=fuel)
-
-
+# kept for perfbench/workloads.py, which calls it by this name
 def tgt_subtype(
     heap: Heap, ctx: Context, small: Expr, big: Expr, fuel: int = conversion.DEFAULT_FUEL
 ) -> bool:
-    return conversion.subtype(ctx.defs(), small, big, heap=heap, fuel=fuel)
-
-
-def tgt_normalize(
-    heap: Heap, ctx: Context, e: Expr, fuel: int = conversion.DEFAULT_FUEL
-) -> Expr:
-    return conversion.normalize(ctx.defs(), e, heap=heap, fuel=fuel)
+    return conversion.subtype(ctx, small, big, heap, fuel)
 
 
 def _norm_ty(heap: Heap, ctx: Context, ty: Expr, pos) -> Expr:
     try:
-        return tgt_normalize(heap, ctx, ty)
+        return conversion.normalize(ctx, ty, heap)
     except FuelExhausted:
         raise TypeCheckError(ErrKind.EQUIV_FAIL, "type normalization ran out of fuel", pos)
 
@@ -154,7 +139,7 @@ def _head(heap: Heap, ctx: Context, ty: Expr, pos) -> Expr:
 
 def _ensure_subtype(heap: Heap, ctx: Context, inferred: Expr, expected: Expr, pos, what: str):
     try:
-        ok = tgt_subtype(heap, ctx, inferred, expected)
+        ok = conversion.subtype(ctx, inferred, expected, heap)
     except FuelExhausted:
         raise TypeCheckError(ErrKind.EQUIV_FAIL, f"conversion ran out of fuel for {what}", pos)
     if not ok:
@@ -163,7 +148,7 @@ def _ensure_subtype(heap: Heap, ctx: Context, inferred: Expr, expected: Expr, po
 
 def _ensure_equiv(heap: Heap, ctx: Context, got: Expr, want: Expr, pos, what: str) -> None:
     try:
-        ok = tgt_equiv(heap, ctx, got, want)
+        ok = conversion.equiv(ctx, got, want, heap)
     except FuelExhausted:
         raise TypeCheckError(ErrKind.EQUIV_FAIL, f"conversion ran out of fuel for {what}", pos)
     if not ok:
@@ -214,10 +199,6 @@ def _pair_sort(s1: Universe, s2: Universe) -> Universe:
 def check(lang: Lang, heap: Heap, ctx: Context, e: Expr, ty: Expr) -> None:
     """Check e against ty: synthesis in checking mode, then subtyping."""
     _ensure_subtype(heap, ctx, _synth(lang, heap, ctx, e, _head), ty, e.pos, "term")
-
-
-def tgt_check(heap: Heap, ctx: Context, e: Expr, ty: Expr) -> None:
-    check(_TARGET, heap, ctx, e, ty)
 
 
 def tgt_infer(heap: Heap, ctx: Context, e: Expr) -> Expr:
@@ -391,7 +372,7 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
             if not isinstance(code_ty, CodeTy) or ty.binder in free_vars(ty.cod):
                 raise unpaired
             try:
-                env_ok = tgt_equiv(heap, ctx, ty.cod, code_ty.env_ty)
+                env_ok = conversion.equiv(ctx, ty.cod, code_ty.env_ty, heap)
             except FuelExhausted:
                 raise TypeCheckError(
                     ErrKind.EQUIV_FAIL, "conversion ran out of fuel for ctag", e.pos
@@ -437,44 +418,35 @@ _MACHINE = Machine(
      Expr: "{e.__class__.__name__} cannot step in the target machine"})
 
 
-def _as_config(start: Config | Expr) -> Config:
-    return start if isinstance(start, Config) else Config(Heap(), start)
-
-
 def tgt_step(config: Config) -> tuple[Config, str] | None:
     """One machine step, or None when the expression is a value."""
     r = _MACHINE.step(config.heap, config.expr)
     return None if r is None else (Config(*r[:2]), r[2])
 
 
-def tgt_eval(start: Config | Expr, fuel: int = conversion.DEFAULT_FUEL) -> Config:
-    """The final state of a run; one from the empty heap is kept on its
-    term, per fuel."""
-    config = _as_config(start)
-    if config.heap.cells:
-        return _run(config, fuel)
-    return kept(config.expr, f"_tgt_eval{fuel}", _run, config, fuel)
+def tgt_eval(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> Config:
+    """The final state of a run of e from the empty heap, kept on e per
+    fuel."""
+    return kept(e, f"_tgt_eval{fuel}", _run, e, fuel)
 
 
-def _run(config: Config, fuel: int) -> Config:
-    return Config(*_MACHINE.run(config.heap, config.expr, fuel))
+def _run(e: Expr, fuel: int) -> Config:
+    return Config(*_MACHINE.run(Heap(), e, fuel))
 
 
-def tgt_steps(
-    start: Config | Expr, fuel: int = conversion.DEFAULT_FUEL
-) -> list[tuple[Config, str]]:
-    """The full machine run as (configuration, rule) pairs, starting from
-    (start, "init")."""
-    config = _as_config(start)
+def tgt_steps(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> list[tuple[Config, str]]:
+    """The full machine run of e from the empty heap as (configuration,
+    rule) pairs, starting from (e, "init")."""
+    start = Config(Heap(), e)
     trace: list = []
-    _MACHINE.run(config.heap, config.expr, fuel, trace)
-    return [(config, "init")] + [(Config(heap, e), rule) for heap, e, rule in trace]
+    _MACHINE.run(start.heap, e, fuel, trace)
+    return [(start, "init")] + [(Config(heap, t), rule) for heap, t, rule in trace]
 
 
-def tgt_trace(start: Config | Expr, fuel: int = conversion.DEFAULT_FUEL) -> list[str]:
+def tgt_trace(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> list[str]:
     return [
         f"STEP {k} | {rule} | {print_expr(c.expr, _TARGET)} | {c.heap.summary()}"
-        for k, (c, rule) in enumerate(tgt_steps(start, fuel))
+        for k, (c, rule) in enumerate(tgt_steps(e, fuel))
     ]
 
 
@@ -554,7 +526,7 @@ def _audit_cell(heap: Heap, i: int, cell: HeapCell) -> tuple[list[str], frozense
         if v is None:
             continue
         try:
-            tgt_check(heap, Context(), v, slot_type(cell.cell_type, k, Loc(i)))
+            check(_TARGET, heap, Context(), v, slot_type(cell.cell_type, k, Loc(i)))
         except (TypeCheckError, FuelExhausted) as err:
             problems.append(f"{where}: slot {k} does not type at its slot type ({err})")
     return problems, read

@@ -44,7 +44,7 @@ from dtalloc.model import emit_model
 from dtalloc.sexpr import Lang, ParseError, parse, print_expr
 from dtalloc.source import src_infer
 from dtalloc.syntax import Context, Sigma, UNIT_TY
-from dtalloc.target import tgt_infer, tgt_trace, tgt_wf
+from dtalloc.target import tgt_infer, tgt_trace, wf
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE.parent / "corpus"
@@ -149,7 +149,7 @@ def test_f_negative_suite_exact_kinds():
         try:
             if path.suffix == ".tgt":
                 e = parse(text, Lang.TARGET)
-                tgt_wf(e)
+                wf(Lang.TARGET, e)
                 tgt_infer(Heap(), Context(), e)
             else:
                 src_infer(Context(), parse(text, Lang.SOURCE))
@@ -188,7 +188,7 @@ def test_h_determinism_under_fixed_seeds():
     def corpus_traces():
         out = []
         for _, e in load_corpus(CORPUS):
-            out.extend(tgt_trace(Config(Heap(), translate(Context(), e))))
+            out.extend(tgt_trace(translate(Context(), e)))
         return out
 
     ok = (

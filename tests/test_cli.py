@@ -417,6 +417,45 @@ def test_flag_protocol_errors_name_their_slot(name, cmd, code, err, capsys):
     assert (out.out, out.err) == ("", err + "\n")
 
 
+# Closed target programs that write a tuple through a binder whose type
+# still shows the slot empty. A write changes the type of its new binder
+# only, so check accepts each of them, and run gets stuck on the write.
+ALIASED_WRITES = {
+    # a second assign1 through the malloc's binder
+    "double_assign1": """
+(let (y (malloc (a Unit) Unit) (Sigma (a Unit 0) (Unit 0)))
+  (let (y1 (assign1 y unit) (Sigma (a Unit 1) (Unit 0)))
+    (let (y2 (assign1 y unit) (Sigma (a Unit 1) (Unit 0))) y2)))
+""",
+    # the location copied by a let, and written through both binders
+    "copied_location": """
+(let (y (malloc (a Unit) Unit) (Sigma (a Unit 0) (Unit 0)))
+  (let (z y (Sigma (a Unit 0) (Unit 0)))
+    (let (y1 (assign1 y unit) (Sigma (a Unit 1) (Unit 0)))
+      (let (z1 (assign1 z unit) (Sigma (a Unit 1) (Unit 0))) z1))))
+""",
+    # a second assign2 through y1 once y2 is full
+    "second_assign2": """
+(let (y (malloc (a Unit) Unit) (Sigma (a Unit 0) (Unit 0)))
+  (let (y1 (assign1 y unit) (Sigma (a Unit 1) (Unit 0)))
+    (let (y2 (assign2 y1 unit) (Sigma (a Unit 1) (Unit 1)))
+      (let (y3 (assign2 y1 unit) (Sigma (a Unit 1) (Unit 1))) y3))))
+""",
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@pytest.mark.parametrize("name", list(ALIASED_WRITES))
+def test_a_target_program_check_accepts_does_not_get_stuck(name, tmp_path, capsys):
+    p = tmp_path / f"{name}.tgt"
+    p.write_text(ALIASED_WRITES[name])
+    accepted = main(["check", "--lang", "target", str(p)]) == 0
+    capsys.readouterr()
+    main(["run", "--lang", "target", str(p)])
+    stuck = capsys.readouterr().err.startswith("error[Stuck]")
+    assert not (accepted and stuck)
+
+
 def test_corpus_outputs_match_golden():
     # stdout, stderr and exit code of every subcommand the script runs on
     # every corpus and negative file, byte for byte

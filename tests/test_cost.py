@@ -217,10 +217,14 @@ def test_step_preservation_normalizes_independently_of_depth(norm_calls):
 
 
 def test_normalizing_an_atom_walks_no_definition(walks):
-    defs = {f"p{i}": _compiled_nested_pairs(8) for i in range(20)}
+    pairs = _compiled_nested_pairs(8)
+    ty = tgt_infer(Heap(), Context(), pairs)
+    ctx = Context()
+    for i in range(20):
+        ctx = ctx.extend(f"p{i}", ty, pairs)
     walks.clear()
-    assert normalize(defs, UNIT) == UNIT
-    assert normalize(defs, Var("free")) == Var("free")
+    assert normalize(ctx, UNIT) == UNIT
+    assert normalize(ctx, Var("free")) == Var("free")
     assert walks == []
 
 

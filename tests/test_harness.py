@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dtalloc import harness, machine
 from dtalloc.alloc import translate
+from dtalloc.conversion import equiv
 from dtalloc.harness import (
     DEFAULT_FUEL,
     GenSpec,
@@ -30,7 +31,7 @@ from dtalloc.harness import (
 from dtalloc.errors import FuelExhausted, StuckError
 from dtalloc.heap import Config, Heap, HeapCell, UNINIT
 from dtalloc.sexpr import Lang, parse
-from dtalloc.source import src_equiv, src_eval, src_infer, src_step
+from dtalloc.source import src_eval, src_infer, src_step
 from dtalloc.syntax import (
     App, Assign1, Assign2, CTag, Code, CodeTy, Context, Fst, Let, Loc, Pi, STAR, Sigma, UNIT,
     UNIT_TY, Var, subst,
@@ -43,7 +44,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 def test_generated_cases_really_type():
     for cid, ctx, e, claimed in gen_cases(count=30, depth=4, seed=5):
         inferred = src_infer(ctx, e)
-        assert src_equiv(ctx, inferred, claimed), cid
+        assert equiv(ctx, inferred, claimed), cid
 
 
 def test_generation_is_deterministic():

@@ -19,7 +19,7 @@ from dtalloc.harness import (
     check_subst_commute,
     source_step_pairs,
 )
-from dtalloc.heap import Config, Heap
+from dtalloc.heap import Heap
 from dtalloc.sexpr import Lang, ParseError, parse, print_expr
 from dtalloc.source import src_eval, src_infer
 from dtalloc.syntax import UNIT, UNIT_TY, Context
@@ -143,15 +143,6 @@ def test_a_run_is_kept_per_fuel(run):
     starved = parse(_TWO_STEPS)
     assert _raised(lambda: run(starved, fuel=1)) == short
     assert run(starved) == value
-
-
-def test_a_run_from_a_filled_heap_is_not_kept():
-    te = translate(Context(), parse(_TWO_STEPS))
-    filled = tgt_eval(te).heap
-    assert len(filled.cells) == 1
-    grown = tgt_eval(Config(filled, te))
-    assert len(grown.heap.cells) == 2
-    assert tgt_eval(Config(filled, te)) is not grown
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.src")), ids=lambda p: p.name)

@@ -14,16 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtalloc.alloc import translate
+from dtalloc.conversion import equiv
 from dtalloc.errors import FuelExhausted, StuckError
 from dtalloc.harness import GenSpec, gen_typed
-from dtalloc.heap import UNINIT, Config, Heap, HeapCell
+from dtalloc.heap import Config, Heap
 from dtalloc.sexpr import Lang, parse
-from dtalloc.source import src_equiv, src_eval, src_step, src_steps
+from dtalloc.source import src_eval, src_step, src_steps
 from dtalloc.syntax import (
     UNIT,
     UNIT_TY,
     App,
     Assign1,
+    Assign2,
     Clo,
     Code,
     Context,
@@ -33,17 +35,24 @@ from dtalloc.syntax import (
     Loc,
     Malloc,
     Pair,
-    Sigma,
     Snd,
     Var,
 )
-from dtalloc.target import tgt_equiv, tgt_eval, tgt_step, tgt_steps
+from dtalloc.target import tgt_eval, tgt_step, tgt_steps
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 NEGATIVE = CORPUS / "negative"
 
-SOURCE = (src_step, src_steps, src_eval)
-TARGET = (tgt_step, tgt_steps, tgt_eval)
+def _empty_heap_term(config):
+    """The term of a target start state; runs start from the empty heap."""
+    assert config.heap == Heap(), config
+    return config.expr
+
+
+# (one step from a state, full run, final state, the term a run takes
+# for a start state)
+SOURCE = (src_step, src_steps, src_eval, lambda e: e)
+TARGET = (tgt_step, tgt_steps, tgt_eval, _empty_heap_term)
 
 
 def _iterate(step, start):
@@ -62,22 +71,23 @@ def _iterate(step, start):
 
 
 def _assert_agrees(machine, start):
-    step, steps, run = machine
+    step, steps, run, term_of = machine
     ref, stuck = _iterate(step, start)
+    e = term_of(start)
     if stuck is None:
         # states compare by final expression and, in the target, heap cells
-        assert steps(start) == ref
-        assert run(start) == ref[-1][0]
+        assert steps(e) == ref
+        assert run(e) == ref[-1][0]
     else:
         for f in (steps, run):
             with pytest.raises(StuckError) as err:
-                f(start)
+                f(e)
             assert str(err.value) == stuck
     n = len(ref) - 1
     if n >= 1:
         for f in (steps, run):
             with pytest.raises(FuelExhausted) as err:
-                f(start, n - 1)
+                f(e, n - 1)
             assert err.value.limit == n - 1
     return ref, stuck
 
@@ -106,24 +116,25 @@ def test_target_negatives_run_as_stepping_from_the_root(path):
     _assert_agrees(TARGET, Config(Heap(), parse(path.read_text(), Lang.TARGET)))
 
 
-HALF_FILLED = Heap((HeapCell(Sigma("x", UNIT_TY, 1, UNIT_TY, 0), UNIT, UNINIT),))
-# a full tuple whose first slot is not code
-FILLED = Heap((HeapCell(Sigma("x", UNIT_TY, 1, UNIT_TY, 1), UNIT, UNIT),))
+# a tuple with its first slot written, and a full one whose first slot is
+# not code
+HALF_FILLED = Assign1(Malloc("x", UNIT_TY, UNIT_TY), UNIT)
+FILLED = Assign2(HALF_FILLED, UNIT)
 
 
 @pytest.mark.parametrize(
     "config, message",
     [
-        (Config(HALF_FILLED, Snd(Loc(0))), "second slot is uninitialized"),
-        (Config(HALF_FILLED, Let("p", Loc(0), UNIT_TY, Snd(Var("p")))),
+        (Config(Heap(), Snd(HALF_FILLED)), "second slot is uninitialized"),
+        (Config(Heap(), Let("p", HALF_FILLED, UNIT_TY, Snd(Var("p")))),
          "second slot is uninitialized"),
         (Config(Heap(), Fst(Loc(3))), "projection through a dangling location"),
         (Config(Heap(), App(UNIT, UNIT)), "cannot apply UnitTm"),
         (Config(Heap(), App(CTag(Loc(3)), UNIT)), "application through a dangling location"),
         (Config(Heap(), Assign1(Loc(3), UNIT)), "assignment through a dangling location"),
-        (Config(HALF_FILLED, App(CTag(Loc(0)), UNIT)),
+        (Config(Heap(), App(CTag(HALF_FILLED), UNIT)),
          "application through a partly initialized tuple"),
-        (Config(FILLED, App(CTag(Loc(0)), UNIT)), "tagged tuple does not hold code"),
+        (Config(Heap(), App(CTag(FILLED), UNIT)), "tagged tuple does not hold code"),
         (Config(Heap(), Assign1(UNIT, UNIT)), "assignment to a non-tuple value"),
         (Config(Heap(), CTag(UNIT)), "ctag of a non-tuple value"),
         (Config(Heap(), Snd(UNIT)), "second projection of a non-tuple value"),
@@ -157,10 +168,10 @@ def _assert_steps_convert(e):
     assignment converts by the replay rule."""
     states = [s for s, _ in src_steps(e)]
     for s, s2 in zip(states, states[1:]):
-        assert src_equiv(Context(), s, s2), (s, s2)
-    configs = [c for c, _ in tgt_steps(_compiled(e))]
+        assert equiv(Context(), s, s2), (s, s2)
+    configs = [c for c, _ in tgt_steps(translate(Context(), e))]
     for c, c2 in zip(configs, configs[1:]):
-        assert tgt_equiv(c2.heap, Context(), c.expr, c2.expr), (c, c2)
+        assert equiv(Context(), c.expr, c2.expr, c2.heap), (c, c2)
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.src")), ids=lambda p: p.stem)

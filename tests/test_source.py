@@ -2,17 +2,15 @@
 
 import pytest
 
+from dtalloc.conversion import equiv, normalize, subtype
 from dtalloc.errors import ErrKind, FuelExhausted, StuckError, TypeCheckError
-from dtalloc.sexpr import parse
+from dtalloc.heap import Heap
+from dtalloc.sexpr import Lang, parse
 from dtalloc.source import (
-    src_check,
-    src_equiv,
     src_eval,
     src_infer,
-    src_normalize,
     src_step,
     src_steps,
-    src_subtype,
     src_trace,
     src_wf,
 )
@@ -37,6 +35,7 @@ from dtalloc.syntax import (
     Var,
     alpha_eq,
 )
+from dtalloc.target import check
 
 
 def infer(text, ctx=None):
@@ -235,27 +234,27 @@ def test_source_rejects_partial_sigma():
 def test_equiv_beta():
     ctx = Context()
     redex = parse("(app (clo (code ((n Unit) (x Unit)) x) unit (Pi (x Unit) Unit)) unit)")
-    assert src_equiv(ctx, redex, UNIT)
+    assert equiv(ctx, redex, UNIT)
 
 
 def test_equiv_delta():
     ctx = Context().extend("T", STAR, defn=UNIT_TY)
-    assert src_equiv(ctx, Var("T"), UNIT_TY)
-    assert src_subtype(ctx, Var("T"), UNIT_TY)
+    assert equiv(ctx, Var("T"), UNIT_TY)
+    assert subtype(ctx, Var("T"), UNIT_TY)
 
 
 def test_subtype_universe_inclusion():
     ctx = Context()
-    assert src_subtype(ctx, STAR, BOX)
-    assert not src_subtype(ctx, BOX, STAR)
+    assert subtype(ctx, STAR, BOX)
+    assert not subtype(ctx, BOX, STAR)
     # covariant codomain, invariant domain
-    assert src_subtype(ctx, Pi("x", UNIT_TY, STAR), Pi("x", UNIT_TY, BOX))
-    assert not src_subtype(ctx, Pi("x", STAR, STAR), Pi("x", BOX, BOX))
+    assert subtype(ctx, Pi("x", UNIT_TY, STAR), Pi("x", UNIT_TY, BOX))
+    assert not subtype(ctx, Pi("x", STAR, STAR), Pi("x", BOX, BOX))
 
 
 def test_normalize_projection():
     e = parse("(fst (pair unit Unit (Sigma (x Unit) Star)))")
-    assert src_normalize(Context(), e) == UNIT
+    assert normalize(Context(), e) == UNIT
 
 
 def test_normalize_renames_a_binder_away_from_the_binders_below_it():
@@ -263,15 +262,15 @@ def test_normalize_renames_a_binder_away_from_the_binders_below_it():
     # to y1, its argument binder's name, made the result name the argument
     ctx = Context().extend("y", STAR, UNIT_TY)
     e = parse("(Code ((y Star) (y1 y)) y)")
-    n = src_normalize(ctx, e)
+    n = normalize(ctx, e)
     assert alpha_eq(n, e)
     assert n.env_binder not in (n.arg_binder, "y")
 
 
 def test_check_against_supertype():
-    src_check(Context(), UNIT_TY, BOX)
+    check(Lang.SOURCE, Heap(), Context(), UNIT_TY, BOX)
     with pytest.raises(TypeCheckError):
-        src_check(Context(), UNIT, STAR)
+        check(Lang.SOURCE, Heap(), Context(), UNIT, STAR)
 
 
 # ---------------------------------------------------------------------------

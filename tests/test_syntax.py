@@ -445,7 +445,7 @@ def test_conversion_compares_heap_free_normal_forms_as_alpha_eq_does(seed1, seed
     for seed in (seed1, seed2):
         _, e, ty = gen_typed(GenSpec(depth=3, seed=seed, closed=True))
         for t in (e, ty, parse(print_expr(e))):
-            forms.append(normalize({}, t))
+            forms.append(normalize(Context(), t))
     for a in forms:
         for b in forms:
             assert heap_free(a) and heap_free(b)

@@ -23,16 +23,13 @@ from dtalloc.target import (
     check,
     heap_wf,
     infer as synthesize,
-    heap_wf,
-    tgt_equiv,
     tgt_eval,
     tgt_infer,
-    tgt_normalize,
     tgt_step,
     tgt_steps,
     tgt_subtype,
     tgt_trace,
-    tgt_wf,
+    wf,
 )
 from dtalloc.syntax import (
     _CHILD_FIELDS,
@@ -154,7 +151,7 @@ def test_pair_and_clo_literals_rejected():
     for term, message in NOT_TARGET:
         found = set()
         for e in (term, Let("y", UNIT, UNIT_TY, term, pos=(1, 1))):
-            for judge in (tgt_wf, lambda t: tgt_infer(Heap(), Context(), t)):
+            for judge in (lambda t: wf(Lang.TARGET, t), lambda t: tgt_infer(Heap(), Context(), t)):
                 with pytest.raises(TypeCheckError) as exc:
                     judge(e)
                 found.add((exc.value.kind, exc.value.message, exc.value.pos))
@@ -174,7 +171,7 @@ def test_loc_typing_from_heap():
 # Machine
 
 def test_machine_rule_sequence():
-    states = tgt_steps(Config(Heap(), tparse(CHAIN)))
+    states = tgt_steps(tparse(CHAIN))
     rules = [r for _, r in states]
     assert rules == ["init", "malloc", "let", "assign1", "let", "assign2", "let"]
     final = states[-1][0]
@@ -183,7 +180,7 @@ def test_machine_rule_sequence():
 
 
 def test_machine_flags_are_monotone():
-    states = tgt_steps(Config(Heap(), tparse(CHAIN)))
+    states = tgt_steps(tparse(CHAIN))
     seen = []
     for cfg, _ in states:
         c = cfg.heap.cell(0)
@@ -209,7 +206,7 @@ def test_app_ctag_step():
     """
     final = tgt_eval(tparse(prog))
     assert final.expr == UNIT
-    rules = [r for _, r in tgt_steps(Config(Heap(), tparse(prog)))]
+    rules = [r for _, r in tgt_steps(tparse(prog))]
     assert rules[-1] == "app-ctag"
 
 
@@ -230,7 +227,7 @@ def test_machine_fuel():
 
 
 def test_trace_carries_heap_summaries():
-    lines = tgt_trace(Config(Heap(), tparse(CHAIN)))
+    lines = tgt_trace(tparse(CHAIN))
     assert lines[0].endswith("| empty")
     assert lines[1].endswith("| loc=0 flags=(0,0)")
     assert lines[-1].endswith("| loc=0 flags=(1,1)")
@@ -331,19 +328,19 @@ def test_equiv_chases_locations():
     heap, l1 = Heap().alloc(cell)
     heap, l2 = heap.alloc(cell)
     assert l1 != l2
-    assert tgt_equiv(heap, Context(), Loc(l1), Loc(l2))
+    assert equiv(Context(), Loc(l1), Loc(l2), heap)
 
 
 def test_equiv_distinguishes_cell_contents():
     s = Sigma("x", UNIT_TY, 1, UNIT_TY, 0)
     heap = Heap((HeapCell(s, UNIT, UNINIT), HeapCell(Sigma("x", STAR, 1, UNIT_TY, 0), UNIT_TY, UNINIT)))
-    assert not tgt_equiv(heap, Context(), Loc(0), Loc(1))
+    assert not equiv(Context(), Loc(0), Loc(1), heap)
 
 
 def test_normalize_runs_allocation_on_scratch():
     # normalizing a chain must not touch the real heap
     heap = Heap()
-    n = tgt_normalize(heap, Context(), tparse(f"(snd {CHAIN.strip()})"))
+    n = normalize(Context(), tparse(f"(snd {CHAIN.strip()})"), heap)
     assert n == UNIT
     assert heap.cells == ()
 
@@ -358,9 +355,9 @@ def test_replayed_assignment_converts_to_location():
     final = tgt_eval(tparse(CHAIN))
     loc = final.expr
     replay = Assign2(loc, UNIT)
-    assert tgt_equiv(final.heap, Context(), replay, loc)
+    assert equiv(Context(), replay, loc, final.heap)
     other = Assign2(loc, UNIT_TY)
-    assert not tgt_equiv(final.heap, Context(), other, loc)
+    assert not equiv(Context(), other, loc, final.heap)
 
 
 def test_cell_comparison_renames_the_pair_binder_away_from_definitions():
@@ -370,8 +367,8 @@ def test_cell_comparison_renames_the_pair_binder_away_from_definitions():
         HeapCell(tparse("(Sigma (x Star 0) (x 0))"), UNINIT, UNINIT),
         HeapCell(tparse("(Sigma (x Star 0) (Unit 0))"), UNINIT, UNINIT),
     ))
-    assert not equiv({}, Loc(0), Loc(1), heap)
-    assert not equiv({"x": UNIT_TY}, Loc(0), Loc(1), heap)
+    assert not equiv(Context(), Loc(0), Loc(1), heap)
+    assert not equiv(Context().extend("x", STAR, UNIT_TY), Loc(0), Loc(1), heap)
 
 
 def test_normalize_equiv_and_subtype_leave_the_callers_heap_alone():
@@ -383,12 +380,13 @@ def test_normalize_equiv_and_subtype_leave_the_callers_heap_alone():
     ctx = Context().extend("y", Sigma("x", UNIT_TY, 0, UNIT_TY, 0), Loc(0))
     # the assignments go through on the scratch heap, so the second
     # projection of the filled cell normalizes to unit
-    assert tgt_normalize(heap, ctx, Snd(fill)) == UNIT
-    assert tgt_equiv(heap, ctx, Snd(fill), UNIT)
+    assert normalize(ctx, Snd(fill), heap) == UNIT
+    assert equiv(ctx, Snd(fill), UNIT, heap)
+    assert subtype(ctx, Snd(fill), UNIT, heap)
     assert tgt_subtype(heap, ctx, Snd(fill), UNIT)
-    assert normalize(ctx.defs(), tparse(CHAIN), heap=heap) == Loc(1)
-    assert equiv({}, tparse(CHAIN), tparse(CHAIN), heap=heap)
-    assert subtype({}, Fst(tparse(CHAIN)), UNIT, heap=heap)
+    assert normalize(ctx, tparse(CHAIN), heap=heap) == Loc(1)
+    assert equiv(Context(), tparse(CHAIN), tparse(CHAIN), heap=heap)
+    assert subtype(Context(), Fst(tparse(CHAIN)), UNIT, heap=heap)
     assert heap.cells is before
     assert heap.cells == (HeapCell(Sigma("x", UNIT_TY, 0, UNIT_TY, 0), UNINIT, UNINIT),)
 
@@ -419,7 +417,7 @@ def _accepts(heap, e):
         stepped = True
     except StuckError:
         stepped = False
-    return typed, stepped, not alpha_eq(tgt_normalize(heap, Context(), e), e)
+    return typed, stepped, not alpha_eq(normalize(Context(), e, heap), e)
 
 
 @pytest.mark.parametrize("flags", REACHABLE)
