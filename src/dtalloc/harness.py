@@ -31,7 +31,6 @@ from .source import src_eval, src_infer, src_steps
 from .syntax import (
     _ARGS,
     _CHILD_FIELDS,
-    _HEAP_NODES,
     _INDEX,
     STAR,
     UNIT,
@@ -57,6 +56,9 @@ from .syntax import (
     Univ,
     Var,
     alpha_eq,
+    free_vars,
+    heap_free,
+    kept,
     subst,
 )
 from .target import (
@@ -434,18 +436,23 @@ def _plugged_path(frames: list, e: Expr) -> list[Expr] | None:
     return path
 
 
-def _mentions_heap_or(ty: Expr, node: Expr) -> bool:
-    """Whether ty holds a location, an allocation or an assignment, or the
-    very object node; shared subterms are visited once."""
+def _object_ids(ty: Expr) -> set[int]:
+    """The ids of ty and of every object below it; shared subterms are
+    visited once. ty holds them all, so no id is reused while ty lives."""
     seen, todo = set(), [ty]
     while todo:
         cur = todo.pop()
-        if cur is node or type(cur) in _HEAP_NODES:
-            return True
         if id(cur) not in seen:
             seen.add(id(cur))
             todo.extend(getattr(cur, f) for f in _CHILD_FIELDS[type(cur)])
-    return False
+    return seen
+
+
+def _mentions_heap_or(ty: Expr, node: Expr) -> bool:
+    """Whether ty holds a location, an allocation or an assignment, or the
+    very object node; ty's objects are collected once per type object,
+    which consecutive kept steps share."""
+    return not heap_free(ty) or id(node) in kept(ty, "_object_ids", _object_ids, ty)
 
 
 # the frame holes that their frame checks against a type read from its
@@ -468,6 +475,24 @@ def _contracts_to(heap: Heap, redex: Expr, heap2: Heap, c: Expr) -> bool:
     except StuckError:
         return False
     return r is not None and r[1] == c and r[0].cells == heap2.cells
+
+
+def _exposes_let(redex: Expr, c: Expr) -> bool:
+    """Whether redex is let x = v : A in (let x' = e : A' in b), with x free
+    in neither A' nor b, and c is the let rule's contractum of it: let x' =
+    e[v/x] : A' in b, with A' and b the very objects of the redex. Only the
+    exposed bound is substituted again to compare."""
+    if type(redex) is not Let or type(redex.body) is not Let or type(c) is not Let:
+        return False
+    x, inner = redex.binder, redex.body
+    return (
+        c.binder == inner.binder
+        and c.annot is inner.annot
+        and c.body is inner.body
+        and x not in free_vars(inner.annot)
+        and (x == inner.binder or x not in free_vars(inner.body))
+        and c.bound == subst(inner.bound, redex.bound, x)
+    )
 
 
 def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> bool:
@@ -493,16 +518,37 @@ def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> bool:
         real heap grows.
     Then, and when no frame checks its hole (typing the whole state costs
     no more there), or on any failure, the answer is False, and the caller
-    types the whole state."""
+    types the whole state.
+
+    A let step whose contractum is a let, the rest of a malloc chain, is
+    checked at that exposed let alone, at the top of the term too, when
+    the step writes no cell and _exposes_let holds. Typing the state before
+    the step checked e against A' with x defined as v, and typed b with x'
+    defined as e; typing the state after it checks e[v/x] against A' and
+    types b, the same object, with x' defined as e[v/x]. So the exposed
+    let's definition changes only by the contraction that conversion makes
+    (x unfolded), b types as it did, and the contractum's type converts to
+    the redex's, as the frames' holes do; what is left to judge is the
+    check of e[v/x] against A' under the heap, which typing the whole state
+    makes in the same empty context and fails in the same way."""
     frames: list = []
     redex, found = _MACHINE._refocus(prev.expr, frames)
     j = len(frames) - 1
     while j >= 0 and (type(frames[j][0]), frames[j][1]) not in _CHECKED_HOLES:
         j -= 1
-    if not found or j < 0 or _mentions_heap_or(prev_ty, redex):
+    if not found or (j < 0 and type(redex) is not Let) or _mentions_heap_or(prev_ty, redex):
         return False
     path = _plugged_path(frames, cfg.expr)
     if path is None:
+        return False
+    exposed = path[-1]
+    try:
+        if cfg.heap is prev.heap and _exposes_let(redex, exposed):
+            check(Lang.TARGET, cfg.heap, Context(), exposed.bound, exposed.annot)
+            return True
+    except (TypeCheckError, FuelExhausted, RecursionError):
+        return False
+    if j < 0:
         return False
     # a cell the step allocated is named nowhere else: a location types
     # only once its cell exists, and heaps do not shrink

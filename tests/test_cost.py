@@ -284,6 +284,17 @@ def test_local_step_check_visits_fewer_nodes_than_typing_whole_states(synth_visi
     assert counts[True] <= most * counts[False], counts
 
 
+def test_step_preservation_of_a_let_chain_visits_near_linearly(synth_visits):
+    counts = {}
+    for n in (16, 32):
+        synth_visits.clear()
+        assert check_step_preservation("t", parse(FAMILIES["let_chain"](n))).verdict == "pass"
+        counts[n] = len(synth_visits)
+    # 931 / 1,827 visits; 2,795 / 9,131 when each let step typed the rest
+    # of the chain again, as the whole state at the top of the term
+    assert counts[32] <= 2.2 * counts[16], counts
+
+
 def test_step_preservation_audits_one_cell_per_replaced_heap(monkeypatch):
     audits, heaps = [], []
     audit, audit_heap = target._audit_cell, harness.heap_wf

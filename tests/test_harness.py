@@ -34,7 +34,7 @@ from dtalloc.sexpr import Lang, parse
 from dtalloc.source import src_eval, src_infer, src_step
 from dtalloc.syntax import (
     App, Assign1, Assign2, CTag, Code, CodeTy, Context, Fst, Let, Loc, Pi, STAR, Sigma, UNIT,
-    UNIT_TY, Var, subst,
+    UNIT_TY, Univ, Universe, Var, subst,
 )
 from dtalloc.target import _MACHINE, tgt_eval
 
@@ -412,6 +412,83 @@ def test_local_step_check_types_the_whole_state_after_a_wrong_step(
     monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)
     local, whole = _both_modes("t", parse("unit"))
     assert local == whole and local.verdict == "fail"
+
+
+def _exposed(bound=None, annot=None, body=None):
+    """The state after a let step on let x = v : A in (let x' = e : A' in b),
+    as a function of the redex: let x' = e[v/x] : A' in b, with A' and b
+    the very objects of the redex, unless a part is given; a part given as
+    text is parsed afresh."""
+
+    def part(given, old):
+        return old if given is None else _tgt(given) if isinstance(given, str) else given
+
+    def after(redex):
+        inner = redex.body
+        e = subst(inner.bound, redex.bound, redex.binder)
+        return Let(inner.binder, part(bound, e), part(annot, inner.annot), part(body, inner.body))
+
+    return after
+
+
+def _let_rule(redex):
+    return machine.contract(Heap(), redex)[1]
+
+
+_SIGMA_00 = _EMPTY_UNITS.cell_type
+_SIGMA_10 = _tgt("(Sigma (a Unit 1) (Unit 0))")
+# a let of a location whose body is a let that fills its first slot
+_FILLS_X = Let("x", Loc(0), _SIGMA_00, Let("y", Assign1(_tgt("x"), UNIT), _SIGMA_10, _tgt("y")))
+
+
+# Steps on a let whose body is a let, each given by the state, its heap,
+# the state after the step as a function of the redex, the heap after it
+# when the step replaced it, and the verdict of typing whole states. Each
+# wrong step that fails keeps the exposed bound checking against the
+# exposed annotation, so it passes a check of the exposed let that drops
+# one of its conditions.
+@pytest.mark.parametrize(
+    "heap, e, step, heap_after, verdict",
+    [
+        (Heap(), _tgt("(let (x unit Unit) (let (y Unit Star) y))"), _exposed(annot=Univ(Universe.BOX)),
+         None, "fail"),
+        (Heap(), _tgt("(let (x unit Unit) (let (y Unit Star) y))"), _exposed(annot="Star"),
+         None, "pass"),
+        (Heap(), _tgt("(let (p (let (x unit Unit) (let (y Unit Star) y)) Star) p)"),
+         _exposed(annot=Univ(Universe.BOX)), None, "fail"),
+        (Heap(), _tgt("(let (x unit Unit) (let (y unit Unit) y))"), _exposed(body="Unit"),
+         None, "fail"),
+        (Heap(), _tgt("(let (x unit Unit) (let (y unit Unit) y))"), _exposed(body="y"),
+         None, "pass"),
+        (Heap(), _tgt("(let (x unit Unit) (let (y unit Unit) x))"), _exposed(), None, "fail"),
+        (Heap(), _tgt("(let (x unit Unit) (let (y unit Unit) x))"), _let_rule, None, "pass"),
+        (Heap(), _tgt("(let (x Unit Star) (let (y unit (let (z x Star) Unit)) y))"), _exposed(),
+         None, "fail"),
+        (Heap(), _tgt("(let (x Unit Star) (let (y unit (let (z x Star) Unit)) y))"), _let_rule,
+         None, "pass"),
+        (Heap(), _tgt("(let (x Unit Star) (let (y x Star) (let (u unit y) u)))"),
+         _exposed(bound="(Pi (z Unit) Unit)"), None, "fail"),
+        (Heap(), _tgt("(let (x Unit Star) (let (y x Star) (let (u unit y) u)))"),
+         _exposed(bound="(let (w Unit Star) w)"), None, "pass"),
+        (Heap((_EMPTY_UNITS,)), _FILLS_X, _exposed(),
+         Heap((HeapCell(_SIGMA_10, UNIT, UNINIT),)), "fail"),
+        (Heap((_EMPTY_UNITS,)), _FILLS_X, _exposed(), None, "pass"),
+    ],
+    ids=["annotation-retyped", "annotation-copied", "annotation-retyped-in-a-frame", "body-retyped", "body-copied",
+         "binder-in-body", "binder-in-body-substituted", "binder-in-annotation",
+         "binder-in-annotation-substituted", "bound-not-substituted", "bound-converts",
+         "bound-unchecked-after-write", "bound-checked"],
+)
+def test_local_step_check_judges_an_exposed_let_as_whole_states_do(
+    monkeypatch, heap, e, step, heap_after, verdict
+):
+    frames = []
+    redex, _ = _MACHINE._refocus(e, frames)
+    after = Config(heap if heap_after is None else heap_after, machine._plug(frames, step(redex)))
+    steps = [(Config(heap, e), "init"), (after, "let")]
+    monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)
+    local, whole = _both_modes("t", parse("unit"))
+    assert local == whole and local.verdict == verdict
 
 
 def test_local_step_check_types_the_whole_state_after_a_step_built_elsewhere(monkeypatch):
