@@ -13,7 +13,6 @@ class ErrKind(Enum):
     ANNOT_MISMATCH = "AnnotMismatch"
     UNIVERSE_ERROR = "UniverseError"
     SUBTYPE_FAIL = "SubtypeFail"
-    EQUIV_FAIL = "EquivFail"
     OPEN_CODE = "OpenCode"
     LANG_VIOLATION = "LangViolation"
     FLAG_ERROR = "FlagError"

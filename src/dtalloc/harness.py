@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import conversion
 from .alloc import translate, translate_ctx
-from .errors import ErrKind, FuelExhausted, StuckError, TypeCheckError
+from .errors import FuelExhausted, StuckError, TypeCheckError
 from .heap import UNINIT, Config, Heap, filled, locs_in, writable
 from .machine import contract
 from .sexpr import Lang, parse
@@ -114,14 +114,14 @@ def summary_line(reports: list[Report]) -> str:
 
 
 def _classify(err: Exception) -> tuple[str, str]:
-    """Map an exception to a verdict; conversion fuel counts as fuel, and
-    so does running out of stack, which says nothing about the compiler."""
+    """Map an exception to a verdict. Running out of the step budget,
+    whether a machine, a normalization or a conversion query inside typing
+    or a heap audit ran out, counts as fuel, and so does running out of
+    stack: neither says anything about the compiler."""
     if isinstance(err, FuelExhausted):
         return "fuel", str(err)
     if isinstance(err, RecursionError):
         return "fuel", "input nests too deeply"
-    if isinstance(err, TypeCheckError) and err.kind is ErrKind.EQUIV_FAIL:
-        return "fuel", err.render()
     if isinstance(err, TypeCheckError):
         return "fail", err.render()
     return "fail", str(err)
@@ -289,12 +289,10 @@ def gen_typed(spec: GenSpec) -> tuple[Context, Expr, Expr]:
     return ctx, term, ty
 
 
-def gen_cases(
-    count: int, depth: int = 4, seed: int = 0, closed: bool = False
-) -> list[tuple[str, Context, Expr, Expr]]:
+def gen_cases(count: int, depth: int = 4, seed: int = 0) -> list[tuple[str, Context, Expr, Expr]]:
     out = []
     for i in range(count):
-        ctx, term, ty = gen_typed(GenSpec(depth=depth, seed=seed + i, closed=closed))
+        ctx, term, ty = gen_typed(GenSpec(depth=depth, seed=seed + i))
         out.append((f"gen{seed + i}", ctx, term, ty))
     return out
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import conversion
-from .errors import ErrKind, FuelExhausted, TypeCheckError
+from .errors import ErrKind, TypeCheckError
 from .heap import (
     SLOT,
     UNINIT,
@@ -120,41 +120,23 @@ def tgt_subtype(
     return conversion.subtype(ctx, small, big, heap, fuel)
 
 
-def _norm_ty(heap: Heap, ctx: Context, ty: Expr, pos) -> Expr:
-    try:
-        return conversion.normalize(ctx, ty, heap)
-    except FuelExhausted:
-        raise TypeCheckError(ErrKind.EQUIV_FAIL, "type normalization ran out of fuel", pos)
+def _norm_ty(heap: Heap, ctx: Context, ty: Expr) -> Expr:
+    return conversion.normalize(ctx, ty, heap)
 
 
 # heads that normalization keeps, flags included
 _SHOWN = (Pi, Sigma, CodeTy, Univ, UnitTy)
 
 
-def _head(heap: Heap, ctx: Context, ty: Expr, pos) -> Expr:
+def _head(heap: Heap, ctx: Context, ty: Expr) -> Expr:
     """ty as it stands when its head is already a type former, else its
     normal form."""
-    return ty if isinstance(ty, _SHOWN) else _norm_ty(heap, ctx, ty, pos)
+    return ty if isinstance(ty, _SHOWN) else _norm_ty(heap, ctx, ty)
 
 
 def _ensure_subtype(heap: Heap, ctx: Context, inferred: Expr, expected: Expr, pos, what: str):
-    try:
-        ok = conversion.subtype(ctx, inferred, expected, heap)
-    except FuelExhausted:
-        raise TypeCheckError(ErrKind.EQUIV_FAIL, f"conversion ran out of fuel for {what}", pos)
-    if not ok:
+    if not conversion.subtype(ctx, inferred, expected, heap):
         raise TypeCheckError(ErrKind.SUBTYPE_FAIL, f"{what} has the wrong type", pos)
-
-
-def _ensure_equiv(heap: Heap, ctx: Context, got: Expr, want: Expr, pos, what: str) -> None:
-    try:
-        ok = conversion.equiv(ctx, got, want, heap)
-    except FuelExhausted:
-        raise TypeCheckError(ErrKind.EQUIV_FAIL, f"conversion ran out of fuel for {what}", pos)
-    if not ok:
-        raise TypeCheckError(
-            ErrKind.ANNOT_MISMATCH, f"{what} does not match its required type", pos
-        )
 
 
 def _sort_of(lang: Lang, heap: Heap, ctx: Context, e: Expr, what: str) -> Universe:
@@ -169,7 +151,7 @@ def _sort_of(lang: Lang, heap: Heap, ctx: Context, e: Expr, what: str) -> Univer
     """
     if lang is not _TARGET:
         # not through _infer_sort: one frame fewer per level of a source type
-        return _universe(_head(heap, ctx, _synth(lang, heap, ctx, e, _head), e.pos), e, what)
+        return _universe(_head(heap, ctx, _synth(lang, heap, ctx, e, _head)), e, what)
     return kept(e, "_tgt_sort", _infer_sort, lang, heap, ctx, e, what, when=_closed_heap_free)
 
 
@@ -179,7 +161,7 @@ def _closed_heap_free(e: Expr) -> bool:
 
 def _infer_sort(lang: Lang, heap: Heap, ctx: Context, e: Expr, what: str) -> Universe:
     # a universe query reads only the head, so it runs in checking mode
-    return _universe(_head(heap, ctx, _synth(lang, heap, ctx, e, _head), e.pos), e, what)
+    return _universe(_head(heap, ctx, _synth(lang, heap, ctx, e, _head)), e, what)
 
 
 def _universe(t: Expr, e: Expr, what: str) -> Universe:
@@ -216,7 +198,8 @@ def tgt_infer_checking(heap: Heap, ctx: Context, e: Expr) -> Expr:
 
 def infer(lang: Lang, heap: Heap, ctx: Context, e: Expr) -> Expr:
     """Synthesize the type of a term of lang under the given heap, raising
-    TypeCheckError on failure.
+    TypeCheckError on failure and FuelExhausted when a normalization or
+    conversion query runs out of its step budget.
 
     The judgement runs in one of two modes. Synthesis (here) normalizes
     every type that an application, projection or assignment eliminates,
@@ -299,7 +282,7 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
                 return CodeTy(n, envty, x2, argty, _synth(lang, heap, ctx_nx, body2, view))
             return Univ(_sort_of(lang, heap, ctx_nx, body2, "code result type"))
         case App(fn=f, arg=a):
-            fn_ty = view(heap, ctx, _synth(lang, heap, ctx, f, view), f.pos)
+            fn_ty = view(heap, ctx, _synth(lang, heap, ctx, f, view))
             if not isinstance(fn_ty, Pi):
                 raise TypeCheckError(
                     ErrKind.NOT_A_FUNCTION, "application of a non-function", f.pos
@@ -308,7 +291,7 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
             return subst(fn_ty.cod, a, fn_ty.binder)
         case Fst(expr=inner) | Snd(expr=inner):
             i = SLOT[type(e)]
-            t = view(heap, ctx, _synth(lang, heap, ctx, inner, view), inner.pos)
+            t = view(heap, ctx, _synth(lang, heap, ctx, inner, view))
             if not isinstance(t, Sigma):
                 raise TypeCheckError(ErrKind.NOT_A_PAIR, "projection from a non-pair", inner.pos)
             # snd needs slot 1 readable too: its type reads fst inner
@@ -325,19 +308,20 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
             check(lang, heap, ctx, d, subst(annot.cod, a, annot.binder))
             return annot
         case Clo(code=c, env=env, annot_pi=annot):
-            code_ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, c), c.pos)
+            code_ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, c))
             if not isinstance(code_ty, CodeTy):
                 raise TypeCheckError(
                     ErrKind.NOT_A_FUNCTION, "closure over a term that is not code", c.pos
                 )
             check(lang, heap, ctx, env, code_ty.env_ty)
-            computed = _closure_type(code_ty, env)
             if not isinstance(annot, Pi):
                 raise TypeCheckError(
                     ErrKind.ANNOT_MISMATCH, "closure annotation must be a function type", e.pos
                 )
             _sort_of(lang, heap, ctx, annot, "closure annotation")
-            _ensure_equiv(heap, ctx, annot, computed, e.pos, "closure annotation")
+            if not conversion.equiv(ctx, annot, _closure_type(code_ty, env), heap):
+                raise TypeCheckError(ErrKind.ANNOT_MISMATCH,
+                                     "closure annotation does not match its required type", e.pos)
             return annot
         case Loc(loc_id=i):
             cell = heap.cell(i)
@@ -352,7 +336,7 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
             return Sigma(x2, t1, 0, t2r, 0)
         case Assign1(tuple_=t, value=v) | Assign2(tuple_=t, value=v):
             i = SLOT[type(e)]
-            ty = view(heap, ctx, _synth(lang, heap, ctx, t, view), t.pos)
+            ty = view(heap, ctx, _synth(lang, heap, ctx, t, view))
             if not isinstance(ty, Sigma):
                 raise TypeCheckError(ErrKind.NOT_A_PAIR, "assignment to a non-tuple", t.pos)
             if not writable(ty, i):
@@ -360,7 +344,7 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
             check(lang, heap, ctx, v, slot_type(ty, i, t))
             return filled(ty, i)
         case CTag(expr=t):
-            ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, t), t.pos)
+            ty = _norm_ty(heap, ctx, infer(lang, heap, ctx, t))
             unpaired = TypeCheckError(
                 ErrKind.NOT_A_FUNCTION, "ctag expects a code-and-environment pair", t.pos
             )
@@ -368,16 +352,10 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
                 raise unpaired
             if not (readable(ty, 1) and readable(ty, 2)):
                 raise TypeCheckError(ErrKind.FLAG_ERROR, "ctag needs both slots initialized", e.pos)
-            code_ty = _norm_ty(heap, ctx, ty.dom, t.pos)
+            code_ty = _norm_ty(heap, ctx, ty.dom)
             if not isinstance(code_ty, CodeTy) or ty.binder in free_vars(ty.cod):
                 raise unpaired
-            try:
-                env_ok = conversion.equiv(ctx, ty.cod, code_ty.env_ty, heap)
-            except FuelExhausted:
-                raise TypeCheckError(
-                    ErrKind.EQUIV_FAIL, "conversion ran out of fuel for ctag", e.pos
-                )
-            if not env_ok:
+            if not conversion.equiv(ctx, ty.cod, code_ty.env_ty, heap):
                 raise unpaired
             return _closure_type(code_ty, Snd(t))
     raise TypeError(f"unknown expression node: {e!r}")
@@ -469,6 +447,9 @@ def heap_wf(heap: Heap) -> HeapReport:
     are the same objects here and none of them needs a fresh audit itself;
     a run that writes one cell per step audits that cell and the cells that
     reach it, not the whole heap.
+
+    A slot whose typing runs out of the step budget is not a problem of
+    the heap: heap_wf raises FuelExhausted and keeps no audit for that cell.
     """
     audits = [cell.__dict__.get("_audit") for cell in heap.cells]
     stale: set[int] = set()
@@ -527,6 +508,6 @@ def _audit_cell(heap: Heap, i: int, cell: HeapCell) -> tuple[list[str], frozense
             continue
         try:
             check(_TARGET, heap, Context(), v, slot_type(cell.cell_type, k, Loc(i)))
-        except (TypeCheckError, FuelExhausted) as err:
+        except TypeCheckError as err:
             problems.append(f"{where}: slot {k} does not type at its slot type ({err})")
     return problems, read

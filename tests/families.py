@@ -43,3 +43,21 @@ def closure_env(n: int) -> str:
 
 
 FAMILIES = {f.__name__: f for f in (nested_pairs, let_chain, closure_env)}
+
+
+def type_tower(n: int, body: str) -> str:
+    """body under the type definitions T0 = Unit and Tk = (Sigma (a Tk-1)
+    Tk-1) for k from 1 to n. Tn and (Sigma (a Tn-1) Tn-1) are one type, but
+    their normal forms are trees of 2^n leaves, and at n = 16 comparing
+    two of them runs past the default fuel."""
+    lets = "".join(f" (let (T{k} (Sigma (a T{k - 1}) T{k - 1}) Star)" for k in range(1, n + 1))
+    return f"(let (T0 Unit Star){lets} {body}" + ")" * (n + 1)
+
+
+def tower_closure(n: int) -> str:
+    """A well-typed closure at (Pi (x Tn) Unit) annotated at the same type
+    with Tn spelled (Sigma (a Tn-1) Tn-1), under type_tower(n). It checks
+    at n = 15; at n = 16 checking it runs out of fuel."""
+    clo = f"(clo (code ((e Star) (x e)) unit) T{n} (Pi (x T{n}) Unit))"
+    v = f"(Sigma (a T{n - 1}) T{n - 1})"
+    return type_tower(n, f"(let (V {v} Star) (let (g {clo} (Pi (x V) Unit)) g))")

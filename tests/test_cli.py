@@ -9,11 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from families import tower_closure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtalloc import cli
 from dtalloc.cli import main
+from dtalloc.conversion import DEFAULT_FUEL
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -358,6 +360,25 @@ def test_preserve_of_too_deep_input_is_fuel_not_fail(tmp_path, capsys):
     assert "CASE deep.type type-preservation fuel" in lines
     assert not [line for line in lines if line.startswith("CASE ") and line.endswith(" fail")]
     assert lines[-1].endswith("failed=0 fuel=1")
+
+
+@pytest.mark.parametrize("cmd", ["check", "compile", "model", "preserve"])
+def test_conversion_out_of_fuel_while_typing_is_fuel_not_a_type_error(tmp_path, capsys, cmd):
+    # the closure's two types are equal, but comparing them runs past the
+    # budget: that says nothing about the program, so no error[SubtypeFail]
+    p = tmp_path / "tower.src"
+    p.write_text(tower_closure(16))
+    assert main([cmd, str(p)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error[FuelExhausted] exceeded {DEFAULT_FUEL} reduction steps\n"
+
+
+def test_one_level_lower_the_tower_checks(tmp_path, capsys):
+    p = tmp_path / "tower.src"
+    p.write_text(tower_closure(15))
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr().out.startswith("(Pi (x (Sigma (a (Sigma (a ")
 
 
 def test_model_takes_a_200_deep_projection_chain(tmp_path, capsys):

@@ -3,7 +3,7 @@
 from pathlib import Path
 
 import pytest
-from families import FAMILIES
+from families import FAMILIES, type_tower
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +36,7 @@ from dtalloc.syntax import (
     App, Assign1, Assign2, CTag, Code, CodeTy, Context, Fst, Let, Loc, Pi, STAR, Sigma, UNIT,
     UNIT_TY, Univ, Universe, Var, subst,
 )
-from dtalloc.target import _MACHINE, tgt_eval
+from dtalloc.target import _MACHINE, heap_wf, tgt_eval
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -231,6 +231,19 @@ def test_step_preservation_fails_on_a_bad_allocating_step(monkeypatch, cells, pr
     r = _check_machine_run(monkeypatch, start, start, Heap(cells))
     assert r.verdict == "fail"
     assert problem in r.detail
+
+
+def test_step_preservation_reports_a_slot_audit_out_of_fuel_as_fuel(monkeypatch):
+    # the slot holds code whose argument type is the cell's, spelled so
+    # that comparing the two runs past the default fuel
+    a1, a2 = type_tower(16, "T16"), type_tower(16, "(Sigma (a T15) T15)")
+    code_ty = parse(f"(Code ((m Unit) (x {a1})) Unit)", Lang.TARGET)
+    code = parse(f"(code ((m Unit) (x {a2})) unit)", Lang.TARGET)
+    heap = Heap((HeapCell(Sigma("s", code_ty, 1, UNIT_TY, 0), code, UNINIT),))
+    with pytest.raises(FuelExhausted):
+        heap_wf(heap)
+    r = _check_machine_run(monkeypatch, heap, heap)
+    assert (r.verdict, r.detail) == ("fuel", f"exceeded {DEFAULT_FUEL} reduction steps")
 
 
 def _both_modes(case_id, e):

@@ -131,6 +131,24 @@ def test_ctag_typing_and_rejections():
     )
 
 
+_UNPAIRED = (ErrKind.NOT_A_FUNCTION, "ctag expects a code-and-environment pair")
+
+
+@pytest.mark.parametrize("lang, text, rejection", [
+    (Lang.SOURCE, "(clo unit unit (Pi (x Unit) Unit))",
+     (ErrKind.NOT_A_FUNCTION, "closure over a term that is not code")),
+    (Lang.TARGET, "(assign1 unit unit)", (ErrKind.NOT_A_PAIR, "assignment to a non-tuple")),
+    (Lang.TARGET, "(ctag unit)", _UNPAIRED),
+    # a full tuple whose environment type, Star, is not the code's, Unit
+    (Lang.TARGET, "(ctag (assign2 (assign1 (malloc (z (Code ((n Unit) (x Unit)) Unit)) Star)"
+     " (code ((n Unit) (x Unit)) x)) Unit))", _UNPAIRED),
+])
+def test_rejections_of_a_non_code_closure_a_non_tuple_write_and_a_bad_ctag(lang, text, rejection):
+    with pytest.raises(TypeCheckError) as exc:
+        synthesize(lang, Heap(), Context(), parse(text, lang))
+    assert (exc.value.kind, exc.value.message) == rejection
+
+
 # Every form the target lacks, at a position of its own, and the message
 # that rejects it.
 NOT_TARGET = [
@@ -268,6 +286,21 @@ def test_heap_wf_rejects_ill_typed_slot():
     assert not report.ok
 
 
+@pytest.mark.parametrize("cell, problem", [
+    (HeapCell(UNIT_TY, UNINIT, UNINIT), "cell 0: cell type is not a pair type"),
+    (HeapCell(Sigma("x", UNIT_TY, 0, UNIT_TY, 0), UNIT, UNINIT),
+     "cell 0: slot 1 written but flag is 0"),
+    (HeapCell(Sigma("x", UNIT_TY, 1, UNIT_TY, 0), Let("u", UNIT, UNIT_TY, Var("u")), UNINIT),
+     "cell 0: slot 1 holds a non-value"),
+    (HeapCell(Sigma("x", UNIT_TY, 0, Snd(Loc(5)), 0), UNINIT, UNINIT),
+     "cell 0: cell type mentions dangling location 5"),
+])
+def test_heap_wf_names_each_problem_of_a_cell(cell, problem):
+    report = heap_wf(Heap((cell,)))
+    assert not report.ok
+    assert problem in report.problems
+
+
 def _fresh_cells(heap):
     """heap with every cell rebuilt, so that no audit is cached on it."""
     return Heap(tuple(HeapCell(c.cell_type, c.slot1, c.slot2) for c in heap.cells))
@@ -335,6 +368,23 @@ def test_equiv_distinguishes_cell_contents():
     s = Sigma("x", UNIT_TY, 1, UNIT_TY, 0)
     heap = Heap((HeapCell(s, UNIT, UNINIT), HeapCell(Sigma("x", STAR, 1, UNIT_TY, 0), UNIT_TY, UNINIT)))
     assert not equiv(Context(), Loc(0), Loc(1), heap)
+
+
+_HALF = Sigma("x", STAR, 1, UNIT_TY, 0)
+
+
+@pytest.mark.parametrize("cells", [
+    # a location whose cell does not exist, on either side
+    (HeapCell(_HALF, UNIT_TY, UNINIT),),
+    # one type, flags included, but only one of the first slots is filled
+    (HeapCell(_HALF, UNIT_TY, UNINIT), HeapCell(_HALF, UNINIT, UNINIT)),
+    # one type, both first slots readable, different values in them
+    (HeapCell(_HALF, UNIT_TY, UNINIT), HeapCell(_HALF, Pi("a", UNIT_TY, UNIT_TY), UNINIT)),
+])
+def test_locations_differ_when_a_cell_is_missing_or_its_slots_differ(cells):
+    heap = Heap(cells)
+    assert not equiv(Context(), Loc(0), Loc(1), heap)
+    assert not equiv(Context(), Loc(1), Loc(0), heap)
 
 
 def test_normalize_runs_allocation_on_scratch():
@@ -664,6 +714,6 @@ def test_a_universe_query_in_checking_mode_agrees_with_synthesis(ty):
     heap, ctx = tgt_eval(tparse(CHAIN)).heap, _ALIAS_CTX
     for lang in Lang:
         def synthesized():
-            return _universe(_norm_ty(heap, ctx, synthesize(lang, heap, ctx, ty), ty.pos), ty, "type")
+            return _universe(_norm_ty(heap, ctx, synthesize(lang, heap, ctx, ty)), ty, "type")
 
         assert _raised(lambda: _infer_sort(lang, heap, ctx, ty, "type")) == _raised(synthesized)
