@@ -19,9 +19,11 @@ from .syntax import (
     Expr,
     Fst,
     Loc,
+    Record,
     Sigma,
     Snd,
     _memoize,
+    record,
     subst,
 )
 
@@ -59,8 +61,8 @@ class _Uninit:
 UNINIT = _Uninit()
 
 
-@dataclass(frozen=True)
-class HeapCell:
+@record
+class HeapCell(Record):
     """One allocated tuple: its flagged pair type and two slots.
 
     cell_type carries the current flags; a slot is UNINIT exactly when the
@@ -92,8 +94,8 @@ class HeapCell:
         return HeapCell(ty, v, self.slot2) if i == 1 else HeapCell(ty, self.slot1, v)
 
 
-@dataclass(frozen=True)
-class Heap:
+@record
+class Heap(Record):
     """Append-only store; cell ids are exactly 0 .. len(cells)-1."""
 
     cells: tuple[HeapCell, ...] = ()
@@ -120,8 +122,8 @@ class Heap:
         )
 
 
-@dataclass(frozen=True)
-class Config:
+@record
+class Config(Record):
     """A machine state: heap plus the expression under reduction."""
 
     heap: Heap

@@ -10,7 +10,7 @@ alpha-equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
 
@@ -25,38 +25,99 @@ class Universe(Enum):
     BOX = "Box"
 
 
+# ---------------------------------------------------------------------------
+# Records
+#
+# Nodes, context entries, heap cells and machine states are built by the
+# thousand in every judgement, so building one costs one Python call: the
+# __init__ that @record generates stores each argument straight into the
+# instance's __dict__. @record keeps the dataclass description of the
+# class (fields, replace, __match_args__), and Record holds, once for every
+# record class, what dataclass(frozen=True) would generate per class:
+# equality and hashing over the compared fields, repr over the shown ones,
+# and no assignment or deletion. Memo keys live in the same __dict__ under
+# names that are not fields, where equality, hashing and repr do not look.
+
+
+class Record:
+    """A frozen record; its class is made by @record."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """cls, a subclass of Record, as a dataclass without generated methods
+    but two: _key, the tuple of its compared fields, and, unless cls
+    defines its own, an __init__ that writes each field to __dict__."""
+    if cls.__doc__ is None:  # else dataclass documents the __init__ not yet made
+        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    fs = fields(cls)
+    cls._shown = tuple(f.name for f in fs if f.repr)
+    defaults = {f"_{f.name}": f.default for f in fs if f.default is not MISSING}
+    params = ", ".join(f"{f.name}=_{f.name}" if f"_{f.name}" in defaults else f.name for f in fs)
+    stores = "".join(f"\n    d[{f.name!r}] = {f.name}" for f in fs)
+    key = "".join(f"self.{f.name}, " for f in fs if f.compare)
+    source = (
+        f"def __init__(self, {params}):\n    d = self.__dict__{stores}\n"
+        f"def _key(self):\n    return ({key})\n"
+    )
+    made: dict = {}
+    exec(source, defaults, made)
+    for name, fn in made.items():
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        if name not in cls.__dict__:
+            setattr(cls, name, fn)
+    return cls
+
+
 def _pos():
     return field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Record):
     """Base class for expressions of both languages."""
 
 
-@dataclass(frozen=True)
+@record
 class Var(Expr):
     name: Name
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class Univ(Expr):
     kind: Universe
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class UnitTm(Expr):
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class UnitTy(Expr):
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class Let(Expr):
     """Annotated let: binder scopes over the body only."""
 
@@ -67,7 +128,7 @@ class Let(Expr):
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class Code(Expr):
     """Closed code: env_binder scopes over arg_ty and body, arg_binder over body."""
 
@@ -79,7 +140,7 @@ class Code(Expr):
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class CodeTy(Expr):
     """Type of closed code; scoping mirrors Code with result_ty in body position."""
 
@@ -91,7 +152,7 @@ class CodeTy(Expr):
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class Clo(Expr):
     """Closure value: code applied to its environment, annotated with a Pi type."""
 
@@ -101,7 +162,7 @@ class Clo(Expr):
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class Pi(Expr):
     binder: Name
     dom: Expr
@@ -109,14 +170,14 @@ class Pi(Expr):
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class App(Expr):
     fn: Expr
     arg: Expr
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class Pair(Expr):
     """Annotated dependent pair; source language only."""
 
@@ -126,7 +187,7 @@ class Pair(Expr):
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class Sigma(Expr):
     """Dependent pair type with one initialization flag per component.
 
@@ -141,24 +202,27 @@ class Sigma(Expr):
     flag2: Flag
     pos: tuple[int, int] | None = _pos()
 
-    def __post_init__(self):
-        if self.flag1 not in (0, 1) or self.flag2 not in (0, 1):
-            raise ValueError(f"initialization flags must be 0 or 1, got ({self.flag1}, {self.flag2})")
+    def __init__(self, binder, dom, flag1, cod, flag2, pos=None):
+        if flag1 not in (0, 1) or flag2 not in (0, 1):
+            raise ValueError(f"initialization flags must be 0 or 1, got ({flag1}, {flag2})")
+        d = self.__dict__
+        d["binder"], d["dom"], d["flag1"], d["cod"], d["flag2"], d["pos"] = (
+            binder, dom, flag1, cod, flag2, pos)
 
 
-@dataclass(frozen=True)
+@record
 class Fst(Expr):
     expr: Expr
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class Snd(Expr):
     expr: Expr
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class Malloc(Expr):
     """Allocation of an uninitialized two-slot tuple; binder scopes over ty2."""
 
@@ -168,21 +232,21 @@ class Malloc(Expr):
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class Assign1(Expr):
     tuple_: Expr
     value: Expr
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class Assign2(Expr):
     tuple_: Expr
     value: Expr
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class CTag(Expr):
     """Marks an allocated tuple as a closure."""
 
@@ -190,7 +254,7 @@ class CTag(Expr):
     pos: tuple[int, int] | None = _pos()
 
 
-@dataclass(frozen=True)
+@record
 class Loc(Expr):
     """Heap location; appears only at run time, never in parsed programs."""
 
@@ -207,8 +271,8 @@ UNIT_TY = UnitTy()
 # ---------------------------------------------------------------------------
 # Contexts
 
-@dataclass(frozen=True)
-class Binding:
+@record
+class Binding(Record):
     """One telescope entry; defn is set for let-bound variables."""
 
     name: Name
@@ -216,8 +280,8 @@ class Binding:
     defn: Expr | None = None
 
 
-@dataclass(frozen=True)
-class Context:
+@record
+class Context(Record):
     """Telescope of typed (and optionally defined) variables."""
 
     entries: tuple[Binding, ...] = ()
@@ -346,11 +410,13 @@ def subterms(e: Expr):
 #
 # Nodes are frozen and never mutated, so each analysis (free names, all
 # names, heap-freedom) runs once per node: the result is stored in the
-# node's __dict__ under a key that is not a dataclass field, where
+# node's __dict__ under a key that is not a field, where
 # equality, hashing and repr do not look. Each uncached helper computes one
-# node's result from the memoized results of its children, and _memoize
-# runs it bottom-up with an explicit stack, so the analyses of a deep term
-# do not use Python's call stack.
+# node's result from the memoized results of its children. _memoize runs
+# it at once on a node whose children all carry their results, as every
+# node built over analysed subterms does, and otherwise bottom-up with an
+# explicit stack, so the analyses of a deep term do not use Python's call
+# stack.
 
 _NO_NAMES: frozenset[Name] = frozenset()
 
@@ -358,6 +424,12 @@ _NO_NAMES: frozenset[Name] = frozenset()
 def _memoize(e: Expr, key: str, analysis, children=_CHILD_FIELDS):
     """Store analysis(n) under key on e and on every node below it, through
     the given child fields, that lacks it; return e's value."""
+    for f in children.get(type(e), ()):
+        if key not in getattr(e, f).__dict__:
+            break
+    else:
+        value = e.__dict__[key] = analysis(e)
+        return value
     order, todo = [], [e]
     while todo:
         n = todo.pop()
@@ -367,8 +439,9 @@ def _memoize(e: Expr, key: str, analysis, children=_CHILD_FIELDS):
                 todo.append(getattr(n, f))
     # every node comes after its parent in order, so children go first
     for n in reversed(order):
-        if key not in n.__dict__:
-            object.__setattr__(n, key, analysis(n))
+        d = n.__dict__
+        if key not in d:
+            d[key] = analysis(n)
     return e.__dict__[key]
 
 
@@ -436,7 +509,7 @@ def kept(e: Expr, key: str, judge, *args, when=None):
         return d[key]
     value = judge(*args)
     if when is None or when(e):
-        object.__setattr__(e, key, value)
+        d[key] = value
     return value
 
 

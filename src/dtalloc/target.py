@@ -471,7 +471,7 @@ def heap_wf(heap: Heap) -> HeapReport:
         if i in stale:
             found, read = _audit_cell(heap, i, cell)
             audits[i] = (i, tuple((j, heap.cell(j)) for j in sorted(read - {i})), found)
-            object.__setattr__(cell, "_audit", audits[i])
+            cell.__dict__["_audit"] = audits[i]
         problems += audits[i][2]
     return HeapReport(not problems, problems)
 

@@ -4,25 +4,30 @@ Each test counts calls of an uncached helper (the name analysis, which
 walks one node, the sort inference behind target._sort_of, the
 normalizer's step, the machine's value test, the model's step, the
 judgement's visit of one node, the audit of one heap cell, a compilation,
-a machine run or the construction of an argument parser) instead of timing
-anything, so it gives the same answer on any machine.
+a machine run, the construction of an argument parser, or the calls made
+in building a record) instead of timing anything, so it gives the same
+answer on any machine.
 """
 
 import argparse
+import dataclasses
+import dis
 import importlib.util
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from families import FAMILIES
+from records import RECORDS
 
-from dtalloc import alloc, cli, conversion, harness, machine, model, syntax, target
+from dtalloc import alloc, cli, conversion, harness, heap, machine, model, syntax, target
 from dtalloc.alloc import translate
 from dtalloc.conversion import normalize
 from dtalloc.harness import check_differential, check_preservation, check_step_preservation
 from dtalloc.heap import Heap
 from dtalloc.sexpr import parse
-from dtalloc.syntax import UNIT, Context, Var, free_vars, heap_free
+from dtalloc.syntax import UNIT, Context, Record, Var, free_vars, heap_free
 from dtalloc.target import tgt_eval, tgt_infer
 
 
@@ -352,3 +357,45 @@ def test_importing_the_cli_builds_no_parser(parsers_built):
     assert fresh.build_parser() is fresh.build_parser()
     # dtalloc and its six subcommands
     assert len(parsers_built) == 7
+
+
+def _calls_in_building(cls, args):
+    """The Python functions entered while cls(*args) runs, and the call
+    instructions they execute. A call of a slot wrapper such as
+    object.__setattr__ makes no profiler event, so calls are counted
+    instruction by instruction."""
+    entered, calls = [], []
+
+    def trace(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_name)
+            frame.f_trace_opcodes = True
+        elif event == "opcode" and dis.opname[frame.f_code.co_code[frame.f_lasti]].startswith("CALL"):
+            calls.append(frame.f_code.co_name)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        cls(*args)
+    finally:
+        sys.settrace(previous)
+    return entered, calls
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_building_a_record_makes_one_python_call_and_calls_nothing(cls):
+    # the __init__ of dataclass(frozen=True) made one object.__setattr__
+    # call per field: five for a Let
+    assert _calls_in_building(cls, RECORDS[cls]) == (["__init__"], [])
+
+
+def test_every_record_class_takes_its_frozen_record_methods_from_one_base():
+    for cls in RECORDS:
+        for name in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+            assert getattr(cls, name) is getattr(Record, name), (cls, name)
+    # nor is any other class of those modules a frozen dataclass of its
+    # own, but the UNINIT sentinel
+    made = {v for m in (syntax, heap) for v in vars(m).values()
+            if isinstance(v, type) and dataclasses.is_dataclass(v)}
+    assert made - set(RECORDS) == {heap._Uninit}

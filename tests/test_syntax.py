@@ -6,9 +6,12 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dtalloc.alloc import translate
 from dtalloc.conversion import Fuel, Normalizer, _Cmp, normalize
 from dtalloc.harness import GenSpec, gen_lemma4, gen_typed
+from dtalloc.heap import locs_in
 from dtalloc.sexpr import Lang, parse, print_expr
+from dtalloc.source import _VALUE_PARTS, is_src_value
 from dtalloc.syntax import (
     App,
     Assign1,
@@ -50,6 +53,7 @@ from dtalloc.syntax import (
     subst_many,
     subterms,
 )
+from dtalloc.target import tgt_steps
 
 
 def test_fresh_name_picks_least_unused_suffix():
@@ -241,12 +245,56 @@ def test_subst_returns_the_term_itself_when_the_name_is_not_free(seed):
         assert subst(e, Var(x), x) is e
 
 
+# each memoized analysis, its memo key, and the child fields it reads
+_ANALYSES = [
+    (free_vars, "_free_vars", _CHILD_FIELDS),
+    (all_names, "_all_names", _CHILD_FIELDS),
+    (heap_free, "_heap_free", _CHILD_FIELDS),
+    (locs_in, "_locs", _CHILD_FIELDS),
+    (is_src_value, "_src_value", _VALUE_PARTS),
+]
+
+
+def _fresh_copy(e):
+    """A copy of e that shares no node with it, and so carries no memo key."""
+    values = {f.name: getattr(e, f.name) for f in dataclasses.fields(e)}
+    return type(e)(**{k: _fresh_copy(v) if isinstance(v, Expr) else v for k, v in values.items()})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_memoize_analyses_a_node_over_analysed_children_as_the_walk_does(seed):
+    _, e, _ = gen_typed(GenSpec(depth=3, seed=seed, closed=True))
+    # the machine states of the compiled term hold locations and allocations
+    terms = [e] + [c.expr for c, _ in tgt_steps(translate(Context(), e))]
+    for t in terms:
+        for analysis, key, children in _ANALYSES:
+            walked, direct = _fresh_copy(t), _fresh_copy(t)
+            analysis(walked)
+            for n in reversed(list(subterms(direct))):
+                # every child is analysed first, so n takes the direct path
+                kids = [getattr(n, f) for f in children.get(type(n), ())]
+                assert all(key in k.__dict__ for k in kids)
+                analysis(n)
+            for w, d in zip(subterms(walked), subterms(direct), strict=True):
+                if key in w.__dict__:
+                    assert w.__dict__[key] == d.__dict__[key], (analysis, w)
+            assert analysis(walked) == analysis(direct) == analysis(_fresh_copy(t))
+
+
 def test_name_analyses_of_a_deep_term_stay_off_the_call_stack():
     e = Var("x")
     for i in range(5000):
         e = Pi(f"b{i % 7}", UNIT_TY, e)
     assert free_vars(e) == {"x"}
     assert all_names(e) == {"x"} | {f"b{i}" for i in range(7)}
+    pairs = Loc(0)
+    for _ in range(5000):
+        pairs = Pair(pairs, UNIT, Sigma("a", UNIT_TY, 1, UNIT_TY, 1))
+    assert all(key not in pairs.__dict__ for _, key, _ in _ANALYSES)
+    assert heap_free(pairs) is False and locs_in(pairs) == {0}
+    assert is_src_value(pairs) is False and free_vars(pairs) == set()
+    assert all_names(pairs) == {"a"}
 
 
 def _assert_positions_kept(before, after):
