@@ -8,6 +8,18 @@ driver keeps the evaluation context as an explicit stack of frames, each
 a node with a hole at one such field, and goes on from each contractum
 instead of descending again from the root: the same steps, linear in
 their number, at any depth.
+
+A traced run contracts a let by substituting its value into its body, so
+that each state in the trace is a whole term and consecutive states share
+their unchanged subterms by identity, which step-preservation's local
+check relies on. An untraced run instead keeps let-bound values in an
+environment (Ager, Biernacki, Danvy and Midtgaard, "A Functional
+Correspondence between Evaluators and Abstract Machines", 2003) and
+substitutes only where a term leaves it: a redex for contract, a value
+for a frame outside the binding, and the final value. Those values are
+closed, so the substitutions rename nothing and the run ends in the
+state of the traced run after the same steps; where an open term would
+leave the environment, the run starts again substituting.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from .syntax import (
     Sigma,
     Snd,
     Var,
+    free_vars,
     subst,
     subst_many,
 )
@@ -110,14 +123,19 @@ def contract(heap, e: Expr):
 # ---------------------------------------------------------------------------
 # The machine
 
+def _fill(node: Expr, hole: str, e: Expr) -> Expr:
+    """node with e in its field hole, keeping node's position."""
+    cls = type(node)
+    args = list(_ARGS[cls](node))
+    args[_INDEX[cls, hole]] = e
+    return cls(*args)
+
+
 def _plug(frames, e: Expr) -> Expr:
     """e put into the holes of the frames (node, field), innermost last; a
     plugged node keeps its position."""
     for node, hole in reversed(frames):
-        cls = type(node)
-        args = list(_ARGS[cls](node))
-        args[_INDEX[cls, hole]] = e
-        e = cls(*args)
+        e = _fill(node, hole, e)
     return e
 
 
@@ -167,8 +185,18 @@ class Machine:
 
     def run(self, heap, e: Expr, fuel: int, trace: list | None = None):
         """Contract up to fuel redexes and return (heap, value); past the
-        budget a stuck redex raises StuckError, any other FuelExhausted. Each
-        contraction appends (heap, whole term, rule) to trace, if given."""
+        budget a stuck redex raises StuckError, any other FuelExhausted.
+        Each contraction appends (heap, whole term, rule) to trace, if
+        given. Without one, a run from an empty heap keeps let values in an
+        environment (_run_env) and starts again here only when an open term
+        leaves it: substituting an open value may rename binders, and
+        simultaneous substitution need not choose the names that one at a
+        time does."""
+        if trace is None and (heap is None or not heap.cells):
+            try:
+                return self._run_env(heap, e, fuel)
+            except _Open:
+                pass
         stack, spent = [], 0
         while True:
             e, redex = self._refocus(e, stack)
@@ -181,3 +209,79 @@ class Machine:
             spent += 1
             if trace is not None:
                 trace.append((heap, _plug(stack, e), rule))
+
+    def _run_env(self, heap, e: Expr, fuel: int):
+        """run from an empty heap without a trace. A let step binds its
+        value in env instead of substituting it. trail, an undo log, lists
+        each binding with the value it shadowed, and a frame (node, field,
+        mark) was pushed when trail had mark entries: a binding and its undo
+        cost O(1). A variable in evaluation position is looked up in env."""
+        is_value, eval_fields = self.is_value, self.eval_fields
+        env, trail, stack, spent = {}, [], [], 0
+        while True:
+            while is_value(e):
+                if not stack:
+                    return heap, _close(e, env)
+                node, hole, mark = stack.pop()
+                if mark < len(trail):
+                    e = _close(e, env)
+                    _undo(env, trail, mark)
+                e = _fill(node, hole, e)
+            filled = False
+            while True:
+                for name in eval_fields.get(type(e), ()):
+                    sub = getattr(e, name)
+                    if type(sub) is Var and sub.name in env:
+                        e, filled = _fill(e, name, env[sub.name]), True
+                    elif not is_value(sub):
+                        stack.append((e, name, len(trail)))
+                        e, filled = sub, False
+                        break
+                else:
+                    break
+            if type(e) is Var and e.name in env:
+                e = env[e.name]
+                continue
+            if filled and is_value(e):
+                continue
+            if spent >= fuel:
+                self._contract(heap, _close(e, env))
+                raise FuelExhausted(fuel)
+            spent += 1
+            if type(e) is Let:
+                _bind(env, trail, e.binder, _close(e.bound, env))
+                e = e.body
+            else:
+                heap, e, _ = self._contract(heap, _close(e, env))
+
+
+class _Open(Exception):
+    """A term left the environment with a free name it does not bind."""
+
+
+def _close(e: Expr, env: dict) -> Expr:
+    """e with the values env binds put in for its free names; raises _Open
+    when env does not bind one of them."""
+    fv = free_vars(e)
+    if not fv:
+        return e
+    sub = {x: env[x] for x in fv if x in env}
+    if len(sub) < len(fv):
+        raise _Open
+    return subst_many(e, sub)
+
+
+def _bind(env: dict, trail: list, x: str, v: Expr) -> None:
+    """Bind x to v in env, noting on trail the value it shadows, if any."""
+    trail.append((x, env.get(x)))
+    env[x] = v
+
+
+def _undo(env: dict, trail: list, mark: int) -> None:
+    """Undo the bindings on trail after its first mark entries."""
+    while len(trail) > mark:
+        x, old = trail.pop()
+        if old is None:
+            del env[x]
+        else:
+            env[x] = old

@@ -2,11 +2,11 @@
 
 Each test counts calls of an uncached helper (the name analysis, which
 walks one node, the sort inference behind target._sort_of, the
-normalizer's step, the machine's value test, the model's step, the
-judgement's visit of one node, the audit of one heap cell, a compilation,
-a machine run, the construction of an argument parser, or the calls made
-in building a record) instead of timing anything, so it gives the same
-answer on any machine.
+normalizer's step, the machine's value test, a binding the machine makes
+or undoes, the model's step, the judgement's visit of one node, the audit
+of one heap cell, a compilation, a machine run, the construction of an
+argument parser, or the calls made in building a record) instead of
+timing anything, so it gives the same answer on any machine.
 """
 
 import argparse
@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 from families import FAMILIES
 from records import RECORDS
+from test_machine import _lets_in_bound
 
 from dtalloc import alloc, cli, conversion, harness, heap, machine, model, syntax, target
 from dtalloc.alloc import translate
@@ -27,7 +28,7 @@ from dtalloc.conversion import normalize
 from dtalloc.harness import check_differential, check_preservation, check_step_preservation
 from dtalloc.heap import Heap
 from dtalloc.sexpr import parse
-from dtalloc.syntax import UNIT, Context, Record, Var, free_vars, heap_free
+from dtalloc.syntax import UNIT, UNIT_TY, Context, Let, Record, Var, free_vars, heap_free
 from dtalloc.target import tgt_eval, tgt_infer
 
 
@@ -161,6 +162,32 @@ def parsers_built(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def environment_work(monkeypatch):
+    """Counts of what untraced runs do to their environments: "bind" grows
+    by one for every binding, "undo" for every binding undone, and "subst"
+    for every node substitution visits."""
+    seen = {"bind": 0, "undo": 0, "subst": 0}
+    bind, undo, psubst = machine._bind, machine._undo, syntax._psubst
+
+    def counted_bind(env, trail, x, v):
+        seen["bind"] += 1
+        bind(env, trail, x, v)
+
+    def counted_undo(env, trail, mark):
+        seen["undo"] += len(trail) - mark
+        undo(env, trail, mark)
+
+    def counted_psubst(e, sub):
+        seen["subst"] += 1
+        return psubst(e, sub)
+
+    monkeypatch.setattr(machine, "_bind", counted_bind)
+    monkeypatch.setattr(machine, "_undo", counted_undo)
+    monkeypatch.setattr(syntax, "_psubst", counted_psubst)
+    return seen
+
+
 def _nested_pair_text(n):
     """A pair whose first component is a pair, n deep, and its type."""
     term, ty = "unit", "Unit"
@@ -260,6 +287,41 @@ def test_target_evaluation_tests_values_linearly_in_the_steps(value_tests):
     # the steps double; stepping from the root re-tested every node above
     # the redex and made 3.97x as many value tests per doubling
     assert counts[32] <= 2.5 * counts[16], counts
+
+
+def _let_spine(n):
+    """let x0 = unit in let x1 = x0 in ... xn: n + 1 lets in body position."""
+    e = Var(f"x{n}")
+    for k in range(n, 0, -1):
+        e = Let(f"x{k}", Var(f"x{k - 1}"), UNIT_TY, e)
+    return Let("x0", UNIT, UNIT_TY, e)
+
+
+@pytest.mark.parametrize("nest", [_let_spine, _lets_in_bound])
+def test_an_untraced_binding_costs_constant_work(environment_work, nest):
+    counts = {}
+    for n in (1000, 2000, 4000):
+        environment_work.update(dict.fromkeys(environment_work, 0))
+        assert tgt_eval(nest(n)).expr == UNIT
+        counts[n] = sum(environment_work.values())
+    # n bindings in the spine, and n bindings and n undone in the bound,
+    # each one store in the environment and one entry of its undo log
+    assert counts[1000] >= 1000, counts
+    assert counts[2000] <= 2.2 * counts[1000], counts
+    assert counts[4000] <= 2.2 * counts[2000], counts
+
+
+def test_an_untraced_compiled_let_chain_substitutes_nothing(environment_work):
+    for n in (16, 32):
+        compiled = translate(Context(), parse(FAMILIES["let_chain"](n)))
+        lets = [rule for _, rule in target.tgt_steps(compiled)].count("let")
+        environment_work.update(dict.fromkeys(environment_work, 0))
+        tgt_eval(compiled)
+        # every let step binds its value, closed, in the environment; the
+        # run substituted 526 / 1,038 nodes when each let step substituted
+        # its value into the rest of the chain
+        assert environment_work["bind"] == lets > 0, environment_work
+        assert environment_work["subst"] == 0, environment_work
 
 
 def test_model_of_nested_pairs_is_linear_in_the_depth(model_calls):

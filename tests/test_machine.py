@@ -5,20 +5,25 @@ the root, so applying them until the term is a value is the machine's
 defining semantics. `*_eval` and `*_steps` continue from each contractum
 on an explicit stack instead; these tests check that they take the same
 steps, stop at the same budget and get stuck with the same message.
+`*_eval`, untraced, keeps let-bound values in an environment where
+`*_steps` substitutes them; the last tests check that both end alike.
 """
 
 from pathlib import Path
 
 import pytest
+from families import FAMILIES
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_harness import _let_substitutes_unit
 
 from dtalloc.alloc import translate
-from dtalloc.conversion import equiv
+from dtalloc.conversion import DEFAULT_FUEL, equiv
 from dtalloc.errors import FuelExhausted, StuckError
 from dtalloc.harness import GenSpec, gen_typed
 from dtalloc.heap import Config, Heap
-from dtalloc.sexpr import Lang, parse
+from dtalloc.machine import Machine, _Open
+from dtalloc.sexpr import Lang, ParseError, parse
 from dtalloc.source import src_eval, src_step, src_steps
 from dtalloc.syntax import (
     UNIT,
@@ -37,6 +42,7 @@ from dtalloc.syntax import (
     Pair,
     Snd,
     Var,
+    free_vars,
 )
 from dtalloc.target import tgt_eval, tgt_step, tgt_steps
 
@@ -235,3 +241,143 @@ def test_a_step_that_leaves_the_heap_keeps_the_heap_object():
     assert (r1, r2) == ("malloc", "let")
     assert after_malloc.heap is not start.heap
     assert after_let.heap is after_malloc.heap
+
+
+# ---------------------------------------------------------------------------
+# Untraced runs end in the last state of traced runs
+
+
+@pytest.fixture
+def restarts(monkeypatch):
+    """A list that grows by the start term of every untraced run that
+    starts again substituting, because an open term left its environment."""
+    seen = []
+    run_env = Machine._run_env
+
+    def counted(self, heap, e, fuel):
+        try:
+            return run_env(self, heap, e, fuel)
+        except _Open:
+            seen.append(e)
+            raise
+
+    monkeypatch.setattr(Machine, "_run_env", counted)
+    return seen
+
+
+def _outcome(run, e, fuel):
+    """What run(e, fuel) returns, or the class and message of its error."""
+    try:
+        return run(e, fuel)
+    except (StuckError, FuelExhausted) as err:
+        return type(err), str(err)
+
+
+def _assert_ends_alike(machine, e, fuel):
+    """The untraced run of e returns the last state of the traced run, heap
+    and value, or raises the same error; returns that outcome."""
+    _, steps, run, _ = machine
+    traced = _outcome(lambda e, fuel: steps(e, fuel)[-1][0], e, fuel)
+    assert _outcome(run, e, fuel) == traced, fuel
+    return traced
+
+
+def _assert_untraced_agrees(machine, e, every_budget=False):
+    """Runs of e end alike at full fuel and, with every_budget, at each
+    budget from 0 up to the first that does not run out, the step count."""
+    _assert_ends_alike(machine, e, DEFAULT_FUEL)
+    fuel = 0
+    while every_budget:
+        end = _assert_ends_alike(machine, e, fuel)
+        every_budget = isinstance(end, tuple) and end[0] is FuelExhausted
+        fuel += 1
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.src")), ids=lambda p: p.stem)
+def test_untraced_runs_agree_with_traced_runs_on_the_corpus(path, restarts):
+    e = parse(path.read_text(), Lang.SOURCE)
+    _assert_untraced_agrees(SOURCE, e, every_budget=True)
+    _assert_untraced_agrees(TARGET, _compiled(e).expr, every_budget=True)
+    assert restarts == []
+
+
+@pytest.mark.parametrize("path", sorted(NEGATIVE.iterdir()), ids=lambda p: p.name)
+def test_untraced_runs_agree_with_traced_runs_on_negative_files(path):
+    # every negative file reads as a target program; source files other
+    # than the two that use target syntax also read as source programs
+    text = path.read_text()
+    _assert_untraced_agrees(TARGET, parse(text, Lang.TARGET), every_budget=True)
+    try:
+        e = parse(text, Lang.SOURCE)
+    except ParseError:
+        assert path.suffix == ".tgt" or path.stem in ("flagged_sigma", "target_syntax")
+        return
+    _assert_untraced_agrees(SOURCE, e, every_budget=True)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_untraced_runs_agree_with_traced_runs_on_the_families(family, restarts):
+    for n in range(1, 13):
+        e = parse(FAMILIES[family](n))
+        _assert_untraced_agrees(SOURCE, e, every_budget=n <= 3)
+        _assert_untraced_agrees(TARGET, _compiled(e).expr, every_budget=n <= 3)
+    assert restarts == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000), depth=st.integers(1, 5), fuel=st.integers(0, 40))
+def test_untraced_runs_agree_with_traced_runs_on_generated_programs(seed, depth, fuel):
+    _, e, _ = gen_typed(GenSpec(depth=depth, seed=seed, closed=True))
+    for machine, term in ((SOURCE, e), (TARGET, _compiled(e).expr)):
+        _assert_untraced_agrees(machine, term)
+        _assert_ends_alike(machine, term, fuel)
+
+
+# terms whose untraced runs use each part of the environment, in order: a
+# bound value names a binding that a later let shadows; a value that names
+# a binding leaves its scope, into a shadowed binding's; a shadowed
+# binding comes back; a value leaves two scopes; a closure is bound and
+# applied; the final value names a binding; a redex's types name one; a
+# bound inner let shadows the tuple written after it; and an open program
+# stores a value whose free name a later let binds
+ENVIRONMENT_CASES = [
+    (Lang.SOURCE, "(let (x Unit Star) (let (y (Pi (a x) x) Star) "
+                  "(let (x (Pi (b Unit) Unit) Star) y)))"),
+    (Lang.SOURCE, "(let (T (Pi (c Unit) Unit) Star) "
+                  "(pair (let (T Unit Star) (Pi (x T) T)) T (Sigma (a Star) Star)))"),
+    (Lang.SOURCE, "(let (x unit Unit) (pair (let (x Unit Star) x) x (Sigma (a Star) Unit)))"),
+    (Lang.SOURCE, "(fst (pair (let (a unit Unit) (let (b Unit Star) (pair a b "
+                  "(Sigma (x Unit) Star)))) unit (Sigma (p (Sigma (x Unit) Star)) Unit)))"),
+    (Lang.SOURCE, "(let (f (clo (code ((e Unit) (x Unit)) x) unit (Pi (x Unit) Unit)) "
+                  "(Pi (x Unit) Unit)) (app f unit))"),
+    (Lang.SOURCE, "(let (T Unit Star) (clo (code ((e Star) (x e)) x) T (Pi (x T) T)))"),
+    (Lang.TARGET, "(let (T Unit Star) (let (p (malloc (a T) T) (Sigma (a T 0) (T 0))) "
+                  "(assign1 p unit)))"),
+    (Lang.TARGET, "(let (p (malloc (a Unit) Unit) (Sigma (a Unit 0) (Unit 0))) "
+                  "(let (q (let (p unit Unit) p) Unit) (assign1 p q)))"),
+    (Lang.TARGET, "(let (p (malloc (a Star) Unit) (Sigma (a Star 0) (Unit 0))) "
+                  "(let (p1 (assign1 p (Pi (b y) Unit)) (Sigma (a Star 1) (Unit 0))) "
+                  "(let (y Unit Star) (let (z (fst p1) Star) z))))"),
+]
+
+
+@pytest.mark.parametrize("lang, text", ENVIRONMENT_CASES)
+def test_untraced_runs_agree_with_traced_runs_where_the_environment_matters(
+    lang, text, restarts
+):
+    e = parse(text, lang)
+    if lang is Lang.SOURCE:
+        _assert_untraced_agrees(SOURCE, e, every_budget=True)
+        e = _compiled(e).expr
+    _assert_untraced_agrees(TARGET, e, every_budget=True)
+    # only the open program starts again, at its assign1 of an open value
+    assert bool(restarts) == bool(free_vars(e)), restarts
+
+
+def test_untraced_agreement_sees_a_let_rule_broken_in_contract(monkeypatch):
+    # untraced runs do not contract lets through machine.contract, so only
+    # the traced run takes a broken let rule; terms are built after the swap
+    monkeypatch.setattr("dtalloc.machine.contract", _let_substitutes_unit)
+    e = parse((CORPUS / "pair_nested.src").read_text(), Lang.SOURCE)
+    with pytest.raises(AssertionError):
+        _assert_untraced_agrees(TARGET, _compiled(e).expr)
