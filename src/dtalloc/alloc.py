@@ -10,7 +10,7 @@ The first assignment is what makes the second typeable: the second
 slot's type may mention the first component, and the target checker
 learns the first component's value by reading it back out of the
 let-bound tuple. Generated binder names never collide with names from
-the input term or its context.
+the input term or its context. Each pair type is one object (_Translator).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .syntax import (
     Name,
     Pair,
     Sigma,
+    UnitTy,
     Var,
     _in_scope,
     all_names,
@@ -48,17 +49,27 @@ from .target import _FOREIGN, _SOURCE, _reject_foreign
 
 
 class _Translator:
-    """Tracks every name in play so generated binders are always fresh.
+    """Tracks every name in play so generated binders are always fresh,
+    and every pair type emitted so each distinct one is one object.
 
     reserved holds every name the input could mention, so gensym output
     never collides with it; issued holds only generated names, so user
     binders keep their spelling unless they would shadow one.
+
+    sigmas (see share) and fills (see levels) die with the translator, and
+    each id in a key names an object they hold; a Unit part, a new object
+    each time it is parsed, is keyed by its class. Sharing is sound: all
+    kept on a Sigma (_tgt_sort, _tgt_type, _src_type, _compiled,
+    _object_ids, name analyses) depends only on its fields; only the
+    position, that of the first occurrence, tells shared copies apart.
     """
 
     def __init__(self, reserved: frozenset[Name]):
         self.reserved = set(reserved)
         self.issued: set[Name] = set()
         self.k = 0
+        self.sigmas: dict[tuple, Sigma] = {}
+        self.fills: dict[int, tuple[Sigma, Sigma, Sigma]] = {}
 
     def gensym(self) -> Name:
         while True:
@@ -87,7 +98,8 @@ class _Translator:
                         ErrKind.ANNOT_MISMATCH, "pair annotation must be a pair type", e.pos
                     )
                 ys = self.gensym(), self.gensym(), self.gensym()
-                return _fill(ys, self.tr(ctx, annot), self.tr(ctx, e1), self.tr(ctx, e2), Var)
+                tys = self.levels(self.tr(ctx, annot))
+                return _fill(ys, tys, self.tr(ctx, e1), self.tr(ctx, e2), Var)
             case Clo(c, env, _):
                 ys = self.gensym(), self.gensym(), self.gensym()
                 z = self.named("z")
@@ -96,8 +108,9 @@ class _Translator:
                     raise TypeCheckError(
                         ErrKind.NOT_A_FUNCTION, "closure over a term that is not code", c.pos
                     )
-                ty = Sigma(z, self.tr(ctx, code_ty), 1, self.tr(ctx, code_ty.env_ty), 1)
-                return _fill(ys, ty, self.tr(ctx, c), self.tr(ctx, env), lambda y2: CTag(Var(y2)))
+                tys = self.levels(
+                    self.share(Sigma(z, self.tr(ctx, code_ty), 1, self.tr(ctx, code_ty.env_ty), 1)))
+                return _fill(ys, tys, self.tr(ctx, c), self.tr(ctx, env), lambda y2: CTag(Var(y2)))
         if not _CHILD_ARGS[cls]:
             return e
         ctx = Context() if cls is Code or cls is CodeTy else ctx
@@ -110,8 +123,10 @@ class _Translator:
             while d < depth:
                 b, scope = scopes[d]
                 x = args[b]
-                inner = {args[i] for i, _ in scopes[d + 1 :]} - {x}
-                x2 = fresh_name(x, ctx.names() | self.issued | inner)
+                x2 = x
+                if x in self.issued or ctx.lookup(x) is not None:
+                    inner = {args[i] for i, _ in scopes[d + 1 :]} - {x}
+                    x2 = fresh_name(x, ctx.names() | self.issued | inner)
                 self.reserved.add(x2)
                 ctx = ctx.extend(x2, src, e.bound if cls is Let else None)
                 if x2 != x:
@@ -121,22 +136,37 @@ class _Translator:
                 d += 1
             src = args[c]
             args[c] = self.tr(ctx, src)
-        if all(map(is_, args, old)):
-            return e
-        return cls(*args[:-1])
+        if not all(map(is_, args, old)):
+            e = cls(*args[:-1])
+        return self.share(e) if cls is Sigma else e
+
+    def share(self, ty: Sigma) -> Sigma:
+        """The first Sigma here with ty's binder, flags and parts, Unit by value."""
+        dom, cod = ty.dom, ty.cod
+        key = (ty.binder, ty.flag1, ty.flag2, UnitTy if type(dom) is UnitTy else id(dom),
+               UnitTy if type(cod) is UnitTy else id(cod))
+        return self.sigmas.setdefault(key, ty)
+
+    def levels(self, ty: Sigma) -> tuple[Sigma, Sigma, Sigma]:
+        """ty at flags (0,0), (1,0) and (1,1), made once per object ty."""
+        got = self.fills.get(id(ty))
+        if got is None:
+            ty0 = Sigma(ty.binder, ty.dom, 0, ty.cod, 0)
+            got = self.fills[id(ty)] = (ty0, filled(ty0, 1), ty)
+        return got
 
 
-def _fill(ys: tuple[Name, Name, Name], ty: Sigma, v1: Expr, v2: Expr, tail) -> Expr:
-    """Allocate a tuple at ty with flags (0,0) and fill it with v1, then v2:
-    each step let-bound to the next name of ys and annotated with the pair
-    type at its fill level, ty itself once full, ending in tail(the last name)."""
+def _fill(ys: tuple[Name, ...], tys: tuple[Sigma, ...], v1: Expr, v2: Expr, tail) -> Expr:
+    """Allocate a tuple with flags (0,0) and fill it with v1, then v2: each
+    step let-bound to the next name of ys and annotated with the next of
+    tys (_Translator.levels), ending in tail(the last name)."""
     y, y1, y2 = ys
-    ty0 = Sigma(ty.binder, ty.dom, 0, ty.cod, 0)
+    ty0, ty1, ty = tys
     return Let(
         y,
         Malloc(ty.binder, ty.dom, ty.cod),
         ty0,
-        Let(y1, Assign1(Var(y), v1), filled(ty0, 1), Let(y2, Assign2(Var(y1), v2), ty, tail(y2))),
+        Let(y1, Assign1(Var(y), v1), ty1, Let(y2, Assign2(Var(y1), v2), ty, tail(y2))),
     )
 
 

@@ -1,16 +1,22 @@
 """Compilation of pairs and closures into allocation chains."""
 
 import itertools
+from pathlib import Path
 
 import pytest
+from families import FAMILIES
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtalloc.alloc import translate, translate_ctx
 from dtalloc.errors import ErrKind, TypeCheckError
 from dtalloc.harness import (
+    GenSpec,
     check_differential,
     check_preservation,
     check_reduction_preserved,
     check_step_preservation,
+    gen_typed,
     readback,
     source_step_pairs,
 )
@@ -30,7 +36,9 @@ from dtalloc.syntax import (
     Sigma,
     UNIT,
     UNIT_TY,
+    UnitTy,
     Var,
+    subterms,
 )
 from dtalloc.target import tgt_eval, tgt_infer
 
@@ -228,3 +236,60 @@ def test_same_name_binders_keep_every_property():
             reports += [check_reduction_preserved(text, a, b) for a, b in source_step_pairs(e)]
             failed += [(r.case_id, r.prop, r.detail) for r in reports if r.verdict != "pass"]
     assert kept > 300 and not failed
+
+
+# Sharing: the translator makes each distinct pair type of one compiled
+# term a single object; the programs below are the corpus and the
+# families at sizes 1-8, and generated closed programs.
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SHARING_PROGRAMS = [(p.stem, p.read_text()) for p in sorted(CORPUS.glob("*.src"))] + [
+    (f"{f}/{n}", FAMILIES[f](n)) for f in sorted(FAMILIES) for n in range(1, 9)
+]
+
+
+def _sigma_objects(e):
+    """The distinct Sigma objects in e."""
+    return list({id(n): n for n in subterms(e) if type(n) is Sigma}.values())
+
+
+def _sharing_key(s):
+    # equal keys mean equal types: Unit by value, other components by identity
+    part = [c if type(c) is UnitTy else id(c) for c in (s.dom, s.cod)]
+    return (s.binder, s.flag1, s.flag2, *part)
+
+
+def unshared(e):
+    """A deep copy of e in which every position holds an object of its own."""
+    args = {f: getattr(e, f) for f in e.__dataclass_fields__}
+    return type(e)(**{f: unshared(v) if isinstance(v, Expr) else v for f, v in args.items()})
+
+
+def _assert_shared_and_unchanged(e):
+    te = translate(Context(), e)
+    sigmas = _sigma_objects(te)
+    assert len({_sharing_key(s) for s in sigmas}) == len(sigmas)
+    copy = unshared(te)
+    nodes = list(subterms(copy))
+    assert copy == te and len({id(n) for n in nodes}) == len(nodes)
+    assert print_expr(copy, Lang.TARGET) == print_expr(te, Lang.TARGET)
+    ty, copy_ty = (tgt_infer(Heap(), Context(), t) for t in (te, copy))
+    assert print_expr(copy_ty, Lang.TARGET) == print_expr(ty, Lang.TARGET)
+    assert readback(tgt_eval(copy)) == readback(tgt_eval(te))
+
+
+@pytest.mark.parametrize("name,text", SHARING_PROGRAMS, ids=[n for n, _ in SHARING_PROGRAMS])
+def test_one_object_per_pair_type_and_an_unshared_copy_behaves_alike(name, text):
+    _assert_shared_and_unchanged(parse(text))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_generated_programs_share_pair_types_and_behave_as_unshared(seed):
+    _assert_shared_and_unchanged(gen_typed(GenSpec(depth=4, seed=seed, closed=True))[1])
+
+
+def test_compiled_nested_pairs_hold_three_pair_types_per_level():
+    for n in range(1, 17):
+        # one full pair type per level and its (0,0) and (1,0) forms; 168
+        # objects at n = 16 when every annotation was a copy of its own
+        assert len(_sigma_objects(tr(FAMILIES["nested_pairs"](n)))) <= 3 * n, n

@@ -12,6 +12,7 @@ timing anything, so it gives the same answer on any machine.
 import argparse
 import dataclasses
 import dis
+import gc
 import importlib.util
 import sys
 from dataclasses import replace
@@ -269,11 +270,39 @@ def test_step_preservation_infers_each_closed_heap_free_type_once(sort_inference
         assert len({id(e) for e in memoizable}) == len(memoizable)
         counts[n] = len(sort_inferences)
     assert counts[4] > 0
-    # the annotations of nested pairs grow with the depth, so the compiled
-    # program holds about n^2 distinct type nodes and the count may grow
-    # up to 4x per doubling; it grew 6.5x when every machine state
-    # re-inferred the universes of all its types
-    assert counts[8] <= 4 * counts[4], counts
+    # the source spells out the type below each level, but the translator
+    # makes each distinct pair type one object, so the compiled program
+    # holds O(n) type objects: 17 / 33 inferences; they were 32 / 96 when
+    # every occurrence was a copy of its own, and grew 6.5x per doubling
+    # when every machine state re-inferred the universes of all its types
+    assert counts[8] <= 2.2 * counts[4], counts
+
+
+def _target_sort_inferences(sort_inferences, family, sizes):
+    counts = {}
+    for n in sizes:
+        compiled = translate(Context(), parse(FAMILIES[family](n)))
+        sort_inferences.clear()
+        tgt_infer(Heap(), Context(), compiled)
+        counts[n] = len(sort_inferences)
+    return counts
+
+
+def test_target_checking_nested_pairs_infers_sorts_linearly(sort_inferences):
+    counts = _target_sort_inferences(sort_inferences, "nested_pairs", (4, 8, 16))
+    assert counts[4] > 0
+    # 17 / 33 / 65: one inference per distinct pair type and fill level;
+    # 32 / 96 / 320 when each annotation was a copy of its own
+    assert counts[8] <= 2.2 * counts[4] and counts[16] <= 2.2 * counts[8], counts
+
+
+def test_target_checking_a_let_chain_infers_sorts_independently_of_length(sort_inferences):
+    counts = _target_sort_inferences(sort_inferences, "let_chain", (4, 8, 16))
+    assert counts[4] > 0
+    # every link builds a pair of one type, so the chain holds three
+    # annotation objects at any length: 5 / 5 / 5 inferences; 40 / 72 /
+    # 136 when each link had copies of its own
+    assert counts[16] <= counts[8] <= counts[4], counts
 
 
 def test_target_evaluation_tests_values_linearly_in_the_steps(value_tests):
@@ -425,7 +454,9 @@ def _calls_in_building(cls, args):
     """The Python functions entered while cls(*args) runs, and the call
     instructions they execute. A call of a slot wrapper such as
     object.__setattr__ makes no profiler event, so calls are counted
-    instruction by instruction."""
+    instruction by instruction. Garbage is collected before and not
+    during the run, so that no finalizer of an unrelated object, such as
+    a suspended generator, runs inside it."""
     entered, calls = [], []
 
     def trace(frame, event, arg):
@@ -436,12 +467,15 @@ def _calls_in_building(cls, args):
             calls.append(frame.f_code.co_name)
         return trace
 
+    gc.collect()
+    gc.disable()
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
         cls(*args)
     finally:
         sys.settrace(previous)
+        gc.enable()
     return entered, calls
 
 
