@@ -20,8 +20,8 @@ direction) and tied, and whether the change's median is better than the
 parent's by more than the parent's interquartile range. It also records,
 per side, the line count of src/dtalloc/*.py and the number of tier-1
 tests collected. When src/ or the benchmark's paths differ from HEAD,
-the change also records the SHA-256 of `git diff HEAD` over them, so the
-file names the code it measured. A run that exits non-zero or reports a
+the change also records change_digest of them, so the file names the
+code it measured. A run that exits non-zero or reports a
 wrong verdict stops the script, and no file is written.
 
 The script only reads perfbench's output; it changes nothing under
@@ -56,6 +56,19 @@ def _run(cmd: list[str], cwd: Path) -> str:
         raise SystemExit(f"bench: {' '.join(cmd)} in {cwd} exited {done.returncode}:\n"
                          f"{done.stderr.strip()}")
     return done.stdout
+
+
+def change_digest(tree: Path, paths: list[str]) -> str | None:
+    """The SHA-256 of how paths differ from HEAD in tree: of `git diff
+    HEAD` over them, then of each untracked file under them, by name and
+    contents, which git diff leaves out. None when nothing differs."""
+    diff = _run(["git", "diff", "HEAD", "--binary", "--", *paths], tree)
+    listed = _run(["git", "ls-files", "--others", "--exclude-standard", "-z", "--", *paths], tree)
+    untracked = sorted(name for name in listed.split("\0") if name)
+    digest = hashlib.sha256(diff.encode())
+    for name in untracked:
+        digest.update(b"\0" + name.encode() + b"\0" + (tree / name).read_bytes())
+    return digest.hexdigest() if diff or untracked else None
 
 
 def src_lines(tree: Path) -> int:
@@ -119,11 +132,11 @@ def bench(parent_tree: Path) -> dict:
     metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
     seconds = spec["run_seconds"]
     trees = {"parent": parent_tree, "change": ROOT}
-    diff = _run(["git", "diff", "HEAD", "--binary", "--", "src", *spec["paths"]], ROOT)
+    digest = change_digest(ROOT, ["src", *spec["paths"]])
     head = _run(["git", "rev-parse", "HEAD"], ROOT).strip()
-    change = {"rev": head, "dirty": bool(diff)}
-    if diff:
-        change["diff_sha256"] = hashlib.sha256(diff.encode()).hexdigest()
+    change = {"rev": head, "dirty": digest is not None}
+    if digest is not None:
+        change["diff_sha256"] = digest
     out = {
         "format": FORMAT,
         "pairs": PAIRS,

@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Run the full property suite over the corpus and a batch of generated
-programs, printing one CASE line per check and a summary per suite."""
+programs, printing one CASE line per check and a summary per suite.
 
-import argparse
+    python3 scripts/run_preservation.py
+
+It exits 1 if any check fails or runs out of fuel. Its output, less the
+elapsed line, is tests/golden/run_preservation.txt."""
+
 import sys
 import time
 from pathlib import Path
@@ -26,42 +30,36 @@ from dtalloc.harness import (  # noqa: E402
 )
 from dtalloc.syntax import Context  # noqa: E402
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+# generated preservation, substitution and differential cases, and the
+# generator's depth and first seed
+COUNT, SUBST, DIFF, DEPTH, SEED = 500, 500, 200, 4, 0
+
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--corpus", default=str(Path(__file__).resolve().parent.parent / "corpus"))
-    ap.add_argument("--count", type=int, default=500, help="generated preservation cases")
-    ap.add_argument("--subst", type=int, default=500, help="generated substitution cases")
-    ap.add_argument("--diff", type=int, default=200, help="generated differential cases")
-    ap.add_argument("--depth", type=int, default=4)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--quiet", action="store_true", help="summaries only")
-    args = ap.parse_args()
-
     t0 = time.time()
     failures = 0
 
     def show(reports, label):
         nonlocal failures
-        if not args.quiet:
-            for r in reports:
-                print(r.line())
+        for r in reports:
+            print(r.line())
         print(f"{label}: {summary_line(reports)}")
         counts = verdict_counts(reports)
         failures += counts["failed"] + counts["fuel"]
 
-    corpus = load_corpus(args.corpus)
+    corpus = load_corpus(CORPUS)
     reports = [check_preservation(name, Context(), e) for name, e in corpus]
     reports += [
         check_preservation(cid, ctx, e)
-        for cid, ctx, e, _ in gen_cases(args.count, args.depth, args.seed)
+        for cid, ctx, e, _ in gen_cases(COUNT, DEPTH, SEED)
     ]
     show(reports, "type-preservation")
 
     reports = []
-    for i in range(args.subst):
-        ctx, x, a_ty, e, e2 = gen_lemma4(GenSpec(depth=args.depth, seed=args.seed + i))
-        reports.append(check_subst_commute(f"subst{args.seed + i}", ctx, x, a_ty, e, e2))
+    for i in range(SUBST):
+        ctx, x, a_ty, e, e2 = gen_lemma4(GenSpec(depth=DEPTH, seed=SEED + i))
+        reports.append(check_subst_commute(f"subst{SEED + i}", ctx, x, a_ty, e, e2))
     show(reports, "substitution")
 
     reports = []
@@ -71,9 +69,9 @@ def main() -> int:
     show(reports, "reduction-preserved")
 
     reports = [check_differential(name, e) for name, e in corpus]
-    for i in range(args.diff):
-        _, e, _ = gen_typed(GenSpec(depth=args.depth, seed=args.seed + i, closed=True))
-        reports.append(check_differential(f"diff{args.seed + i}", e))
+    for i in range(DIFF):
+        _, e, _ = gen_typed(GenSpec(depth=DEPTH, seed=SEED + i, closed=True))
+        reports.append(check_differential(f"diff{SEED + i}", e))
     show(reports, "differential")
 
     reports = [check_step_preservation(name, e) for name, e in corpus]

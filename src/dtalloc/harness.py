@@ -416,12 +416,12 @@ def _written_cells(old: Heap, new: Heap) -> set[int]:
 
 
 def _plugged_path(frames: list, e: Expr) -> list[Expr] | None:
-    """The nodes of e at the frames (node, field), outermost first, and
-    what fills the innermost hole, last; when e is not the frames plugged
-    as the machine plugs them, every other argument of every node the
-    same object, None."""
+    """The nodes of e at the frames (node, field, mark), outermost first,
+    and what fills the innermost hole, last; when e is not the frames
+    plugged as the machine plugs them, every other argument of every node
+    the same object, None."""
     path = [e]
-    for node, hole in frames:
+    for node, hole, _ in frames:
         cls = type(node)
         if type(e) is not cls:
             return None
@@ -553,7 +553,7 @@ def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> bool:
     written = _written_cells(prev.heap, cfg.heap)
     if written and any(
         not written.isdisjoint(locs_in(getattr(node, f)))
-        for node, hole in frames
+        for node, hole, _ in frames
         for f in _CHILD_FIELDS[type(node)]
         if f != hole
     ):
@@ -564,9 +564,8 @@ def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> bool:
             check(Lang.TARGET, cfg.heap, Context(), path[j + 1], node.annot)
         else:
             tgt_infer_checking(cfg.heap, Context(), path[j])
-        return not any(_reads_hole_term(*frame) for frame in frames[: j + 1]) or _contracts_to(
-            prev.heap, redex, cfg.heap, path[-1]
-        )
+        reads = any(_reads_hole_term(node, hole) for node, hole, _ in frames[: j + 1])
+        return not reads or _contracts_to(prev.heap, redex, cfg.heap, path[-1])
     except (TypeCheckError, FuelExhausted, RecursionError):
         return False
 

@@ -3,23 +3,26 @@
 
 contract states each contraction rule once, for both machines and for
 conversion's normalizer. A language supplies the evaluation-position
-fields of each node type, its value test and its stuck messages. The
-driver keeps the evaluation context as an explicit stack of frames, each
-a node with a hole at one such field, and goes on from each contractum
-instead of descending again from the root: the same steps, linear in
-their number, at any depth.
+fields of each node type, its value test and its stuck messages. One
+refocusing routine, Machine._refocus, keeps the evaluation context as an
+explicit stack of frames, each a node with a hole at one such field, and
+goes on from each contractum instead of descending again from the root:
+the same steps, linear in their number, at any depth. Machine.step, every
+run and step-preservation's local check refocus through it.
 
-A traced run contracts a let by substituting its value into its body, so
-that each state in the trace is a whole term and consecutive states share
-their unchanged subterms by identity, which step-preservation's local
-check relies on. An untraced run instead keeps let-bound values in an
-environment (Ager, Biernacki, Danvy and Midtgaard, "A Functional
-Correspondence between Evaluators and Abstract Machines", 2003) and
-substitutes only where a term leaves it: a redex for contract, a value
-for a frame outside the binding, and the final value. Those values are
-closed, so the substitutions rename nothing and the run ends in the
-state of the traced run after the same steps; where an open term would
-leave the environment, the run starts again substituting.
+Machine.run has one contraction loop with two let rules. A traced run
+contracts a let by substituting its value into its body, so that each
+state in the trace is a whole term and consecutive states share their
+unchanged subterms by identity, which step-preservation's local check
+relies on. An untraced run from an empty heap instead binds the value in
+an environment (Ager, Biernacki, Danvy and Midtgaard, "A Functional
+Correspondence between Evaluators and Abstract Machines", 2003). A term
+is closed, by substitution, only where it leaves the environment: a
+redex for contract, a value being bound, a value for a frame outside the
+binding, and the final value. Those values are closed, so the substitutions rename
+nothing and the run ends in the state of the traced run after the same
+steps; where an open term would leave the environment, the loop starts
+again substituting.
 """
 
 from __future__ import annotations
@@ -132,9 +135,9 @@ def _fill(node: Expr, hole: str, e: Expr) -> Expr:
 
 
 def _plug(frames, e: Expr) -> Expr:
-    """e put into the holes of the frames (node, field), innermost last; a
-    plugged node keeps its position."""
-    for node, hole in reversed(frames):
+    """e put into the holes of the frames (node, field, mark), innermost
+    last; a plugged node keeps its position."""
+    for node, hole, _ in reversed(frames):
         e = _fill(node, hole, e)
     return e
 
@@ -155,23 +158,41 @@ class Machine:
             raise StuckError(self.stuck.get(type(e), self.stuck[Expr]).format(e=e))
         return r
 
-    def _refocus(self, e: Expr, stack: list) -> tuple[Expr, bool]:
+    def _refocus(self, e: Expr, stack: list, env: dict | None = None,
+                 trail=()) -> tuple[Expr, bool]:
         """Move from the focus e to the next redex, plugging frames on the way
         up and pushing them on the way down: (redex, True), or (value, False)
-        once the whole term is a value."""
+        once the whole term is a value. env, if given, binds let values,
+        closed, and trail, its undo log, lists each binding with the value
+        it shadowed; a frame (node, field, mark) is pushed when trail has
+        mark entries. A variable in evaluation position is looked up in
+        env, and a value that leaves a frame pushed before a binding is
+        closed and the binding undone: a binding and its undo cost O(1)."""
         is_value, eval_fields = self.is_value, self.eval_fields
-        while is_value(e):
-            if not stack:
-                return e, False
-            e = _plug((stack.pop(),), e)
         while True:
-            for name in eval_fields.get(type(e), ()):
-                sub = getattr(e, name)
-                if not is_value(sub):
-                    stack.append((e, name))
-                    e = sub
+            while is_value(e):
+                if not stack:
+                    return _close(e, env), False
+                node, hole, mark = stack.pop()
+                if mark < len(trail):
+                    e = _close(e, env)
+                    _undo(env, trail, mark)
+                e = _fill(node, hole, e)
+            filled = False
+            while True:
+                for name in eval_fields.get(type(e), ()):
+                    sub = getattr(e, name)
+                    if env and type(sub) is Var and sub.name in env:
+                        e, filled = _fill(e, name, env[sub.name]), True
+                    elif not is_value(sub):
+                        stack.append((e, name, len(trail)))
+                        e, filled = sub, False
+                        break
+                else:
                     break
-            else:
+            if env and type(e) is Var and e.name in env:
+                e = env[e.name]
+            elif not (filled and is_value(e)):
                 return e, True
 
     def step(self, heap, e: Expr):
@@ -186,82 +207,49 @@ class Machine:
     def run(self, heap, e: Expr, fuel: int, trace: list | None = None):
         """Contract up to fuel redexes and return (heap, value); past the
         budget a stuck redex raises StuckError, any other FuelExhausted.
-        Each contraction appends (heap, whole term, rule) to trace, if
-        given. Without one, a run from an empty heap keeps let values in an
-        environment (_run_env) and starts again here only when an open term
-        leaves it: substituting an open value may rename binders, and
+
+        A let step has two rules, chosen from what the run is given. With
+        a trace, or from a heap that holds cells, the loop substitutes the
+        value through contract, and each contraction appends (heap, whole
+        term, rule) to trace, if given. Without either, it binds the value
+        in env until an open term leaves env; then the loop starts again
+        substituting: substituting an open value may rename binders, and
         simultaneous substitution need not choose the names that one at a
         time does."""
-        if trace is None and (heap is None or not heap.cells):
+        env = {} if trace is None and (heap is None or not heap.cells) else None
+        start = heap, e
+        while True:
+            (heap, e), stack, trail, spent = start, [], [], 0
             try:
-                return self._run_env(heap, e, fuel)
+                while True:
+                    e, redex = self._refocus(e, stack, env, trail)
+                    if not redex:
+                        return heap, e
+                    if spent >= fuel:
+                        self._contract(heap, _close(e, env))
+                        raise FuelExhausted(fuel)
+                    spent += 1
+                    if env is not None and type(e) is Let:
+                        _bind(env, trail, e.binder, _close(e.bound, env))
+                        e = e.body
+                    else:
+                        heap, e, rule = self._contract(heap, _close(e, env))
+                        if trace is not None:
+                            trace.append((heap, _plug(stack, e), rule))
             except _Open:
-                pass
-        stack, spent = [], 0
-        while True:
-            e, redex = self._refocus(e, stack)
-            if not redex:
-                return heap, e
-            if spent >= fuel:
-                self._contract(heap, e)
-                raise FuelExhausted(fuel)
-            heap, e, rule = self._contract(heap, e)
-            spent += 1
-            if trace is not None:
-                trace.append((heap, _plug(stack, e), rule))
-
-    def _run_env(self, heap, e: Expr, fuel: int):
-        """run from an empty heap without a trace. A let step binds its
-        value in env instead of substituting it. trail, an undo log, lists
-        each binding with the value it shadowed, and a frame (node, field,
-        mark) was pushed when trail had mark entries: a binding and its undo
-        cost O(1). A variable in evaluation position is looked up in env."""
-        is_value, eval_fields = self.is_value, self.eval_fields
-        env, trail, stack, spent = {}, [], [], 0
-        while True:
-            while is_value(e):
-                if not stack:
-                    return heap, _close(e, env)
-                node, hole, mark = stack.pop()
-                if mark < len(trail):
-                    e = _close(e, env)
-                    _undo(env, trail, mark)
-                e = _fill(node, hole, e)
-            filled = False
-            while True:
-                for name in eval_fields.get(type(e), ()):
-                    sub = getattr(e, name)
-                    if type(sub) is Var and sub.name in env:
-                        e, filled = _fill(e, name, env[sub.name]), True
-                    elif not is_value(sub):
-                        stack.append((e, name, len(trail)))
-                        e, filled = sub, False
-                        break
-                else:
-                    break
-            if type(e) is Var and e.name in env:
-                e = env[e.name]
-                continue
-            if filled and is_value(e):
-                continue
-            if spent >= fuel:
-                self._contract(heap, _close(e, env))
-                raise FuelExhausted(fuel)
-            spent += 1
-            if type(e) is Let:
-                _bind(env, trail, e.binder, _close(e.bound, env))
-                e = e.body
-            else:
-                heap, e, _ = self._contract(heap, _close(e, env))
+                env = None
 
 
 class _Open(Exception):
     """A term left the environment with a free name it does not bind."""
 
 
-def _close(e: Expr, env: dict) -> Expr:
+def _close(e: Expr, env: dict | None) -> Expr:
     """e with the values env binds put in for its free names; raises _Open
-    when env does not bind one of them."""
+    when env does not bind one of them, even when env is empty. Without an
+    env e is returned as it is, and its free names are not computed."""
+    if env is None:
+        return e
     fv = free_vars(e)
     if not fv:
         return e

@@ -193,11 +193,6 @@ _HELPER_DOCS = {
 }
 
 
-def model_expr(e: Expr) -> str:
-    """The model of a closed target term or type."""
-    return str(_Modeler().model(e, {}))
-
-
 def emit_model(e: Expr) -> str:
     """The full emitted file: a header describing the input and the
     schemas and helpers in play, then the model."""

@@ -1,9 +1,12 @@
 """Every committed BENCH_<n>.json, the benchmark trajectory that
-scripts/bench.py writes, has the schema the script states. The benchmark
-itself is not run here."""
+scripts/bench.py writes, has the schema the script states, and the
+script names the code it measured. The benchmark itself is not run
+here."""
 
+import hashlib
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -55,3 +58,34 @@ def test_the_schema_rejects_what_is_not_a_bench_file():
         "change is dirty but names no diff_sha256",
         "w.m.wins is not a count of pairs",
     ]
+
+
+def test_the_change_digest_counts_untracked_files_under_its_paths(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                        *args], cwd=tmp_path, check=True, capture_output=True)
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("a = 1\n")
+    (tmp_path / ".gitignore").write_text("__pycache__/\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "start")
+    assert bench.change_digest(tmp_path, ["src"]) is None
+    # ignored files and files outside the paths are not the change
+    (tmp_path / "src" / "__pycache__").mkdir()
+    (tmp_path / "src" / "__pycache__" / "a.pyc").write_bytes(b"\0")
+    (tmp_path / "notes.txt").write_text("x\n")
+    assert bench.change_digest(tmp_path, ["src"]) is None
+    # a new module is a change, named by its contents
+    (tmp_path / "src" / "b.py").write_text("b = 1\n")
+    added = bench.change_digest(tmp_path, ["src"])
+    (tmp_path / "src" / "b.py").write_text("b = 2\n")
+    edited = bench.change_digest(tmp_path, ["src"])
+    assert added is not None and edited is not None and added != edited
+    # with no untracked file, the digest is that of git diff alone
+    (tmp_path / "src" / "b.py").unlink()
+    (tmp_path / "src" / "a.py").write_text("a = 2\n")
+    diff = subprocess.run(["git", "diff", "HEAD", "--binary", "--", "src"], cwd=tmp_path,
+                          check=True, capture_output=True, text=True).stdout
+    assert bench.change_digest(tmp_path, ["src"]) == hashlib.sha256(diff.encode()).hexdigest()

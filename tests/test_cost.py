@@ -318,6 +318,17 @@ def test_target_evaluation_tests_values_linearly_in_the_steps(value_tests):
     assert counts[32] <= 2.5 * counts[16], counts
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_an_untraced_run_leaves_the_free_names_of_its_program_unanalysed(family):
+    for n in (1, 4, 8):
+        te = translate(Context(), parse(FAMILIES[family](n)))
+        tgt_eval(te)
+        # a run finds an open program where an open term leaves its
+        # environment; testing closedness up front walks every node of the
+        # program, types included, which the run itself never visits
+        assert "_free_vars" not in te.__dict__, (family, n)
+
+
 def _let_spine(n):
     """let x0 = unit in let x1 = x0 in ... xn: n + 1 lets in body position."""
     e = Var(f"x{n}")

@@ -22,7 +22,7 @@ from dtalloc.conversion import DEFAULT_FUEL, equiv
 from dtalloc.errors import FuelExhausted, StuckError
 from dtalloc.harness import GenSpec, gen_typed
 from dtalloc.heap import Config, Heap
-from dtalloc.machine import Machine, _Open
+from dtalloc.machine import _close, _Open
 from dtalloc.sexpr import Lang, ParseError, parse
 from dtalloc.source import src_eval, src_step, src_steps
 from dtalloc.syntax import (
@@ -249,19 +249,18 @@ def test_a_step_that_leaves_the_heap_keeps_the_heap_object():
 
 @pytest.fixture
 def restarts(monkeypatch):
-    """A list that grows by the start term of every untraced run that
-    starts again substituting, because an open term left its environment."""
+    """A list that grows by the open term that left its environment, once
+    for every untraced run that starts again substituting."""
     seen = []
-    run_env = Machine._run_env
 
-    def counted(self, heap, e, fuel):
+    def counted(e, env):
         try:
-            return run_env(self, heap, e, fuel)
+            return _close(e, env)
         except _Open:
             seen.append(e)
             raise
 
-    monkeypatch.setattr(Machine, "_run_env", counted)
+    monkeypatch.setattr("dtalloc.machine._close", counted)
     return seen
 
 
@@ -338,8 +337,10 @@ def test_untraced_runs_agree_with_traced_runs_on_generated_programs(seed, depth,
 # a binding leaves its scope, into a shadowed binding's; a shadowed
 # binding comes back; a value leaves two scopes; a closure is bound and
 # applied; the final value names a binding; a redex's types name one; a
-# bound inner let shadows the tuple written after it; and an open program
-# stores a value whose free name a later let binds
+# bound inner let shadows the tuple written after it; an open program
+# stores a value whose free name a later let binds; and two open programs
+# bind a value whose free name a later let binds, one into an empty
+# environment and one into an environment emptied by an undo
 ENVIRONMENT_CASES = [
     (Lang.SOURCE, "(let (x Unit Star) (let (y (Pi (a x) x) Star) "
                   "(let (x (Pi (b Unit) Unit) Star) y)))"),
@@ -358,6 +359,9 @@ ENVIRONMENT_CASES = [
     (Lang.TARGET, "(let (p (malloc (a Star) Unit) (Sigma (a Star 0) (Unit 0))) "
                   "(let (p1 (assign1 p (Pi (b y) Unit)) (Sigma (a Star 1) (Unit 0))) "
                   "(let (y Unit Star) (let (z (fst p1) Star) z))))"),
+    (Lang.SOURCE, "(let (x (Pi (a y) Unit) Star) (let (y Unit Star) x))"),
+    (Lang.SOURCE, "(app (let (w Unit Star) (clo (code ((e Unit) (v Star)) v) unit "
+                  "(Pi (v Star) Star))) (let (x (Pi (a y) Unit) Star) (let (y Unit Star) x)))"),
 ]
 
 
@@ -370,7 +374,7 @@ def test_untraced_runs_agree_with_traced_runs_where_the_environment_matters(
         _assert_untraced_agrees(SOURCE, e, every_budget=True)
         e = _compiled(e).expr
     _assert_untraced_agrees(TARGET, e, every_budget=True)
-    # only the open program starts again, at its assign1 of an open value
+    # only the open programs start again, where an open value leaves or is bound
     assert bool(restarts) == bool(free_vars(e)), restarts
 
 

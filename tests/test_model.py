@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from dtalloc.alloc import translate
-from dtalloc.model import Unsupported, emit_model, model_expr
+from dtalloc.model import Unsupported, _Modeler, emit_model
 from dtalloc.sexpr import Lang, parse
 from dtalloc.syntax import (
     Assign1,
@@ -33,11 +33,12 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def m(e):
-    return model_expr(e)
+    """The model of a closed target term or type."""
+    return str(_Modeler().model(e, {}))
 
 
 def mt(text):
-    return model_expr(parse(text, Lang.TARGET))
+    return m(parse(text, Lang.TARGET))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ def test_sigma_witness_type_renames_a_witness_that_would_capture():
 
 def test_sigma_backwards_flags_unsupported():
     with pytest.raises(Unsupported):
-        model_expr(Sigma("x", UNIT_TY, 0, UNIT_TY, 1))
+        m(Sigma("x", UNIT_TY, 0, UNIT_TY, 1))
 
 
 def test_binder_collision_with_schema_names():
@@ -177,7 +178,7 @@ def test_unused_let_is_still_modeled():
     assert text.splitlines()[2].startswith("; maybe-fst :")
     assert text.endswith("\nunit\n")
     with pytest.raises(Unsupported):
-        model_expr(Let("a", Loc(0), UNIT_TY, UNIT))
+        m(Let("a", Loc(0), UNIT_TY, UNIT))
 
 
 def test_code_models_as_curried_lambda():
@@ -192,11 +193,11 @@ def test_code_type_models_as_curried_pi():
 
 def test_runtime_and_source_forms_unsupported():
     with pytest.raises(Unsupported):
-        model_expr(Loc(0))
+        m(Loc(0))
     with pytest.raises(Unsupported):
-        model_expr(Pair(UNIT, UNIT, Sigma("x", UNIT_TY, 1, UNIT_TY, 1)))
+        m(Pair(UNIT, UNIT, Sigma("x", UNIT_TY, 1, UNIT_TY, 1)))
     with pytest.raises(Unsupported):
-        model_expr(
+        m(
             Clo(Code("n", UNIT_TY, "x", UNIT_TY, Var("x")), UNIT, Pi("x", UNIT_TY, UNIT_TY))
         )
 
