@@ -318,8 +318,9 @@ def gen_lemma4(spec: GenSpec) -> tuple[Context, str, Expr, Expr, Expr]:
 
 def _judged(prop: str):
     """Make a check of prop from its body, which returns the failure text,
-    or None when the check passes: the check returns the body's Report, and
-    an exception the body raises is classified."""
+    None when the check passes, or a (verdict, detail) pair: the check
+    returns the body's Report, and an exception the body raises is
+    classified."""
 
     def judged(body):
         @functools.wraps(body)
@@ -330,6 +331,8 @@ def _judged(prop: str):
                 return Report(case_id, prop, *_classify(err))
             if failure is None:
                 return Report(case_id, prop, "pass")
+            if isinstance(failure, tuple):
+                return Report(case_id, prop, *failure)
             return Report(case_id, prop, "fail", failure)
 
         return check
@@ -408,13 +411,6 @@ def _heap_transition_problems(old: Heap, new: Heap) -> list[str]:
     return problems
 
 
-def _written_cells(old: Heap, new: Heap) -> set[int]:
-    """The cells of old that new replaced."""
-    if new is old:
-        return set()
-    return {i for i, (a, b) in enumerate(zip(old.cells, new.cells)) if a is not b}
-
-
 def _plugged_path(frames: list, e: Expr) -> list[Expr] | None:
     """The nodes of e at the frames (node, field, mark), outermost first,
     and what fills the innermost hole, last; when e is not the frames
@@ -453,16 +449,19 @@ def _mentions_heap_or(ty: Expr, node: Expr) -> bool:
     return not heap_free(ty) or id(node) in kept(ty, "_object_ids", _object_ids, ty)
 
 
-# the frame holes that their frame checks against a type read from its
-# other children: the frame's type never reads the hole's type
-_CHECKED_HOLES = {(Let, "bound"), (App, "arg"), (Assign1, "value"), (Assign2, "value")}
-
-
-def _reads_hole_term(node: Expr, hole: str) -> bool:
-    """Whether typing the frame may read the term in its hole, not only
-    its type: a let body sees its binder's definition, and a second
-    assignment types its value with the tuple's first slot."""
-    return type(node) is Let or (type(node) is Assign2 and hole == "tuple_")
+# per frame (node type, hole): whether the frame checks its hole against a
+# type read from its other children, so its type never reads the hole's
+# type, and whether typing it may read the hole's term as well as its type
+# (a let body sees its binder's definition, a second assignment types its
+# value with the tuple's first slot); other frames do neither
+_FRAME_HOLES = {
+    (Let, "bound"): (True, True),
+    (App, "arg"): (True, False),
+    (Assign1, "value"): (True, False),
+    (Assign2, "value"): (True, False),
+    (Assign2, "tuple_"): (False, True),
+}
+_NEITHER = (False, False)
 
 
 def _contracts_to(heap: Heap, redex: Expr, heap2: Heap, c: Expr) -> bool:
@@ -518,45 +517,36 @@ def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> bool:
     no more there), or on any failure, the answer is False, and the caller
     types the whole state.
 
-    A let step whose contractum is a let, the rest of a malloc chain, is
-    checked at that exposed let alone, at the top of the term too, when
-    the step writes no cell and _exposes_let holds. Typing the state before
-    the step checked e against A' with x defined as v, and typed b with x'
-    defined as e; typing the state after it checks e[v/x] against A' and
-    types b, the same object, with x' defined as e[v/x]. So the exposed
-    let's definition changes only by the contraction that conversion makes
-    (x unfolded), b types as it did, and the contractum's type converts to
-    the redex's, as the frames' holes do; what is left to judge is the
-    check of e[v/x] against A' under the heap, which typing the whole state
-    makes in the same empty context and fails in the same way."""
+    A let step that keeps the heap and exposes a let, the rest of a malloc
+    chain, adds that let as the innermost frame, its bound the hole, at the
+    top of the term too, when _exposes_let holds. The redex let x = v in
+    (let x' = e : A' in b) then became let x' = e[v/x] : A' in b, with A'
+    and b the very objects: b types as it did, with x' defined as e[v/x]
+    where e stood with x defined as v, the let's type converts to the
+    redex's, and the step is the contraction conversion makes."""
     frames: list = []
     redex, found = _MACHINE._refocus(prev.expr, frames)
-    j = len(frames) - 1
-    while j >= 0 and (type(frames[j][0]), frames[j][1]) not in _CHECKED_HOLES:
-        j -= 1
-    if not found or (j < 0 and type(redex) is not Let) or _mentions_heap_or(prev_ty, redex):
+    if not found or _mentions_heap_or(prev_ty, redex):
         return False
     path = _plugged_path(frames, cfg.expr)
     if path is None:
         return False
-    exposed = path[-1]
-    try:
-        if cfg.heap is prev.heap and _exposes_let(redex, exposed):
-            check(Lang.TARGET, cfg.heap, Context(), exposed.bound, exposed.annot)
-            return True
-    except (TypeCheckError, FuelExhausted, RecursionError):
-        return False
+    c = path[-1]
+    exposed = cfg.heap is prev.heap and _exposes_let(redex, c)
+    if exposed:
+        frames.append((c, "bound", 0))
+        path.append(c.bound)
+    j = len(frames) - 1
+    while j >= 0 and not _FRAME_HOLES.get((type(frames[j][0]), frames[j][1]), _NEITHER)[0]:
+        j -= 1
     if j < 0:
         return False
     # a cell the step allocated is named nowhere else: a location types
     # only once its cell exists, and heaps do not shrink
-    written = _written_cells(prev.heap, cfg.heap)
-    if written and any(
-        not written.isdisjoint(locs_in(getattr(node, f)))
-        for node, hole, _ in frames
-        for f in _CHILD_FIELDS[type(node)]
-        if f != hole
-    ):
+    cells = zip(prev.heap.cells, cfg.heap.cells) if cfg.heap is not prev.heap else ()
+    written = {i for i, (a, b) in enumerate(cells) if a is not b}
+    if written and any(not written.isdisjoint(locs_in(getattr(node, f)))
+                       for node, hole, _ in frames for f in _CHILD_FIELDS[type(node)] if f != hole):
         return False
     node = frames[j][0]
     try:
@@ -564,8 +554,8 @@ def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> bool:
             check(Lang.TARGET, cfg.heap, Context(), path[j + 1], node.annot)
         else:
             tgt_infer_checking(cfg.heap, Context(), path[j])
-        reads = any(_reads_hole_term(node, hole) for node, hole, _ in frames[: j + 1])
-        return not reads or _contracts_to(prev.heap, redex, cfg.heap, path[-1])
+        reads = any(_FRAME_HOLES.get((type(n), h), _NEITHER)[1] for n, h, _ in frames[: j + 1])
+        return exposed or not reads or _contracts_to(prev.heap, redex, cfg.heap, c)
     except (TypeCheckError, FuelExhausted, RecursionError):
         return False
 
@@ -604,25 +594,18 @@ def check_step_preservation(
         prev_cfg, prev_ty = cfg, ty
 
 
+@_judged("sort-preservation")
 def check_sort_preservation(
     case_id: str, ctx: Context, ty: Expr, fuel: int = DEFAULT_FUEL
-) -> Report:
+) -> str | tuple[str, str] | None:
     """A type's universe survives compilation."""
-    prop = "sort-preservation"
-    try:
-        s_src = conversion.normalize(ctx, src_infer(ctx, ty), fuel=fuel)
-        if not isinstance(s_src, Univ):
-            return Report(case_id, prop, "pass", "not a type; nothing to check")
-        tctx = translate_ctx(ctx)
-        t_ty = translate(ctx, ty)
-        s_tgt = conversion.normalize(tctx, tgt_infer(Heap(), tctx, t_ty), fuel=fuel)
-        ok = isinstance(s_tgt, Univ) and s_tgt.kind == s_src.kind
-    except Exception as err:  # noqa: BLE001
-        verdict, detail = _classify(err)
-        return Report(case_id, prop, verdict, detail)
-    if ok:
-        return Report(case_id, prop, "pass")
-    return Report(case_id, prop, "fail", "compiled type changed universe")
+    s_src = conversion.normalize(ctx, src_infer(ctx, ty), fuel=fuel)
+    if not isinstance(s_src, Univ):
+        return "pass", "not a type; nothing to check"
+    tctx = translate_ctx(ctx)
+    s_tgt = conversion.normalize(tctx, tgt_infer(Heap(), tctx, translate(ctx, ty)), fuel=fuel)
+    if not (isinstance(s_tgt, Univ) and s_tgt.kind == s_src.kind):
+        return "compiled type changed universe"
 
 
 # ---------------------------------------------------------------------------

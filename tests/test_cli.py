@@ -477,6 +477,49 @@ def test_a_target_program_check_accepts_does_not_get_stuck(name, tmp_path, capsy
     assert not (accepted and stuck)
 
 
+# The paper's linking example: a compiled closure that reads the second
+# slot of its argument, applied to tuples written by hand in the target.
+LINKED_F = ("(clo (code ((n Unit) (p (Sigma (a Unit) Unit))) (snd p)) unit"
+            " (Pi (p (Sigma (a Unit) Unit)) Unit))")
+LINKED_ARGS = {
+    "full": "(let (y (malloc (a Unit) Unit) (Sigma (a Unit 0) (Unit 0)))"
+            " (let (y1 (assign1 y unit) (Sigma (a Unit 1) (Unit 0)))"
+            " (let (y2 (assign2 y1 unit) (Sigma (a Unit 1) (Unit 1))) y2)))",
+    # the second slot is never written
+    "half": "(let (y (malloc (a Unit) Unit) (Sigma (a Unit 0) (Unit 0)))"
+            " (let (y1 (assign1 y unit) (Sigma (a Unit 1) (Unit 0))) y1))",
+}
+
+
+def _linked(tmp_path, capsys, arg):
+    """A target file applying the compiled LINKED_F to LINKED_ARGS[arg]."""
+    f = tmp_path / "f.src"
+    f.write_text(LINKED_F)
+    assert main(["compile", str(f)]) == 0
+    p = tmp_path / f"linked_{arg}.tgt"
+    p.write_text(f"(app {capsys.readouterr().out.strip()} {LINKED_ARGS[arg]})")
+    return str(p)
+
+
+def test_a_compiled_closure_linked_with_a_full_tuple_checks_and_runs(tmp_path, capsys):
+    p = _linked(tmp_path, capsys, "full")
+    assert main(["check", "--lang", "target", p]) == 0
+    assert capsys.readouterr().out == "Unit\n"
+    assert main(["run", "--lang", "target", p]) == 0
+    assert capsys.readouterr().out == "unit\nheap: loc=0 flags=(1,1) loc=1 flags=(1,1)\n"
+
+
+def test_a_compiled_closure_linked_with_a_half_filled_tuple_is_rejected(tmp_path, capsys):
+    p = _linked(tmp_path, capsys, "half")
+    assert main(["check", "--lang", "target", p]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert re.fullmatch(r"error\[SubtypeFail\] [^\n]*\n", out.err), out.err
+    # unchecked, the code reads the unwritten slot: an uninitialized pointer
+    assert main(["run", "--lang", "target", p]) == 3
+    assert capsys.readouterr().err == "error[Stuck] second slot is uninitialized\n"
+
+
 def test_corpus_outputs_match_golden():
     # stdout, stderr and exit code of every subcommand the script runs on
     # every corpus and negative file, byte for byte

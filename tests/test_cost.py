@@ -426,6 +426,25 @@ def test_step_preservation_audits_one_cell_per_replaced_heap(monkeypatch):
         assert len(audits) == len(heaps) - 1 == 3 * n, (n, len(audits), len(heaps))
 
 
+def test_the_local_step_check_keeps_the_type_on_a_known_number_of_steps(monkeypatch):
+    decisions = []
+    keeps = harness._step_keeps_type
+
+    def counted(prev, prev_ty, cfg):
+        decisions.append(keeps(prev, prev_ty, cfg))
+        return decisions[-1]
+
+    monkeypatch.setattr(harness, "_step_keeps_type", counted)
+    programs = harness.load_corpus(Path(__file__).resolve().parent.parent / "corpus")
+    programs += [(f"{f}{n}", parse(FAMILIES[f](n))) for f in sorted(FAMILIES) for n in range(1, 9)]
+    for name, e in programs:
+        assert check_step_preservation(name, e).verdict == "pass", name
+    # the steps after the first state, and those the local check keeps
+    # without typing the whole state; a change that moves a decision
+    # updates these counts and says why
+    assert (len(decisions), decisions.count(True)) == (1291, 1156)
+
+
 def test_the_checks_of_one_program_compile_and_run_it_once(translations, machine_runs):
     e = parse(FAMILIES["closure_env"](2))
     assert check_preservation("t", Context(), e).verdict == "pass"

@@ -17,9 +17,8 @@ ALLOWED = Counter({
     ("cli.py", "main"): 2,
     # the verdict of a check, through _classify
     ("harness.py", "_judged.judged.check"): 1,
-    ("harness.py", "check_sort_preservation"): 1,
     # the local step check falls back to typing the whole state
-    ("harness.py", "_step_keeps_type"): 2,
+    ("harness.py", "_step_keeps_type"): 1,
     # re-raised with the caller's budget
     ("harness.py", "source_step_pairs"): 1,
 })
