@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
-from operator import attrgetter
 
 from .syntax import (
     App,
@@ -215,9 +214,9 @@ def _layouts(head: str) -> list:
 
 def _plans(head: str, lang: Lang) -> tuple:
     """A head's reader plan in lang, (length, message, steps), and printer
-    plan, (template with a gap for each argument, getter of the arguments,
-    flags that must be 1, refusal); a message in place of a plan refuses
-    the form."""
+    plan, (template with a gap for each argument, the (field, role) of each
+    argument, flags that must be 1, refusal); a message in place of a plan
+    refuses the form."""
     cls, shape = _FORMS[head][:2]
     if head in _TARGET_ONLY and lang is Lang.SOURCE:
         return (f"target-only form '{head}' is not source syntax",
@@ -233,12 +232,11 @@ def _plans(head: str, lang: Lang) -> tuple:
         steps = (group, *rest, (_BUILD, 0, (), (cls, flags)))
     names = [f.name for f in fields(cls)][:-1]
     ones = [names[i] for i in flags] if lang is Lang.SOURCE else []
-    names = [n for n in names if n not in ones]
-    template = [None] * (2 * len(names) + 1)
+    args = [(n, r) for n, r in zip(names, roles) if n not in ones]
+    template = [None] * (2 * len(args) + 1)
     template[0::2] = layouts[0 if lang is Lang.SOURCE else -1][3].split("\0")
-    get = attrgetter(*names) if len(names) > 1 else lambda e, f=names[0]: (getattr(e, f),)
     read = len(form.items), f"malformed form, expected {shape}", steps
-    return read, (template, get, ones, f"flagged {head} is not printable as source syntax")
+    return read, (template, args, ones, f"flagged {head} is not printable as source syntax")
 
 
 # _build reads a term as the one argument of a root form that builds it
@@ -247,12 +245,13 @@ _LOC = "location literals are runtime-only and cannot be parsed"
 _PLANS = {lang: {h: _plans(h, lang) for h in _FORMS} for lang in Lang}
 _READ = {lang: {"loc": _LOC, **{h: p[0] for h, p in ps.items()}} for lang, ps in _PLANS.items()}
 _PRINT = {lang: {_FORMS[h][0]: p[1] for h, p in ps.items()} for lang, ps in _PLANS.items()}
+# the text of each atom, as an expression of the atom e
 _ATOM_TEXT = {
-    Var: attrgetter("name"),
-    Univ: lambda e: e.kind.value,
-    UnitTm: lambda e: "unit",
-    UnitTy: lambda e: "Unit",
-    Loc: lambda e: f"(loc {e.loc_id})",
+    Var: "e.name",
+    Univ: "e.kind.value",
+    UnitTm: "'unit'",
+    UnitTy: "'Unit'",
+    Loc: "f'(loc {e.loc_id})'",
 }
 
 
@@ -338,6 +337,55 @@ def _build(sx, lang: Lang) -> Expr:
                 _fail(item, extra[1])
 
 
+def _renderers(lang: Lang) -> dict:
+    """A renderer per node type in lang, generated from the printer plans
+    with one exec on the first print in lang and kept in _RENDER.
+
+    A renderer appends a node's text up to its first child term to out
+    and pushes the rest, its child terms and the text between them, onto
+    todo in reverse; names and flags are written into that text. The
+    renderers are generated as source so that each reads its fields as
+    attributes and writes its text with one f-string: built from the plans
+    as closures, over str.format and getattr, they printed no faster than
+    a loop that interprets the plans.
+    """
+    lines = []
+
+    def text(parts: list) -> str:  # literal text and fields, as one expression
+        if len(parts) == 1:
+            return repr(parts[0])
+        return "f" + repr("".join(p.replace("{", "{{").replace("}", "}}") if k % 2 == 0
+                                  else f"{{e.{p}}}" for k, p in enumerate(parts)))
+
+    for cls, plan in _PRINT[lang].items():
+        lines.append(f"def {cls.__name__}(e, out, todo):")
+        if type(plan) is str:
+            lines.append(f"    raise ValueError({plan!r})")
+            continue
+        template, args, ones, refusal = plan
+        if ones:
+            test = " or ".join(f"e.{f} != 1" for f in ones)
+            lines += [f"    if {test}:", f"        raise ValueError({refusal!r})"]
+        pieces, parts = [], [template[0]]
+        for (f, role), after in zip(args, template[2::2]):
+            if role is _TERM:
+                pieces += [text(parts), f"e.{f}"]
+                parts = [after]
+            else:
+                parts += [f, after]
+        first, *rest = pieces + [text(parts)]
+        lines += [f"    out.append({first})", f"    todo += ({', '.join(reversed(rest))},)"]
+    for cls, code in _ATOM_TEXT.items():
+        lines += [f"def {cls.__name__}(e, out, todo):", f"    out.append({code})"]
+    space: dict = {}
+    exec("\n".join(lines), space)
+    render = _RENDER[lang] = {cls: space[cls.__name__] for cls in (*_PRINT[lang], *_ATOM_TEXT)}
+    return render
+
+
+_RENDER: dict = {}
+
+
 def print_expr(e: Expr, lang: Lang = Lang.SOURCE) -> str:
     """Render a term back to surface syntax.
 
@@ -345,25 +393,15 @@ def print_expr(e: Expr, lang: Lang = Lang.SOURCE) -> str:
     ValueError; locations render as (loc N) for traces even though the
     parser will not read them back.
     """
-    plans = _PRINT[lang]
+    render = _RENDER.get(lang) or _renderers(lang)
     out, todo = [], [e]
     while todo:
         item = todo.pop()
         cls = type(item)
-        if cls is str or cls is int:  # text, or a flag
-            out.append(str(item))
-        elif cls in plans:
-            plan = plans[cls]
-            if type(plan) is str:
-                raise ValueError(plan)
-            template, get, ones, refusal = plan
-            if ones and any(getattr(item, f) != 1 for f in ones):
-                raise ValueError(refusal)
-            parts = template.copy()
-            parts[1::2] = get(item)
-            todo += reversed(parts)
-        elif cls in _ATOM_TEXT:
-            out.append(_ATOM_TEXT[cls](item))
+        if cls is str:
+            out.append(item)
+        elif cls in render:
+            render[cls](item, out, todo)
         else:
             raise TypeError(f"unknown expression node: {item!r}")
     return "".join(out)

@@ -268,19 +268,10 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
                     e.pos,
                 )
             return Univ(_pair_sort(s1, s2))
-        case (Code(env_binder=n, env_ty=envty, arg_binder=x, arg_ty=argty, body=body)
-              | CodeTy(env_binder=n, env_ty=envty, arg_binder=x, arg_ty=argty, result_ty=body)):
-            is_code = isinstance(e, Code)
-            _require_closed(e, "code" if is_code else "code type")
-            _sort_of(lang, heap, Context(), envty, "code environment type")
-            # code is opened in the empty context, so its env binder keeps its name
-            ctx_n = Context().extend(n, envty)
-            _sort_of(lang, heap, ctx_n, argty, "code argument type")
-            ctx_nx, x2 = push_binder(ctx_n, x, argty)
-            body2 = subst(body, Var(x2), x)
-            if is_code:
-                return CodeTy(n, envty, x2, argty, _synth(lang, heap, ctx_nx, body2, view))
-            return Univ(_sort_of(lang, heap, ctx_nx, body2, "code result type"))
+        case Code():
+            return kept(e, _CODE_TYPE[lang, view], _code, lang, heap, e, view, when=heap_free)
+        case CodeTy():
+            return _code(lang, heap, e, view)
         case App(fn=f, arg=a):
             fn_ty = view(heap, ctx, _synth(lang, heap, ctx, f, view))
             if not isinstance(fn_ty, Pi):
@@ -359,6 +350,34 @@ def _synth(lang: Lang, heap: Heap, ctx: Context, e: Expr, view) -> Expr:
                 raise unpaired
             return _closure_type(code_ty, Snd(t))
     raise TypeError(f"unknown expression node: {e!r}")
+
+
+# Where the Code arm keeps a code's type, per language and mode: source
+# and target differ on pair types, and the modes on whether an eliminated
+# type is normalized. Code is typed in the empty context, and _code
+# refuses open code, so the type of heap-free code depends on the node
+# alone and is kept. Code that allocates is typed at each use, as
+# _sort_of does with types: a type may name an allocation, and
+# normalizing it allocates a scratch location numbered after the cells of
+# the heap it is typed under.
+_CODE_TYPE = {(_SOURCE, _norm_ty): "_src_code_type", (_SOURCE, _head): "_src_code_checking",
+              (_TARGET, _norm_ty): "_tgt_code_type", (_TARGET, _head): "_tgt_code_checking"}
+
+
+def _code(lang: Lang, heap: Heap, e: Code | CodeTy, view) -> Expr:
+    """The type of code, or the universe of a code type."""
+    is_code = type(e) is Code
+    _require_closed(e, "code" if is_code else "code type")
+    n, envty, x, argty = e.env_binder, e.env_ty, e.arg_binder, e.arg_ty
+    _sort_of(lang, heap, Context(), envty, "code environment type")
+    # code is opened in the empty context, so its env binder keeps its name
+    ctx_n = Context().extend(n, envty)
+    _sort_of(lang, heap, ctx_n, argty, "code argument type")
+    ctx_nx, x2 = push_binder(ctx_n, x, argty)
+    body2 = subst(e.body if is_code else e.result_ty, Var(x2), x)
+    if is_code:
+        return CodeTy(n, envty, x2, argty, _synth(lang, heap, ctx_nx, body2, view))
+    return Univ(_sort_of(lang, heap, ctx_nx, body2, "code result type"))
 
 
 def _require_closed(e: Expr, what: str) -> None:

@@ -29,7 +29,7 @@ from dtalloc.conversion import normalize
 from dtalloc.harness import check_differential, check_preservation, check_step_preservation
 from dtalloc.heap import Heap
 from dtalloc.sexpr import parse
-from dtalloc.syntax import UNIT, UNIT_TY, Context, Let, Record, Var, free_vars, heap_free
+from dtalloc.syntax import UNIT, UNIT_TY, Code, Context, Let, Record, Var, free_vars, heap_free
 from dtalloc.target import tgt_eval, tgt_infer
 
 
@@ -456,6 +456,27 @@ def test_the_checks_of_one_program_compile_and_run_it_once(translations, machine
     assert [x for x in translations if x is e] == [e]
     # one evaluation, and the step check's own traced run
     assert machine_runs == [(te, False), (te, True)]
+
+
+def test_the_checks_type_each_code_object_once_per_language_and_mode(monkeypatch):
+    asks = []
+    uncounted = target._code
+
+    def counted(lang, heap, e, view):
+        if type(e) is Code:
+            asks.append((e, lang, view))
+        return uncounted(lang, heap, e, view)
+
+    monkeypatch.setattr(target, "_code", counted)
+    for name, e in harness.load_corpus(Path(__file__).resolve().parent.parent / "corpus"):
+        translate(Context(), e)
+        assert check_step_preservation(name, e).verdict == "pass", name
+    # asks holds every object it names, so no id is reused; code that
+    # allocates, compiled code that builds a pair, is typed at each use:
+    # 47 typings of 22 objects, 114 when every use typed its code again
+    kept = [(id(e), lang, view) for e, lang, view in asks if heap_free(e)]
+    assert len(kept) == len(set(kept)) > 0, len(kept) - len(set(kept))
+    assert len(asks) - len(kept) <= 12, len(asks)
 
 
 def test_cli_main_builds_no_parser_after_its_first_call(parsers_built, capsys):

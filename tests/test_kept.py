@@ -1,15 +1,16 @@
 """Judgements kept on the node: a closed term's compiled form, source and
-target types and final states are made once per node, and reused by every
-check that asks for them again."""
+target types and final states, and the type of heap-free code, are made
+once per node, and reused by every check that asks for them again."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from dtalloc import alloc
+from dtalloc import alloc, target
 from dtalloc.alloc import translate
 from dtalloc.conversion import DEFAULT_FUEL
-from dtalloc.errors import FuelExhausted, StuckError, TypeCheckError
+from dtalloc.errors import ErrKind, FuelExhausted, StuckError, TypeCheckError
 from dtalloc.harness import (
     check_differential,
     check_preservation,
@@ -22,7 +23,7 @@ from dtalloc.harness import (
 from dtalloc.heap import Heap
 from dtalloc.sexpr import Lang, ParseError, parse, print_expr
 from dtalloc.source import src_eval, src_infer
-from dtalloc.syntax import UNIT, UNIT_TY, Context
+from dtalloc.syntax import UNIT, UNIT_TY, Code, Context, Expr, Fst, Loc, heap_free, subterms
 from dtalloc.target import tgt_eval, tgt_infer
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -190,3 +191,92 @@ def test_fresh_terms_catch_a_compiler_swapped_in_after_judgement(monkeypatch):
     # a term compiled before the swap keeps the compiled form it was given:
     # a test that swaps a rule must build its terms afresh
     assert check_preservation("pair_nested", Context(), judged["pair_nested"]).verdict == "pass"
+
+
+# ---------------------------------------------------------------------------
+# The type of code, kept per language and mode
+
+_MODES = {"synthesis": target._norm_ty, "checking": target._head}
+_CODE_KEYS = set(target._CODE_TYPE.values())
+
+
+def _code_type(lang, e, mode, heap=None):
+    return target._synth(lang, Heap() if heap is None else heap, Context(), e, _MODES[mode])
+
+
+def _fresh(e):
+    """A copy of e with a new object at every position and nothing kept."""
+    args = [getattr(e, f.name) for f in fields(e)]
+    return type(e)(*(_fresh(a) if isinstance(a, Expr) else a for a in args))
+
+
+def _codes(e):
+    return [c for c in subterms(e) if type(c) is Code]
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.src")), ids=lambda p: p.name)
+def test_a_kept_code_type_is_the_type_of_a_fresh_copy(path):
+    e = parse(path.read_text())
+    _pipeline(e)
+    te = translate(Context(), e)
+    for lang, term in ((Lang.SOURCE, e), (Lang.TARGET, te)):
+        for c in _codes(term):
+            for mode in _MODES:
+                ty = _code_type(lang, c, mode)
+                assert (target._CODE_TYPE[lang, _MODES[mode]] in c.__dict__) == heap_free(c)
+                if heap_free(c):
+                    assert _code_type(lang, c, mode) is ty
+                fresh = _code_type(lang, _fresh(c), mode)
+                assert ty == fresh and print_expr(ty, lang) == print_expr(fresh, lang)
+
+
+def test_a_code_type_kept_in_one_language_is_not_read_in_the_other():
+    # the target joins pair components of two universes, the source does not
+    text = "(code ((n Unit) (x Unit)) (Sigma (a Star) Unit))"
+    c = parse(text, Lang.TARGET)
+    for mode in _MODES:
+        assert print_expr(_code_type(Lang.TARGET, c, mode), Lang.TARGET) == \
+            "(Code ((n Unit) (x Unit)) Box)"
+    assert {k for k in c.__dict__ if k in _CODE_KEYS} == {"_tgt_code_type", "_tgt_code_checking"}
+    for mode in _MODES:
+        for _ in range(2):
+            got = _raised(lambda: _code_type(Lang.SOURCE, c, mode))
+            assert got[:2] == (TypeCheckError, ErrKind.UNIVERSE_ERROR), got
+    assert "_src_code_type" not in c.__dict__ and "_src_code_checking" not in c.__dict__
+
+
+def test_a_code_type_kept_in_one_mode_is_not_read_in_the_other():
+    # checking mode leaves the codomain of the applied function as written
+    c = parse("(code ((n Unit) (f (Pi (y Unit) (fst (pair Unit Unit (Sigma (a Star) Star))))))"
+              " (app f unit))")
+    want = {"synthesis": "Unit", "checking": "(fst (pair Unit Unit (Sigma (a Star) Star)))"}
+    for order in (("synthesis", "checking"), ("checking", "synthesis")):
+        c = _fresh(c)
+        for mode in order * 2:
+            assert print_expr(_code_type(Lang.SOURCE, c, mode).result_ty) == want[mode], mode
+        assert {k for k in c.__dict__ if k in _CODE_KEYS} == {"_src_code_type",
+                                                              "_src_code_checking"}
+
+
+def test_open_code_is_refused_on_every_ask_and_never_kept():
+    for lang in Lang:
+        c = parse("(code ((n Unit) (x Unit)) z)", lang)
+        for mode in _MODES:
+            for _ in range(2):
+                got = _raised(lambda: _code_type(lang, c, mode))
+                assert got[:3] == (TypeCheckError, ErrKind.OPEN_CODE,
+                                   "code mentions outer variables: z"), got
+        assert not _CODE_KEYS & set(c.__dict__)
+
+
+def test_code_that_holds_a_location_is_never_kept():
+    heap = tgt_eval(translate(Context(), parse("(pair unit unit (Sigma (a Unit) Unit))"))).heap
+    c = Code("n", UNIT_TY, "x", UNIT_TY, Fst(Loc(0)))
+    for mode in _MODES:
+        for _ in range(2):
+            assert print_expr(_code_type(Lang.TARGET, c, mode, heap), Lang.TARGET) == \
+                "(Code ((n Unit) (x Unit)) Unit)"
+        # typed against another heap, it names a cell that is not there
+        got = _raised(lambda: _code_type(Lang.TARGET, c, mode))
+        assert got[:2] == (TypeCheckError, ErrKind.UNKNOWN_LOC), got
+    assert not _CODE_KEYS & set(c.__dict__)

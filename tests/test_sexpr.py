@@ -1,29 +1,47 @@
 """Surface syntax: reading and printing both languages."""
 
 import runpy
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
+from families import FAMILIES
 from hypothesis import given, settings, strategies as st
 
+from dtalloc import sexpr
 from dtalloc.alloc import translate
+from dtalloc.errors import TypeCheckError
 from dtalloc.harness import GenSpec, gen_typed
 from dtalloc.sexpr import Lang, ParseError, parse, print_expr
 from dtalloc.syntax import (
     App,
+    Assign1,
+    Assign2,
     Clo,
     Code,
+    CodeTy,
     Context,
+    CTag,
+    Expr,
+    Fst,
     Let,
     Loc,
+    Malloc,
     Pair,
     Pi,
     Sigma,
+    Snd,
     UNIT,
     UNIT_TY,
+    UnitTm,
+    UnitTy,
+    Univ,
+    Universe,
     Var,
     alpha_eq,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_atoms():
@@ -134,8 +152,6 @@ def test_app_fst_snd():
 
 
 def test_print_source_rejects_target_forms():
-    from dtalloc.syntax import Malloc
-
     with pytest.raises(ValueError):
         print_expr(Sigma("x", UNIT_TY, 1, UNIT_TY, 0), Lang.SOURCE)
     with pytest.raises(ValueError):
@@ -180,9 +196,8 @@ def test_reader_and_printer_match_golden():
     # what the reader makes of every corpus file, every reader message,
     # forms of every head and seeded token mutations, and what the printer
     # makes of generated and compiled terms, byte for byte
-    root = Path(__file__).resolve().parent.parent
-    recorder = runpy.run_path(str(root / "scripts" / "record_sexpr_golden.py"))
-    assert recorder["render"]() == (root / "tests" / "golden" / "sexpr_corpus.txt").read_text()
+    recorder = runpy.run_path(str(ROOT / "scripts" / "record_sexpr_golden.py"))
+    assert recorder["render"]() == (ROOT / "tests" / "golden" / "sexpr_corpus.txt").read_text()
 
 
 def _deep_texts(n, lang):
@@ -200,4 +215,148 @@ def test_reader_and_printer_take_5000_levels(lang):
     # five times Python's default recursion limit: neither walker takes a
     # Python frame per level
     for text in _deep_texts(5000, lang):
-        assert print_expr(parse(text, lang), lang) == text
+        e = parse(text, lang)
+        assert print_expr(e, lang) == reference_print(e, lang) == text
+
+
+# ---------------------------------------------------------------------------
+# The printer against a reference renderer
+
+_REFERENCE_PLANS = {lang: {sexpr._FORMS[h][0]: plan[1] for h, plan in plans.items()}
+                    for lang, plans in sexpr._PLANS.items()}
+_REFERENCE_ATOMS = {
+    Var: attrgetter("name"),
+    Univ: lambda e: e.kind.value,
+    UnitTm: lambda e: "unit",
+    UnitTy: lambda e: "Unit",
+    Loc: lambda e: f"(loc {e.loc_id})",
+}
+
+
+def reference_print(e: Expr, lang: Lang = Lang.SOURCE) -> str:
+    """print_expr as a plain interpreter of the printer plans: every node
+    is expanded from its template, and names and flags are pieces of their
+    own."""
+    plans = _REFERENCE_PLANS[lang]
+    out, todo = [], [e]
+    while todo:
+        item = todo.pop()
+        cls = type(item)
+        if cls is str or cls is int:  # text, a name, or a flag
+            out.append(str(item))
+        elif cls in plans:
+            plan = plans[cls]
+            if type(plan) is str:
+                raise ValueError(plan)
+            template, args, ones, refusal = plan
+            if ones and any(getattr(item, f) != 1 for f in ones):
+                raise ValueError(refusal)
+            parts = template.copy()
+            parts[1::2] = [getattr(item, f) for f, _ in args]
+            todo += reversed(parts)
+        elif cls in _REFERENCE_ATOMS:
+            out.append(_REFERENCE_ATOMS[cls](item))
+        else:
+            raise TypeError(f"unknown expression node: {item!r}")
+    return "".join(out)
+
+
+def _outcome(printer, e, lang):
+    """What printer makes of e in lang: its text, or the type and message
+    of what it raises."""
+    try:
+        return printer(e, lang)
+    except (ValueError, TypeError) as err:
+        return type(err), str(err)
+
+
+def _assert_printers_agree(e, langs=(Lang.SOURCE, Lang.TARGET)):
+    for lang in langs:
+        assert _outcome(print_expr, e, lang) == _outcome(reference_print, e, lang), lang
+
+
+def _corpus_terms():
+    """Every corpus and negative file, read in each language that reads it."""
+    out = []
+    for path in sorted(ROOT.glob("corpus/*.src")) + sorted(ROOT.glob("corpus/negative/*")):
+        for lang in Lang:
+            try:
+                out.append(parse(path.read_text(), lang))
+            except ParseError:
+                pass
+    return out
+
+
+def test_printer_agrees_with_the_reference_on_the_corpus():
+    terms = _corpus_terms()
+    assert len(terms) > 60
+    compiled = 0
+    for e in terms:
+        _assert_printers_agree(e)
+        try:
+            te = translate(Context(), e)
+        except TypeCheckError:  # an ill-typed or target term has no compiled form
+            continue
+        _assert_printers_agree(te)
+        compiled += 1
+    assert compiled >= 37
+
+
+def test_printer_agrees_with_the_reference_on_the_families():
+    for family in sorted(FAMILIES):
+        for n in range(1, 9):
+            e = parse(FAMILIES[family](n))
+            _assert_printers_agree(e)
+            _assert_printers_agree(translate(Context(), e), (Lang.TARGET,))
+
+
+def test_printer_agrees_with_the_reference_on_generated_programs():
+    for seed in range(200):
+        _, e, _ = gen_typed(GenSpec(depth=4, seed=seed, closed=True))
+        _assert_printers_agree(e, (Lang.SOURCE,))
+        _assert_printers_agree(translate(Context(), e))
+
+
+_NAMES = st.sampled_from(["x", "y1", "n", "a'"])
+_FLAGS = st.sampled_from([0, 1])
+_LEAVES = st.one_of(
+    st.builds(Var, _NAMES), st.builds(UnitTm), st.builds(UnitTy),
+    st.builds(Univ, st.sampled_from(Universe)), st.builds(Loc, st.integers(0, 12)))
+
+
+def _nodes(sub):
+    pis = st.builds(Pi, _NAMES, sub, sub)
+    sigmas = st.builds(Sigma, _NAMES, sub, _FLAGS, sub, _FLAGS)
+    return st.one_of(
+        pis, sigmas,
+        st.builds(Let, _NAMES, sub, sub, sub),
+        st.builds(Code, _NAMES, sub, _NAMES, sub, sub),
+        st.builds(CodeTy, _NAMES, sub, _NAMES, sub, sub),
+        st.builds(Clo, sub, sub, pis), st.builds(Pair, sub, sub, sigmas),
+        st.builds(App, sub, sub), st.builds(Fst, sub), st.builds(Snd, sub),
+        st.builds(Malloc, _NAMES, sub, sub), st.builds(Assign1, sub, sub),
+        st.builds(Assign2, sub, sub), st.builds(CTag, sub),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, _nodes, max_leaves=24))
+def test_printer_agrees_with_the_reference_on_any_term(e):
+    _assert_printers_agree(e)
+
+
+def test_printer_refuses_what_the_reference_refuses():
+    flagged = Sigma("x", UNIT_TY, 1, UNIT_TY, 0)
+    cases = [flagged, Pair(UNIT, UNIT, flagged),
+             Let("x", UNIT, UNIT_TY, Malloc("x", UNIT_TY, UNIT_TY)),
+             Assign1(Var("y"), UNIT), Assign2(Var("y"), UNIT), CTag(Var("y")),
+             # the first refusal met in pre-order is the one raised
+             App(CTag(Var("y")), flagged), App(flagged, CTag(Var("y")))]
+    for e in cases:
+        got = _outcome(print_expr, e, Lang.SOURCE)
+        assert got[0] is ValueError and got == _outcome(reference_print, e, Lang.SOURCE), e
+        assert _outcome(print_expr, e, Lang.TARGET) == _outcome(reference_print, e, Lang.TARGET)
+    for e in (object(), Fst(None), App(UNIT, Pair(UNIT, object(), flagged))):
+        for lang in Lang:
+            got = _outcome(print_expr, e, lang)
+            assert got[0] is TypeError and got == _outcome(reference_print, e, lang)
