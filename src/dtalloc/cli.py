@@ -37,14 +37,14 @@ from .syntax import Context
 from .target import infer, tgt_eval, tgt_trace
 
 
-def _fuel(text: str) -> int:
+def _nonnegative(text: str) -> int:
     try:
-        fuel = int(text)
+        n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if fuel < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {fuel}")
-    return fuel
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
 
 
 @functools.cache
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if fuel:
             sp.add_argument(
-                "--fuel", type=_fuel, default=DEFAULT_FUEL,
+                "--fuel", type=_nonnegative, default=DEFAULT_FUEL,
                 help="reduction step budget (default: %(default)s)",
             )
 
@@ -90,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="generate random well-typed source programs")
     sp.add_argument("out", help="output directory")
-    sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--depth", type=int, default=4)
+    sp.add_argument("--count", type=_nonnegative, default=100)
+    sp.add_argument("--depth", type=_nonnegative, default=4)
     sp.add_argument("--seed", type=int, default=0)
     return p
 

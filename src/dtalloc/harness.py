@@ -29,9 +29,7 @@ from .machine import contract
 from .sexpr import Lang, parse
 from .source import src_eval, src_infer, src_steps
 from .syntax import (
-    _ARGS,
     _CHILD_FIELDS,
-    _INDEX,
     STAR,
     UNIT,
     UNIT_TY,
@@ -62,7 +60,6 @@ from .syntax import (
     subst,
 )
 from .target import (
-    _MACHINE,
     check,
     heap_wf,
     tgt_eval,
@@ -411,25 +408,6 @@ def _heap_transition_problems(old: Heap, new: Heap) -> list[str]:
     return problems
 
 
-def _plugged_path(frames: list, e: Expr) -> list[Expr] | None:
-    """The nodes of e at the frames (node, field, mark), outermost first,
-    and what fills the innermost hole, last; when e is not the frames
-    plugged as the machine plugs them, every other argument of every node
-    the same object, None."""
-    path = [e]
-    for node, hole, _ in frames:
-        cls = type(node)
-        if type(e) is not cls:
-            return None
-        at = _INDEX[cls, hole]
-        args = _ARGS[cls](e)
-        if any(a is not b for k, (a, b) in enumerate(zip(_ARGS[cls](node), args)) if k != at):
-            return None
-        e = args[at]
-        path.append(e)
-    return path
-
-
 def _object_ids(ty: Expr) -> set[int]:
     """The ids of ty and of every object below it; shared subterms are
     visited once. ty holds them all, so no id is reused while ty lives."""
@@ -494,7 +472,10 @@ def _exposes_let(redex: Expr, c: Expr) -> bool:
 
 def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> bool:
     """Whether the machine step from prev, whose state type is prev_ty, to
-    cfg keeps that state type, judged from what the step changed.
+    cfg keeps that state type, judged from what the step changed: its
+    record cfg.step, the frames around the redex and the redex, objects of
+    prev's term, and the contractum, which cfg's term holds at the end of
+    the frames' holes.
 
     This is the replacement lemma (Wright and Felleisen, "A Syntactic
     Approach to Type Soundness", 1994). The frames around the redex bind
@@ -524,18 +505,12 @@ def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> bool:
     and b the very objects: b types as it did, with x' defined as e[v/x]
     where e stood with x defined as v, the let's type converts to the
     redex's, and the step is the contraction conversion makes."""
-    frames: list = []
-    redex, found = _MACHINE._refocus(prev.expr, frames)
-    if not found or _mentions_heap_or(prev_ty, redex):
+    frames, redex, c = cfg.step
+    if _mentions_heap_or(prev_ty, redex):
         return False
-    path = _plugged_path(frames, cfg.expr)
-    if path is None:
-        return False
-    c = path[-1]
     exposed = cfg.heap is prev.heap and _exposes_let(redex, c)
     if exposed:
-        frames.append((c, "bound", 0))
-        path.append(c.bound)
+        frames = [*frames, (c, "bound", 0)]
     j = len(frames) - 1
     while j >= 0 and not _FRAME_HOLES.get((type(frames[j][0]), frames[j][1]), _NEITHER)[0]:
         j -= 1
@@ -548,12 +523,14 @@ def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> bool:
     if written and any(not written.isdisjoint(locs_in(getattr(node, f)))
                        for node, hole, _ in frames for f in _CHILD_FIELDS[type(node)] if f != hole):
         return False
-    node = frames[j][0]
+    node = cfg.expr  # the state's node at frame j, found down the holes
+    for _, hole, _ in frames[:j]:
+        node = getattr(node, hole)
     try:
         if type(node) is Let:
-            check(Lang.TARGET, cfg.heap, Context(), path[j + 1], node.annot)
+            check(Lang.TARGET, cfg.heap, Context(), node.bound, node.annot)
         else:
-            tgt_infer_checking(cfg.heap, Context(), path[j])
+            tgt_infer_checking(cfg.heap, Context(), node)
         reads = any(_FRAME_HOLES.get((type(n), h), _NEITHER)[1] for n, h, _ in frames[: j + 1])
         return exposed or not reads or _contracts_to(prev.heap, redex, cfg.heap, c)
     except (TypeCheckError, FuelExhausted, RecursionError):

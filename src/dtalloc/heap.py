@@ -10,7 +10,7 @@ may be read only when its flag is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .syntax import (
     _CHILD_FIELDS,
@@ -124,10 +124,13 @@ class Heap(Record):
 
 @record
 class Config(Record):
-    """A machine state: heap plus the expression under reduction."""
+    """A machine state: heap plus the expression under reduction, and in a
+    traced run the record (frames, redex, contractum) of the step that
+    made it, neither compared nor shown."""
 
     heap: Heap
     expr: Expr
+    step: tuple | None = field(default=None, compare=False, repr=False)
 
 
 _NO_LOCS: frozenset[int] = frozenset()

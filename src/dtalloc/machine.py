@@ -5,24 +5,26 @@ contract states each contraction rule once, for both machines and for
 conversion's normalizer. A language supplies the evaluation-position
 fields of each node type, its value test and its stuck messages. One
 refocusing routine, Machine._refocus, keeps the evaluation context as an
-explicit stack of frames, each a node with a hole at one such field, and
-goes on from each contractum instead of descending again from the root:
-the same steps, linear in their number, at any depth. Machine.step, every
-run and step-preservation's local check refocus through it.
+explicit stack of frames, each a node with a hole at one such field.
 
-Machine.run has one contraction loop with two let rules. A traced run
-contracts a let by substituting its value into its body, so that each
-state in the trace is a whole term and consecutive states share their
-unchanged subterms by identity, which step-preservation's local check
-relies on. An untraced run from an empty heap instead binds the value in
-an environment (Ager, Biernacki, Danvy and Midtgaard, "A Functional
-Correspondence between Evaluators and Abstract Machines", 2003). A term
-is closed, by substitution, only where it leaves the environment: a
-redex for contract, a value being bound, a value for a frame outside the
-binding, and the final value. Those values are closed, so the substitutions rename
-nothing and the run ends in the state of the traced run after the same
-steps; where an open term would leave the environment, the loop starts
-again substituting.
+Machine.step is one step from the root of a state, and records it: the
+frames around the redex, outermost first, and the redex, all objects of
+that state, the contractum, and the next state, the frames plugged with
+the contractum. A traced run, Machine.steps, is Machine.step repeated,
+so consecutive states share their unchanged subterms by identity and
+step-preservation's local check reads each step from its record.
+
+An untraced run, Machine.run, goes on from each contractum instead of
+descending again from the root: the same steps, linear in their number,
+at any depth. From an empty heap it binds a let's value in an
+environment instead of substituting it (Ager, Biernacki, Danvy and
+Midtgaard, "A Functional Correspondence between Evaluators and Abstract
+Machines", 2003). A term is closed, by substitution, only where it
+leaves the environment: a redex for contract, a value being bound, a
+value for a frame outside the binding, and the final value. Those values
+are closed, so the substitutions rename nothing and the run ends in the
+state of the traced run after the same steps; where an open term would
+leave the environment, the loop starts again substituting.
 """
 
 from __future__ import annotations
@@ -196,27 +198,42 @@ class Machine:
                 return e, True
 
     def step(self, heap, e: Expr):
-        """One contraction from the root: (heap, term, rule), or None."""
-        stack: list = []
-        e, redex = self._refocus(e, stack)
-        if not redex:
+        """One contraction from the root of e: (heap, term, rule, frames,
+        redex, contractum), or None when e is a value. frames, the nodes
+        (node, field, mark) around the redex, outermost first, and the
+        redex are objects of e; term is the frames plugged with the
+        contractum."""
+        frames: list = []
+        redex, found = self._refocus(e, frames)
+        if not found:
             return None
-        heap, e, rule = self._contract(heap, e)
-        return heap, _plug(stack, e), rule
+        heap, c, rule = self._contract(heap, redex)
+        return heap, _plug(frames, c), rule, frames, redex, c
 
-    def run(self, heap, e: Expr, fuel: int, trace: list | None = None):
+    def steps(self, heap, e: Expr, fuel: int) -> list:
+        """The run of e from heap as the records step gives, one per step;
+        past fuel steps a stuck redex raises StuckError, any other
+        FuelExhausted. Each step starts from the root of the term the step
+        before made."""
+        out: list = []
+        while (r := self.step(heap, e)) is not None:
+            if len(out) >= fuel:
+                raise FuelExhausted(fuel)
+            out.append(r)
+            heap, e = r[0], r[1]
+        return out
+
+    def run(self, heap, e: Expr, fuel: int):
         """Contract up to fuel redexes and return (heap, value); past the
         budget a stuck redex raises StuckError, any other FuelExhausted.
 
-        A let step has two rules, chosen from what the run is given. With
-        a trace, or from a heap that holds cells, the loop substitutes the
-        value through contract, and each contraction appends (heap, whole
-        term, rule) to trace, if given. Without either, it binds the value
-        in env until an open term leaves env; then the loop starts again
-        substituting: substituting an open value may rename binders, and
-        simultaneous substitution need not choose the names that one at a
-        time does."""
-        env = {} if trace is None and (heap is None or not heap.cells) else None
+        A let step has two rules. From a heap that holds cells the loop
+        substitutes the value through contract. Otherwise it binds the
+        value in env until an open term leaves env; then the loop starts
+        again substituting: substituting an open value may rename binders,
+        and simultaneous substitution need not choose the names that one
+        at a time does."""
+        env = {} if heap is None or not heap.cells else None
         start = heap, e
         while True:
             (heap, e), stack, trail, spent = start, [], [], 0
@@ -233,9 +250,7 @@ class Machine:
                         _bind(env, trail, e.binder, _close(e.bound, env))
                         e = e.body
                     else:
-                        heap, e, rule = self._contract(heap, _close(e, env))
-                        if trace is not None:
-                            trace.append((heap, _plug(stack, e), rule))
+                        heap, e, _ = self._contract(heap, _close(e, env))
             except _Open:
                 env = None
 

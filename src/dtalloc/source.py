@@ -92,7 +92,7 @@ def src_step(e: Expr) -> tuple[Expr, str] | None:
     """One step, returning the new term and the rule that fired, or None
     for a value. Raises StuckError on a non-value that cannot step."""
     r = _MACHINE.step(None, e)
-    return None if r is None else r[1:]
+    return None if r is None else r[1:3]
 
 
 def src_eval(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> Expr:
@@ -107,9 +107,7 @@ def _run(e: Expr, fuel: int) -> Expr:
 def src_steps(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> list[tuple[Expr, str]]:
     """The full reduction sequence as (term, rule) pairs, starting from
     (e, "init")."""
-    trace: list = []
-    _MACHINE.run(None, e, fuel, trace)
-    return [(e, "init")] + [(t, rule) for _, t, rule in trace]
+    return [(e, "init")] + [(t, rule) for _, t, rule, *_ in _MACHINE.steps(None, e, fuel)]
 
 
 def src_trace(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> list[str]:

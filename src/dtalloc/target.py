@@ -418,7 +418,7 @@ _MACHINE = Machine(
 def tgt_step(config: Config) -> tuple[Config, str] | None:
     """One machine step, or None when the expression is a value."""
     r = _MACHINE.step(config.heap, config.expr)
-    return None if r is None else (Config(*r[:2]), r[2])
+    return None if r is None else (Config(r[0], r[1]), r[2])
 
 
 def tgt_eval(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> Config:
@@ -433,11 +433,13 @@ def _run(e: Expr, fuel: int) -> Config:
 
 def tgt_steps(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> list[tuple[Config, str]]:
     """The full machine run of e from the empty heap as (configuration,
-    rule) pairs, starting from (e, "init")."""
+    rule) pairs, starting from (e, "init"); each configuration after the
+    first carries the record of its step."""
     start = Config(Heap(), e)
-    trace: list = []
-    _MACHINE.run(start.heap, e, fuel, trace)
-    return [(start, "init")] + [(Config(heap, t), rule) for heap, t, rule in trace]
+    return [(start, "init")] + [
+        (Config(heap, t, (frames, redex, c)), rule)
+        for heap, t, rule, frames, redex, c in _MACHINE.steps(start.heap, e, fuel)
+    ]
 
 
 def tgt_trace(e: Expr, fuel: int = conversion.DEFAULT_FUEL) -> list[str]:

@@ -200,6 +200,17 @@ def test_negative_fuel_is_usage_error(cmd, capsys):
     assert out.err.endswith("error: argument --fuel: must not be negative, got -5\n")
 
 
+@pytest.mark.parametrize("option, value", [("--count", "-3"), ("--depth", "-1")])
+def test_negative_gen_count_or_depth_is_usage_error(tmp_path, option, value, capsys):
+    out_dir = tmp_path / "gen"
+    assert main(["gen", str(out_dir), option, value]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: dtalloc gen")
+    assert out.err.endswith(f"error: argument {option}: must not be negative, got {value}\n")
+    assert not out_dir.exists()
+
+
 def test_zero_fuel_is_accepted(capsys):
     assert main(["run", str(CORPUS / "atom_unit.src"), "--fuel", "0"]) == 0
     assert capsys.readouterr().out == "unit\n"

@@ -2,11 +2,12 @@
 
 Each test counts calls of an uncached helper (the name analysis, which
 walks one node, the sort inference behind target._sort_of, the
-normalizer's step, the machine's value test, a binding the machine makes
-or undoes, the model's step, the judgement's visit of one node, the audit
-of one heap cell, a compilation, a machine run, the construction of an
-argument parser, or the calls made in building a record) instead of
-timing anything, so it gives the same answer on any machine.
+normalizer's step, the machine's value test or refocusing, a binding
+the machine makes or undoes, the model's step, the judgement's visit of
+one node, the audit of one heap cell, a compilation, a machine run, the
+construction of an argument parser, or the calls made in building a
+record) instead of timing anything, so it gives the same answer on any
+machine.
 """
 
 import argparse
@@ -137,14 +138,34 @@ def machine_runs(monkeypatch):
     """A list that grows by (start term, whether traced) for every run of
     either machine from the empty heap."""
     seen = []
-    uncounted = machine.Machine.run
+    run, steps = machine.Machine.run, machine.Machine.steps
 
-    def counted(self, heap, e, fuel, trace=None):
+    def counted_run(self, heap, e, fuel):
         if heap is not None and not heap.cells:
-            seen.append((e, trace is not None))
-        return uncounted(self, heap, e, fuel, trace)
+            seen.append((e, False))
+        return run(self, heap, e, fuel)
 
-    monkeypatch.setattr(machine.Machine, "run", counted)
+    def counted_steps(self, heap, e, fuel):
+        if heap is not None and not heap.cells:
+            seen.append((e, True))
+        return steps(self, heap, e, fuel)
+
+    monkeypatch.setattr(machine.Machine, "run", counted_run)
+    monkeypatch.setattr(machine.Machine, "steps", counted_steps)
+    return seen
+
+
+@pytest.fixture
+def refocusings(monkeypatch):
+    """A list that grows by the focus of every Machine._refocus call."""
+    seen = []
+    uncounted = machine.Machine._refocus
+
+    def counted(self, e, stack, env=None, trail=()):
+        seen.append(e)
+        return uncounted(self, e, stack, env, trail)
+
+    monkeypatch.setattr(machine.Machine, "_refocus", counted)
     return seen
 
 
@@ -443,6 +464,19 @@ def test_the_local_step_check_keeps_the_type_on_a_known_number_of_steps(monkeypa
     # without typing the whole state; a change that moves a decision
     # updates these counts and says why
     assert (len(decisions), decisions.count(True)) == (1291, 1156)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_step_preservation_refocuses_each_state_once(refocusings, family):
+    for n in (4, 8):
+        states = len(target.tgt_steps(translate(Context(), parse(FAMILIES[family](n)))))
+        refocusings.clear()
+        assert check_step_preservation("t", parse(FAMILIES[family](n))).verdict == "pass"
+        # the run refocuses every state from its root once, the last to
+        # find it a value, and the local check reads each step's record;
+        # refocusing the state before each step again made 2n - 1 calls
+        # for n states (closure_env at 8: 125 for 63 states)
+        assert len(refocusings) == states, (family, n, states)
 
 
 def test_the_checks_of_one_program_compile_and_run_it_once(translations, machine_runs):

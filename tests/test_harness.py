@@ -33,7 +33,7 @@ from dtalloc.heap import Config, Heap, HeapCell, UNINIT
 from dtalloc.sexpr import Lang, parse
 from dtalloc.source import src_eval, src_infer, src_step
 from dtalloc.syntax import (
-    App, Assign1, Assign2, CTag, Code, CodeTy, Context, Fst, Let, Loc, Pi, STAR, Sigma, UNIT,
+    App, Assign1, Assign2, CTag, Code, CodeTy, Context, Fst, Let, Loc, Malloc, Pi, STAR, Sigma, UNIT,
     UNIT_TY, Univ, Universe, Var, subst,
 )
 from dtalloc.target import _MACHINE, heap_wf, tgt_eval
@@ -192,8 +192,12 @@ _EMPTY_CELL = HeapCell(Sigma("x", UNIT_TY, 0, UNIT_TY, 0), UNINIT, UNINIT)
 
 def _check_machine_run(monkeypatch, *heaps):
     """check_step_preservation over a run whose states hold these heaps;
-    the expression of every state is the location of cell 0."""
-    steps = [(Config(h, Loc(0)), "init" if k == 0 else "malloc") for k, h in enumerate(heaps)]
+    the expression of every state is the location of cell 0, and every
+    state after the first records a malloc at the top of the term as its
+    step."""
+    malloc = ([], Malloc("x", UNIT_TY, UNIT_TY), Loc(0))
+    steps = [(Config(h, Loc(0), None if k == 0 else malloc), "init" if k == 0 else "malloc")
+             for k, h in enumerate(heaps)]
     monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)
     return check_step_preservation("t", parse("unit"))
 
@@ -419,8 +423,9 @@ def test_local_step_check_types_the_whole_state_after_a_wrong_step(
     monkeypatch, heap, e, contractum, heap_after
 ):
     frames = []
-    _MACHINE._refocus(e, frames)
-    after = Config(heap if heap_after is None else heap_after, machine._plug(frames, contractum))
+    redex, _ = _MACHINE._refocus(e, frames)
+    after = Config(heap if heap_after is None else heap_after, machine._plug(frames, contractum),
+                   (frames, redex, contractum))
     steps = [(Config(heap, e), "init"), (after, "let")]
     monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)
     local, whole = _both_modes("t", parse("unit"))
@@ -497,20 +502,10 @@ def test_local_step_check_judges_an_exposed_let_as_whole_states_do(
 ):
     frames = []
     redex, _ = _MACHINE._refocus(e, frames)
-    after = Config(heap if heap_after is None else heap_after, machine._plug(frames, step(redex)))
+    contractum = step(redex)
+    after = Config(heap if heap_after is None else heap_after, machine._plug(frames, contractum),
+                   (frames, redex, contractum))
     steps = [(Config(heap, e), "init"), (after, "let")]
     monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)
     local, whole = _both_modes("t", parse("unit"))
     assert local == whole and local.verdict == verdict
-
-
-def test_local_step_check_types_the_whole_state_after_a_step_built_elsewhere(monkeypatch):
-    # the state after the step is right, but not the machine's plugging of
-    # the state before it, so no redex and contractum can be read off them
-    steps = [
-        (Config(Heap(), _tgt("(let (t (let (z Unit Star) z) Star) unit)")), "init"),
-        (Config(Heap(), _tgt("(let (t Unit Star) unit)")), "let"),
-    ]
-    monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)
-    local, whole = _both_modes("t", parse("unit"))
-    assert local == whole and local.verdict == "pass"

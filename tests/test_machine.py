@@ -2,9 +2,11 @@
 
 The one-step functions (`src_step`, `tgt_step`) take one contraction from
 the root, so applying them until the term is a value is the machine's
-defining semantics. `*_eval` and `*_steps` continue from each contractum
-on an explicit stack instead; these tests check that they take the same
-steps, stop at the same budget and get stuck with the same message.
+defining semantics. `*_steps` repeats such steps and keeps each step's
+record; `*_eval` continues from each contractum on an explicit stack
+instead. These tests check that they take the same steps, stop at the
+same budget and get stuck with the same message, and that each record
+names objects of the state it was taken from.
 `*_eval`, untraced, keeps let-bound values in an environment where
 `*_steps` substitutes them; the last tests check that both end alike.
 """
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_harness import _let_substitutes_unit
 
+from dtalloc import machine
 from dtalloc.alloc import translate
 from dtalloc.conversion import DEFAULT_FUEL, equiv
 from dtalloc.errors import FuelExhausted, StuckError
@@ -189,6 +192,28 @@ def test_corpus_steps_are_conversions(path):
 @given(seed=st.integers(0, 100_000), depth=st.integers(1, 5))
 def test_generated_steps_are_conversions(seed, depth):
     _assert_steps_convert(gen_typed(GenSpec(depth=depth, seed=seed, closed=True))[1])
+
+
+def test_each_traced_state_records_its_step_in_the_state_before():
+    programs = [parse(p.read_text(), Lang.SOURCE) for p in sorted(CORPUS.glob("*.src"))]
+    programs += [parse(FAMILIES[f](n)) for f in sorted(FAMILIES) for n in range(1, 9)]
+    for e in programs:
+        states = [c for c, _ in tgt_steps(translate(Context(), e))]
+        assert states[0].step is None
+        for prev, cfg in zip(states, states[1:]):
+            frames, redex, contractum = cfg.step
+            # the frames' nodes, then the redex: objects of the state
+            # before, each in the hole of the frame above it
+            nodes = [node for node, _, _ in frames] + [redex]
+            assert nodes[0] is prev.expr
+            for (node, hole, _), below in zip(frames, nodes[1:]):
+                assert getattr(node, hole) is below
+            assert cfg.expr == machine._plug(frames, contractum)
+            # and the state holds the contractum itself at the end of the holes
+            at = cfg.expr
+            for _, hole, _ in frames:
+                at = getattr(at, hole)
+            assert at is contractum
 
 
 def _lets_in_bound(n):
