@@ -4,7 +4,7 @@
     python3 scripts/check_agreements.py
 
 The programs are 300 generated closed programs (depth 4, seeds 0-299)
-and the families at sizes 1-12, built once. Three comparisons run on
+and the families at sizes 1-12, built once. Four comparisons run on
 them, and each prints one summary line:
 
   local step check   step-preservation's default check and local=False,
@@ -13,6 +13,10 @@ them, and each prints one summary line:
                      values in an environment, ends in the last state of
                      its traced run, which substitutes them, or raises
                      the same error; as source and compiled
+  one-step runs      each machine's traced run, which goes on from each
+                     contractum, takes the steps of its one-step function
+                     applied from the root until the term is a value, or
+                     raises the same error; as source and compiled
   printer            print_expr, which runs renderers generated from the
                      printer plans, gives the text of the reference
                      renderer in tests/test_sexpr.py, or raises the same
@@ -32,12 +36,14 @@ from families import FAMILIES  # noqa: E402
 from test_sexpr import reference_print  # noqa: E402
 
 from dtalloc.alloc import translate  # noqa: E402
+from dtalloc.conversion import DEFAULT_FUEL  # noqa: E402
 from dtalloc.errors import FuelExhausted, StuckError  # noqa: E402
 from dtalloc.harness import GenSpec, check_step_preservation, gen_typed  # noqa: E402
+from dtalloc.heap import Config, Heap  # noqa: E402
 from dtalloc.sexpr import Lang, parse, print_expr  # noqa: E402
-from dtalloc.source import src_eval, src_steps  # noqa: E402
+from dtalloc.source import src_eval, src_step, src_steps  # noqa: E402
 from dtalloc.syntax import Context  # noqa: E402
-from dtalloc.target import tgt_eval, tgt_steps  # noqa: E402
+from dtalloc.target import tgt_eval, tgt_step, tgt_steps  # noqa: E402
 
 
 def programs() -> list:
@@ -72,6 +78,29 @@ def untraced_runs(name, e):
             yield f"{name} {lang}: untraced {untraced} but traced {traced}"
 
 
+def from_the_root(step, start):
+    """The (state, rule) pairs of step applied from the root of each state
+    until it returns None, from (start, "init"), at the traced runs' fuel."""
+    states = [(start, "init")]
+    while (r := step(states[-1][0])) is not None:
+        if len(states) > DEFAULT_FUEL:
+            raise FuelExhausted(DEFAULT_FUEL)
+        states.append(r)
+    return states
+
+
+def one_step_runs(name, e):
+    te = translate(Context(), e)
+    for lang, term, start, step, steps in (
+        ("source", e, e, src_step, src_steps),
+        ("target", te, Config(Heap(), te), tgt_step, tgt_steps),
+    ):
+        traced = outcome(steps, term)
+        stepped = outcome(from_the_root, step, start)
+        if traced != stepped:
+            yield f"{name} {lang}: traced {traced!r:.200} but one-step {stepped!r:.200}"
+
+
 def printer(name, e):
     for form, term in (("source", e), ("compiled", translate(Context(), e))):
         for lang in Lang:
@@ -83,7 +112,7 @@ def printer(name, e):
 
 
 COMPARISONS = (("local step check", local_step_check), ("untraced runs", untraced_runs),
-               ("printer", printer))
+               ("one-step runs", one_step_runs), ("printer", printer))
 
 
 def main() -> int:

@@ -97,11 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str, lang: Lang):
-    """Parse a UTF-8 file; the first byte that is not UTF-8 is a parse
-    error at its position."""
+    """Parse a UTF-8 file less a leading byte order mark; the first byte
+    that is not UTF-8 is a parse error at its position."""
     # newlines as a text-mode read gives them; the bytes of \r and \n
     # never occur inside a multi-byte character
-    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:

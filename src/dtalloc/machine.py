@@ -7,24 +7,26 @@ fields of each node type, its value test and its stuck messages. One
 refocusing routine, Machine._refocus, keeps the evaluation context as an
 explicit stack of frames, each a node with a hole at one such field.
 
-Machine.step is one step from the root of a state, and records it: the
-frames around the redex, outermost first, and the redex, all objects of
-that state, the contractum, and the next state, the frames plugged with
-the contractum. A traced run, Machine.steps, is Machine.step repeated,
-so consecutive states share their unchanged subterms by identity and
-step-preservation's local check reads each step from its record.
+Both runs go on from each contractum instead of descending again from
+the root: the same steps, linear in their number, at any depth. A traced
+run, Machine.steps, substitutes let values through contract and records
+each step: the frames around the redex, outermost first, and the redex,
+all objects of the state before the step, the contractum, and the next
+state, the frames plugged with the contractum. Each plugged node
+replaces its frame, so consecutive states share their unchanged subterms
+by identity and step-preservation's local check reads each step from
+its record.
 
-An untraced run, Machine.run, goes on from each contractum instead of
-descending again from the root: the same steps, linear in their number,
-at any depth. From an empty heap it binds a let's value in an
-environment instead of substituting it (Ager, Biernacki, Danvy and
-Midtgaard, "A Functional Correspondence between Evaluators and Abstract
-Machines", 2003). A term is closed, by substitution, only where it
-leaves the environment: a redex for contract, a value being bound, a
-value for a frame outside the binding, and the final value. Those values
-are closed, so the substitutions rename nothing and the run ends in the
-state of the traced run after the same steps; where an open term would
-leave the environment, the loop starts again substituting.
+An untraced run, Machine.run, keeps no records. From an empty heap it
+binds a let's value in an environment instead of substituting it (Ager,
+Biernacki, Danvy and Midtgaard, "A Functional Correspondence between
+Evaluators and Abstract Machines", 2003). A term is closed, by
+substitution, only where it leaves the environment: a redex for
+contract, a value being bound, a value for a frame outside the binding,
+and the final value. Those values are closed, so the substitutions
+rename nothing and the run ends in the state of the traced run after the
+same steps; where an open term would leave the environment, and from a
+heap that holds cells, the run returns the last state of the traced run.
 """
 
 from __future__ import annotations
@@ -136,14 +138,6 @@ def _fill(node: Expr, hole: str, e: Expr) -> Expr:
     return cls(*args)
 
 
-def _plug(frames, e: Expr) -> Expr:
-    """e put into the holes of the frames (node, field, mark), innermost
-    last; a plugged node keeps its position."""
-    for node, hole, _ in reversed(frames):
-        e = _fill(node, hole, e)
-    return e
-
-
 @dataclass(frozen=True)
 class Machine:
     eval_fields: dict[type, tuple[str, ...]]
@@ -197,62 +191,65 @@ class Machine:
             elif not (filled and is_value(e)):
                 return e, True
 
-    def step(self, heap, e: Expr):
-        """One contraction from the root of e: (heap, term, rule, frames,
-        redex, contractum), or None when e is a value. frames, the nodes
-        (node, field, mark) around the redex, outermost first, and the
-        redex are objects of e; term is the frames plugged with the
-        contractum."""
-        frames: list = []
-        redex, found = self._refocus(e, frames)
-        if not found:
-            return None
-        heap, c, rule = self._contract(heap, redex)
-        return heap, _plug(frames, c), rule, frames, redex, c
-
-    def steps(self, heap, e: Expr, fuel: int) -> list:
-        """The run of e from heap as the records step gives, one per step;
-        past fuel steps a stuck redex raises StuckError, any other
-        FuelExhausted. Each step starts from the root of the term the step
-        before made."""
-        out: list = []
-        while (r := self.step(heap, e)) is not None:
-            if len(out) >= fuel:
+    def steps(self, heap, e: Expr, fuel: int):
+        """The run of e from heap, yielding one record (heap, term, rule,
+        frames, redex, contractum) per step; past fuel steps a stuck redex
+        raises StuckError, any other FuelExhausted. frames, the nodes (node,
+        field, mark) around the redex, outermost first, and the redex are
+        objects of the state before the step; term, the next state, is the
+        frames plugged with the contractum. Each plugged node replaces its
+        frame, so a node popped while the focus is a value holds it."""
+        is_value, stack, spent = self.is_value, [], 0
+        while True:
+            while stack and is_value(e):
+                e = stack.pop()[0]
+            redex, found = self._refocus(e, stack)
+            if not found:
+                return
+            if spent >= fuel:
+                self._contract(heap, redex)
                 raise FuelExhausted(fuel)
-            out.append(r)
-            heap, e = r[0], r[1]
-        return out
+            spent += 1
+            frames = stack.copy()
+            heap, e, rule = self._contract(heap, redex)
+            t = e
+            for k in range(len(stack) - 1, -1, -1):
+                node, hole, mark = stack[k]
+                t = _fill(node, hole, t)
+                stack[k] = t, hole, mark
+            yield heap, t, rule, frames, redex, e
 
     def run(self, heap, e: Expr, fuel: int):
         """Contract up to fuel redexes and return (heap, value); past the
         budget a stuck redex raises StuckError, any other FuelExhausted.
 
-        A let step has two rules. From a heap that holds cells the loop
-        substitutes the value through contract. Otherwise it binds the
-        value in env until an open term leaves env; then the loop starts
-        again substituting: substituting an open value may rename binders,
-        and simultaneous substitution need not choose the names that one
-        at a time does."""
-        env = {} if heap is None or not heap.cells else None
-        start = heap, e
-        while True:
-            (heap, e), stack, trail, spent = start, [], [], 0
+        From a heap without cells the loop binds each let's value in env
+        instead of substituting it. When an open term would leave env, and
+        from a heap that holds cells, the run is the traced run's instead,
+        ending in its last state: substituting an open value may rename
+        binders, and simultaneous substitution need not choose the names
+        that one at a time does."""
+        if heap is None or not heap.cells:
+            h, t, env, stack, trail, spent = heap, e, {}, [], [], 0
             try:
                 while True:
-                    e, redex = self._refocus(e, stack, env, trail)
+                    t, redex = self._refocus(t, stack, env, trail)
                     if not redex:
-                        return heap, e
+                        return h, t
                     if spent >= fuel:
-                        self._contract(heap, _close(e, env))
+                        self._contract(h, _close(t, env))
                         raise FuelExhausted(fuel)
                     spent += 1
-                    if env is not None and type(e) is Let:
-                        _bind(env, trail, e.binder, _close(e.bound, env))
-                        e = e.body
+                    if type(t) is Let:
+                        _bind(env, trail, t.binder, _close(t.bound, env))
+                        t = t.body
                     else:
-                        heap, e, _ = self._contract(heap, _close(e, env))
+                        h, t, _ = self._contract(h, _close(t, env))
             except _Open:
-                env = None
+                pass
+        for heap, e, *_ in self.steps(heap, e, fuel):
+            pass
+        return heap, e
 
 
 class _Open(Exception):

@@ -91,7 +91,7 @@ _MACHINE = Machine(
 def src_step(e: Expr) -> tuple[Expr, str] | None:
     """One step, returning the new term and the rule that fired, or None
     for a value. Raises StuckError on a non-value that cannot step."""
-    r = _MACHINE.step(None, e)
+    r = next(_MACHINE.steps(None, e, 1), None)
     return None if r is None else r[1:3]
 
 

@@ -417,7 +417,7 @@ _MACHINE = Machine(
 
 def tgt_step(config: Config) -> tuple[Config, str] | None:
     """One machine step, or None when the expression is a value."""
-    r = _MACHINE.step(config.heap, config.expr)
+    r = next(_MACHINE.steps(config.heap, config.expr, 1), None)
     return None if r is None else (Config(r[0], r[1]), r[2])
 
 

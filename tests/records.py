@@ -1,8 +1,10 @@
 """Constructor arguments for one sample of each run-time record class: the
 node types of syntax._SCHEMA, the context and its entries, heap cells,
-heaps and machine states."""
+heaps and machine states; and plug, which builds a machine state from
+the frames of a step's record."""
 
 from dtalloc.heap import UNINIT, Config, Heap, HeapCell
+from dtalloc.machine import _fill
 from dtalloc.syntax import (
     UNIT,
     UNIT_TY,
@@ -58,3 +60,11 @@ RECORDS = {
     Heap: ((_EMPTY_CELL,),),
     Config: (Heap(), UNIT),
 }
+
+
+def plug(frames, e):
+    """e put into the holes of the frames (node, field, mark), innermost
+    last; a plugged node keeps its position."""
+    for node, hole, _ in reversed(frames):
+        e = _fill(node, hole, e)
+    return e

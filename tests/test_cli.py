@@ -418,6 +418,29 @@ def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys):
+    p = tmp_path / "bom.src"
+    text = b"(pair unit unit (Sigma (x Unit) Unit))\n"
+    p.write_bytes(text)
+    assert main(["check", str(p)]) == 0
+    plain = capsys.readouterr()
+    p.write_bytes(b"\xef\xbb\xbf" + text)
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr() == plain
+    # positions count from the character after the mark, a bad byte's too
+    for data, err in ((b"unit)", "1:5 unexpected trailing input"),
+                      (b"(pair \xff", "1:7 input is not valid UTF-8"),
+                      (b"\n\xff", "2:1 input is not valid UTF-8")):
+        p.write_bytes(b"\xef\xbb\xbf" + data)
+        assert main(["check", str(p)]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error[ParseError] {err}\n")
+    # only the first mark is skipped; a second is a character of the program
+    p.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfunit")
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error[ParseError] 1:1 ")
+
+
 def test_run_reads_600_lets_nested_in_bound_position(tmp_path, capsys):
     # the reader keeps the forms it has open on a stack of its own; recursing
     # once per level, it ran out of Python frames at about 500 levels

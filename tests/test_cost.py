@@ -136,7 +136,8 @@ def translations(monkeypatch):
 @pytest.fixture
 def machine_runs(monkeypatch):
     """A list that grows by (start term, whether traced) for every run of
-    either machine from the empty heap."""
+    either machine from the empty heap. An untraced run that meets an open
+    term ends as its traced run, so it adds (e, False), then (e, True)."""
     seen = []
     run, steps = machine.Machine.run, machine.Machine.steps
 
@@ -340,6 +341,21 @@ def test_target_evaluation_tests_values_linearly_in_the_steps(value_tests):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_traced_run_tests_values_linearly_in_the_steps(value_tests, family):
+    counts = {}
+    for n in (16, 32):
+        compiled = translate(Context(), parse(FAMILIES[family](n)))
+        value_tests.clear()
+        target.tgt_steps(compiled)
+        counts[n] = len(value_tests)
+    assert counts[16] > 0
+    # 1.89x to 2.02x per doubling; refocusing each state from its root
+    # re-tested every node above the redex, 3.91x on nested_pairs and
+    # 3.60x on closure_env
+    assert counts[32] <= 2.2 * counts[16], (family, counts)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_an_untraced_run_leaves_the_free_names_of_its_program_unanalysed(family):
     for n in (1, 4, 8):
         te = translate(Context(), parse(FAMILIES[family](n)))
@@ -472,10 +488,11 @@ def test_step_preservation_refocuses_each_state_once(refocusings, family):
         states = len(target.tgt_steps(translate(Context(), parse(FAMILIES[family](n)))))
         refocusings.clear()
         assert check_step_preservation("t", parse(FAMILIES[family](n))).verdict == "pass"
-        # the run refocuses every state from its root once, the last to
-        # find it a value, and the local check reads each step's record;
-        # refocusing the state before each step again made 2n - 1 calls
-        # for n states (closure_env at 8: 125 for 63 states)
+        # the run refocuses once per state, from the contractum its step
+        # made, the last to find the term a value, and the local check
+        # reads each step's record; refocusing the state before each step
+        # again made 2n - 1 calls for n states (closure_env at 8: 125 for
+        # 63 states)
         assert len(refocusings) == states, (family, n, states)
 
 

@@ -6,6 +6,7 @@ import pytest
 from families import FAMILIES, type_tower
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from records import plug
 
 from dtalloc import harness, machine
 from dtalloc.alloc import translate
@@ -424,7 +425,7 @@ def test_local_step_check_types_the_whole_state_after_a_wrong_step(
 ):
     frames = []
     redex, _ = _MACHINE._refocus(e, frames)
-    after = Config(heap if heap_after is None else heap_after, machine._plug(frames, contractum),
+    after = Config(heap if heap_after is None else heap_after, plug(frames, contractum),
                    (frames, redex, contractum))
     steps = [(Config(heap, e), "init"), (after, "let")]
     monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)
@@ -503,7 +504,7 @@ def test_local_step_check_judges_an_exposed_let_as_whole_states_do(
     frames = []
     redex, _ = _MACHINE._refocus(e, frames)
     contractum = step(redex)
-    after = Config(heap if heap_after is None else heap_after, machine._plug(frames, contractum),
+    after = Config(heap if heap_after is None else heap_after, plug(frames, contractum),
                    (frames, redex, contractum))
     steps = [(Config(heap, e), "init"), (after, "let")]
     monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)

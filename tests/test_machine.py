@@ -1,14 +1,18 @@
 """The shared refocusing machine against its one-step reference.
 
-The one-step functions (`src_step`, `tgt_step`) take one contraction from
-the root, so applying them until the term is a value is the machine's
-defining semantics. `*_steps` repeats such steps and keeps each step's
-record; `*_eval` continues from each contractum on an explicit stack
-instead. These tests check that they take the same steps, stop at the
-same budget and get stuck with the same message, and that each record
-names objects of the state it was taken from.
+The one-step functions (`src_step`, `tgt_step`) take the first step of a
+run from the state they are given, found by refocusing from its root, so
+applying them until the term is a value is the machine's defining
+semantics. A traced run (`*_steps`) goes on from each contractum instead,
+popping the frames it has just plugged, and keeps each step's record; an
+untraced run (`*_eval`) goes on from each contractum without records.
+These tests check that they take the same steps, stop at the same budget
+and get stuck with the same message, and that each record names objects
+of the state it was taken from: the frames and the redex that refocusing
+that state from its root finds.
 `*_eval`, untraced, keeps let-bound values in an environment where
-`*_steps` substitutes them; the last tests check that both end alike.
+`*_steps` substitutes them; the last tests check that both end alike,
+and an untraced run that meets an open term ends as its traced run.
 """
 
 from pathlib import Path
@@ -17,9 +21,10 @@ import pytest
 from families import FAMILIES
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from records import plug
 from test_harness import _let_substitutes_unit
 
-from dtalloc import machine
+from dtalloc import target
 from dtalloc.alloc import translate
 from dtalloc.conversion import DEFAULT_FUEL, equiv
 from dtalloc.errors import FuelExhausted, StuckError
@@ -194,26 +199,48 @@ def test_generated_steps_are_conversions(seed, depth):
     _assert_steps_convert(gen_typed(GenSpec(depth=depth, seed=seed, closed=True))[1])
 
 
+def _records(e):
+    """The records of the traced target run of e from the empty heap, as
+    far as the run goes before it ends, gets stuck or runs out of fuel."""
+    out = []
+    try:
+        for r in target._MACHINE.steps(Heap(), e, DEFAULT_FUEL):
+            out.append(r)
+    except (StuckError, FuelExhausted):
+        pass
+    return out
+
+
 def test_each_traced_state_records_its_step_in_the_state_before():
-    programs = [parse(p.read_text(), Lang.SOURCE) for p in sorted(CORPUS.glob("*.src"))]
-    programs += [parse(FAMILIES[f](n)) for f in sorted(FAMILIES) for n in range(1, 9)]
-    for e in programs:
-        states = [c for c, _ in tgt_steps(translate(Context(), e))]
-        assert states[0].step is None
-        for prev, cfg in zip(states, states[1:]):
-            frames, redex, contractum = cfg.step
+    compiled = [parse(p.read_text(), Lang.SOURCE) for p in sorted(CORPUS.glob("*.src"))]
+    compiled += [parse(FAMILIES[f](n)) for f in sorted(FAMILIES) for n in range(1, 9)]
+    compiled = [translate(Context(), e) for e in compiled]
+    negative = [parse(p.read_text(), Lang.TARGET) for p in sorted(NEGATIVE.iterdir())]
+    for e in compiled + negative:
+        prev = e
+        for _, term, _, frames, redex, contractum in _records(e):
             # the frames' nodes, then the redex: objects of the state
             # before, each in the hole of the frame above it
             nodes = [node for node, _, _ in frames] + [redex]
-            assert nodes[0] is prev.expr
+            assert nodes[0] is prev
             for (node, hole, _), below in zip(frames, nodes[1:]):
                 assert getattr(node, hole) is below
-            assert cfg.expr == machine._plug(frames, contractum)
-            # and the state holds the contractum itself at the end of the holes
-            at = cfg.expr
+            # and those refocusing the state before from its root finds
+            fresh = []
+            assert target._MACHINE._refocus(prev, fresh) == (redex, True)
+            assert fresh == frames
+            assert term == plug(frames, contractum)
+            # the state holds the contractum itself at the end of the holes
+            at = term
             for _, hole, _ in frames:
                 at = getattr(at, hole)
             assert at is contractum
+            prev = term
+    for e in compiled:
+        states = tgt_steps(e)
+        assert states[0][0].step is None
+        assert [(c.expr, c.step) for c, _ in states[1:]] == [
+            (t, (frames, redex, c)) for _, t, _, frames, redex, c in _records(e)]
 
 
 def _lets_in_bound(n):
