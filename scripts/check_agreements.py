@@ -3,12 +3,19 @@
 
     python3 scripts/check_agreements.py
 
-The programs are 300 generated closed programs (depth 4, seeds 0-299)
-and the families at sizes 1-12, built once. Four comparisons run on
+The programs are 300 generated closed programs (depth 4, seeds 0-299),
+the families at sizes 1-12, the corpus and the dependent programs of
+tests/families.py at sizes 1-8, built once. Five comparisons run on
 them, and each prints one summary line:
 
   local step check   step-preservation's default check and local=False,
-                     which types every whole state, give equal reports
+                     which types every whole state, give equal reports;
+                     the line also counts the steps whose previous type
+                     holds a location or the redex that the default
+                     check kept, carrying the type onto the new state
+  carried types      on each such kept step, the carried type and the
+                     type of the whole new state are subtypes of each
+                     other under the new state's heap
   untraced runs      each machine's untraced run, which keeps let-bound
                      values in an environment, ends in the last state of
                      its traced run, which substitutes them, or raises
@@ -23,32 +30,36 @@ them, and each prints one summary line:
                      error; as source and compiled, in both languages
 
 Each disagreement is printed on a line of its own. The script exits 1 on
-any disagreement, else 0.
+any disagreement, or when the default check kept no such step, else 0.
 """
 
 import sys
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from families import FAMILIES  # noqa: E402
+from families import DEPENDENT, FAMILIES  # noqa: E402
+from test_harness import dependent_steps  # noqa: E402
 from test_sexpr import reference_print  # noqa: E402
 
 from dtalloc.alloc import translate  # noqa: E402
-from dtalloc.conversion import DEFAULT_FUEL  # noqa: E402
-from dtalloc.errors import FuelExhausted, StuckError  # noqa: E402
-from dtalloc.harness import GenSpec, check_step_preservation, gen_typed  # noqa: E402
+from dtalloc.conversion import DEFAULT_FUEL, subtype  # noqa: E402
+from dtalloc.errors import FuelExhausted, StuckError, TypeCheckError  # noqa: E402
+from dtalloc.harness import GenSpec, check_step_preservation, gen_typed, load_corpus  # noqa: E402
 from dtalloc.heap import Config, Heap  # noqa: E402
 from dtalloc.sexpr import Lang, parse, print_expr  # noqa: E402
 from dtalloc.source import src_eval, src_step, src_steps  # noqa: E402
 from dtalloc.syntax import Context  # noqa: E402
-from dtalloc.target import tgt_eval, tgt_step, tgt_steps  # noqa: E402
+from dtalloc.target import tgt_eval, tgt_infer, tgt_step, tgt_steps  # noqa: E402
 
 
 def programs() -> list:
     out = [(f"gen{s}", gen_typed(GenSpec(depth=4, seed=s, closed=True))[1]) for s in range(300)]
     out += [(f"{f}/{n}", parse(FAMILIES[f](n))) for f in sorted(FAMILIES) for n in range(1, 13)]
+    out += load_corpus(ROOT / "corpus")
+    out += [(f"{f}/{n}", parse(DEPENDENT[f](n))) for f in sorted(DEPENDENT) for n in range(1, 9)]
     return out
 
 
@@ -60,11 +71,29 @@ def outcome(fn, *args, errors=(StuckError, FuelExhausted)):
         return type(err).__name__, str(err)
 
 
-def local_step_check(name, e):
-    local = check_step_preservation(name, e)
+def local_step_check(name, e, kept):
+    """Disagreements of the two checks on e; the dependent steps that the
+    default check kept are added to kept."""
+    local, seen = dependent_steps(name, e)
+    kept.extend(cfg for _, _, cfg, ty in seen if ty is not None)
     whole = check_step_preservation(name, e, local=False)
     if local != whole:
         yield f"{name}: local {local} but whole states {whole}"
+
+
+def carried_types(name, e):
+    for _, _, cfg, ty in dependent_steps(name, e)[1]:
+        if ty is None:
+            continue
+        try:
+            whole = tgt_infer(cfg.heap, Context(), cfg.expr)
+            agree = subtype(Context(), ty, whole, cfg.heap) and subtype(Context(), whole, ty, cfg.heap)
+            whole = print_expr(whole, Lang.TARGET)
+        except (TypeCheckError, FuelExhausted) as err:
+            whole, agree = f"{type(err).__name__}: {err}", False
+        if not agree:
+            yield (f"{name}: carried {print_expr(ty, Lang.TARGET):.200} but the state "
+                   f"{print_expr(cfg.expr, Lang.TARGET):.200} types at {whole:.200}")
 
 
 def untraced_runs(name, e):
@@ -111,20 +140,25 @@ def printer(name, e):
                        f"but the reference gives {want!r:.200}")
 
 
-COMPARISONS = (("local step check", local_step_check), ("untraced runs", untraced_runs),
+COMPARISONS = (("carried types", carried_types), ("untraced runs", untraced_runs),
                ("one-step runs", one_step_runs), ("printer", printer))
 
 
 def main() -> int:
     progs = programs()
+    kept = []
     failed = False
-    for title, compare in COMPARISONS:
+    for title, compare in (("local step check", partial(local_step_check, kept=kept)), *COMPARISONS):
         bad = 0
         for name, e in progs:
             for line in compare(name, e):
                 bad += 1
                 print(line)
-        print(f"{title}: {len(progs)} programs, {bad} disagreements")
+        line = f"{title}: {len(progs)} programs, {bad} disagreements"
+        if title == "local step check":
+            line += f", {len(kept)} dependent steps kept"
+            bad += not kept
+        print(line)
         failed = failed or bad > 0
     return 1 if failed else 0
 

@@ -19,6 +19,7 @@ import functools
 import json
 import random
 from dataclasses import dataclass
+from operator import is_
 from pathlib import Path
 
 from . import conversion
@@ -29,6 +30,8 @@ from .machine import contract
 from .sexpr import Lang, parse
 from .source import src_eval, src_infer, src_steps
 from .syntax import (
+    _ARGS,
+    _CHILD_ARGS,
     _CHILD_FIELDS,
     STAR,
     UNIT,
@@ -470,12 +473,44 @@ def _exposes_let(redex: Expr, c: Expr) -> bool:
     )
 
 
-def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> bool:
-    """Whether the machine step from prev, whose state type is prev_ty, to
-    cfg keeps that state type, judged from what the step changed: its
-    record cfg.step, the frames around the redex and the redex, objects of
-    prev's term, and the contractum, which cfg's term holds at the end of
-    the frames' holes.
+def _carried(ty: Expr, frames: list, redex: Expr, expr: Expr) -> Expr:
+    """ty with each frame node and the redex, objects of the state before a
+    step, replaced by the node that stands in its place in expr, the state
+    after it: the frames' nodes found down their holes, and the contractum
+    at their end. Both states are closed, so nothing is captured; a node
+    with nothing replaced below it is kept as it is."""
+    new, node = {}, expr
+    for old, hole, _ in frames:
+        new[id(old)] = node
+        node = getattr(node, hole)
+    new[id(redex)] = node
+    return _replaced(ty, new)
+
+
+def _replaced(e: Expr, new: dict) -> Expr:
+    """e with new[id(n)] in place of each node n it holds, by identity; new
+    also keeps what each visited node became."""
+    r = new.get(id(e))
+    if r is None:
+        cls = type(e)
+        r = e
+        if _CHILD_ARGS[cls]:
+            old = _ARGS[cls](e)
+            args = list(old)
+            for c, _ in _CHILD_ARGS[cls]:
+                args[c] = _replaced(args[c], new)
+            if not all(map(is_, args, old)):
+                r = cls(*args)
+        new[id(e)] = r
+    return r
+
+
+def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> Expr | None:
+    """The type of cfg when the machine step from prev, whose state type is
+    prev_ty, to cfg keeps that state type, judged from what the step
+    changed, else None: its record cfg.step, the frames around the redex
+    and the redex, objects of prev's term, and the contractum, which cfg's
+    term holds at the end of the frames' holes.
 
     This is the replacement lemma (Wright and Felleisen, "A Syntactic
     Approach to Type Soundness", 1994). The frames around the redex bind
@@ -484,19 +519,25 @@ def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> bool:
     not depend on the type of what fills the hole; so what fills it now,
     the contractum plugged into the frames below, is checked there under
     the new heap, and the frames above type as they did, unless
-      - a frame's type holds its hole's term (a let body's type that names
-        the binder, an application's codomain, a snd): prev_ty then holds
-        the redex object itself;
       - a frame may read its hole's term while it types (a let body sees
         its binder's definition, a second assignment reads the tuple's
         first slot), and the step is not the contraction conversion makes;
-      - a frame holds a location of a cell the step wrote;
-      - prev_ty is not heap-free: synthesis normalizes on a scratch heap,
-        and a location left in prev_ty would mean another cell once the
-        real heap grows.
+      - a frame holds a location of a cell the step wrote.
     Then, and when no frame checks its hole (typing the whole state costs
-    no more there), or on any failure, the answer is False, and the caller
-    types the whole state.
+    no more there), or on any failure, the answer is None, and the caller
+    types the whole state. Otherwise the type is prev_ty itself, unless it
+    is dependent: it holds a location, an allocation or an assignment, or
+    the redex object (a let body's type that names the binder, an
+    application's codomain or a snd puts its hole's term, the redex or a
+    frame node around it, in the type). A dependent type is kept only when
+    the step is the contraction conversion makes, so the frames' new nodes
+    convert to the old, and when every location in it names a cell of
+    prev's heap: a type is synthesized or carried at its state's heap, and
+    synthesis normalizes on a scratch heap whose cells come after those, so
+    a location past them would mean another cell once the real heap grows.
+    The type carried is then prev_ty with the redex and each frame node
+    replaced by the node of cfg's term in its place (_carried), so that the
+    next step's identity test sees objects of cfg's term.
 
     A let step that keeps the heap and exposes a let, the rest of a malloc
     chain, adds that let as the innermost frame, its bound the hole, at the
@@ -506,35 +547,37 @@ def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> bool:
     where e stood with x defined as v, the let's type converts to the
     redex's, and the step is the contraction conversion makes."""
     frames, redex, c = cfg.step
-    if _mentions_heap_or(prev_ty, redex):
-        return False
+    dependent = _mentions_heap_or(prev_ty, redex)
+    if dependent and any(i >= len(prev.heap.cells) for i in locs_in(prev_ty)):
+        return None
     exposed = cfg.heap is prev.heap and _exposes_let(redex, c)
-    if exposed:
-        frames = [*frames, (c, "bound", 0)]
-    j = len(frames) - 1
-    while j >= 0 and not _FRAME_HOLES.get((type(frames[j][0]), frames[j][1]), _NEITHER)[0]:
+    checking = [*frames, (c, "bound", 0)] if exposed else frames
+    j = len(checking) - 1
+    while j >= 0 and not _FRAME_HOLES.get((type(checking[j][0]), checking[j][1]), _NEITHER)[0]:
         j -= 1
     if j < 0:
-        return False
+        return None
     # a cell the step allocated is named nowhere else: a location types
     # only once its cell exists, and heaps do not shrink
     cells = zip(prev.heap.cells, cfg.heap.cells) if cfg.heap is not prev.heap else ()
     written = {i for i, (a, b) in enumerate(cells) if a is not b}
     if written and any(not written.isdisjoint(locs_in(getattr(node, f)))
-                       for node, hole, _ in frames for f in _CHILD_FIELDS[type(node)] if f != hole):
-        return False
+                       for node, hole, _ in checking for f in _CHILD_FIELDS[type(node)] if f != hole):
+        return None
     node = cfg.expr  # the state's node at frame j, found down the holes
-    for _, hole, _ in frames[:j]:
+    for _, hole, _ in checking[:j]:
         node = getattr(node, hole)
     try:
         if type(node) is Let:
             check(Lang.TARGET, cfg.heap, Context(), node.bound, node.annot)
         else:
             tgt_infer_checking(cfg.heap, Context(), node)
-        reads = any(_FRAME_HOLES.get((type(n), h), _NEITHER)[1] for n, h, _ in frames[: j + 1])
-        return exposed or not reads or _contracts_to(prev.heap, redex, cfg.heap, c)
+        reads = any(_FRAME_HOLES.get((type(n), h), _NEITHER)[1] for n, h, _ in checking[: j + 1])
+        if (dependent or reads and not exposed) and not _contracts_to(prev.heap, redex, cfg.heap, c):
+            return None
+        return _carried(prev_ty, frames, redex, cfg.expr) if dependent else prev_ty
     except (TypeCheckError, FuelExhausted, RecursionError):
-        return False
+        return None
 
 
 @_judged("step-preservation")
@@ -560,9 +603,8 @@ def check_step_preservation(
                 bad = _heap_transition_problems(prev_cfg.heap, cfg.heap)
             if bad:
                 return "; ".join(bad)
-        if local and prev_cfg is not None and _step_keeps_type(prev_cfg, prev_ty, cfg):
-            ty = prev_ty
-        else:
+        ty = _step_keeps_type(prev_cfg, prev_ty, cfg) if local and prev_cfg is not None else None
+        if ty is None:
             ty = tgt_infer(cfg.heap, Context(), cfg.expr)
             if prev_ty is not None and not conversion.subtype(
                 Context(), ty, prev_ty, cfg.heap, fuel

@@ -398,11 +398,13 @@ def _closure_type(code_ty: CodeTy, env: Expr) -> Pi:
 # ---------------------------------------------------------------------------
 # The heap machine
 
-_VALUE_FORMS = (UnitTm, UnitTy, Univ, Pi, Sigma, CodeTy, Code, Loc)
+_VALUE_FORMS = frozenset((UnitTm, UnitTy, Univ, Pi, Sigma, CodeTy, Code, Loc))
 
 
 def is_tgt_value(e: Expr) -> bool:
-    return isinstance(e, _VALUE_FORMS) or (isinstance(e, CTag) and isinstance(e.expr, Loc))
+    # by class, not isinstance: no node class has a subclass
+    cls = type(e)
+    return cls in _VALUE_FORMS or (cls is CTag and type(e.expr) is Loc)
 
 
 _ASSIGN = ("tuple_", "value")

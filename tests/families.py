@@ -1,5 +1,6 @@
 """Source texts of three program families that grow with a size n: nested
-pairs, let chains, and closures over nested pair environments."""
+pairs, let chains, and closures over nested pair environments; and of
+programs whose run takes dependent steps, kept apart from the families."""
 
 SIGMA_UU = "(Sigma (a Unit) Unit)"
 
@@ -43,6 +44,32 @@ def closure_env(n: int) -> str:
 
 
 FAMILIES = {f.__name__: f for f in (nested_pairs, let_chain, closure_env)}
+
+
+def _type_family(n: int) -> str:
+    """A constant type family on Unit: a closure over a right-nested pair of
+    n >= 1 levels, whose compiled form allocates n + 1 tuples."""
+    env, env_ty = _right_nested(n)
+    return f"(clo (code ((e {env_ty}) (y Unit)) Unit) {env} (Pi (y Unit) Star))"
+
+
+def snd_dep_pairs(n: int) -> str:
+    """The second component of a pair of Unit and _type_family(n), typed at
+    (Sigma (X Star) (Pi (y X) Star)): the projection's type names the
+    pair, so every step that builds it changes a term the state type holds."""
+    return f"(snd (pair Unit {_type_family(n)} (Sigma (X Star) (Pi (y X) Star))))"
+
+
+def dep_sigma_lets(n: int) -> str:
+    """A pair whose second component's type applies _type_family(n), bound
+    by a let, to the first: the state type names the let's bound, the
+    family's allocation while it is built and its location after."""
+    return f"(let (F {_type_family(n)} (Pi (y Unit) Star)) (pair unit unit (Sigma (x Unit) (app F x))))"
+
+
+# programs with dependent steps; generated programs and the families take
+# none, and their pinned counts do not include these
+DEPENDENT = {f.__name__: f for f in (snd_dep_pairs, dep_sigma_lets)}
 
 
 def type_tower(n: int, body: str) -> str:

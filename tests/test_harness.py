@@ -3,14 +3,14 @@
 from pathlib import Path
 
 import pytest
-from families import FAMILIES, type_tower
+from families import DEPENDENT, FAMILIES, type_tower
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from records import plug
 
 from dtalloc import harness, machine
 from dtalloc.alloc import translate
-from dtalloc.conversion import equiv
+from dtalloc.conversion import equiv, subtype
 from dtalloc.harness import (
     DEFAULT_FUEL,
     GenSpec,
@@ -34,10 +34,10 @@ from dtalloc.heap import Config, Heap, HeapCell, UNINIT
 from dtalloc.sexpr import Lang, parse
 from dtalloc.source import src_eval, src_infer, src_step
 from dtalloc.syntax import (
-    App, Assign1, Assign2, CTag, Code, CodeTy, Context, Fst, Let, Loc, Malloc, Pi, STAR, Sigma, UNIT,
-    UNIT_TY, Univ, Universe, Var, subst,
+    App, Assign1, Assign2, CTag, Code, CodeTy, Context, Fst, Let, Loc, Malloc, Pi, STAR, Sigma, Snd,
+    UNIT, UNIT_TY, Univ, Universe, Var, subst,
 )
-from dtalloc.target import _MACHINE, heap_wf, tgt_eval
+from dtalloc.target import _MACHINE, heap_wf, tgt_eval, tgt_infer
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -270,6 +270,72 @@ def test_local_step_check_agrees_with_whole_states_on_the_families(family):
         assert local == whole and local.verdict == "pass", n
 
 
+@pytest.mark.parametrize("program", sorted(DEPENDENT))
+def test_local_step_check_agrees_with_whole_states_on_dependent_programs(program):
+    for n in range(1, 9):
+        local, whole = _both_modes(f"{program}/{n}", parse(DEPENDENT[program](n)))
+        assert local == whole and local.verdict == "pass", n
+
+
+def dependent_steps(case_id, e):
+    """The local check's report on e, and (prev, prev_ty, cfg, ty) for each
+    step whose previous type holds a location or the redex; ty is the type
+    the check carried to cfg, or None where it typed the whole state."""
+    seen = []
+    keeps = harness._step_keeps_type
+
+    def recorded(prev, prev_ty, cfg):
+        ty = keeps(prev, prev_ty, cfg)
+        if harness._mentions_heap_or(prev_ty, cfg.step[1]):
+            seen.append((prev, prev_ty, cfg, ty))
+        return ty
+
+    harness._step_keeps_type = recorded
+    try:
+        return check_step_preservation(case_id, e), seen
+    finally:
+        harness._step_keeps_type = keeps
+
+
+def _kept_dependent_steps():
+    """The steps of dependent_steps that the local check kept, over the
+    corpus and the dependent programs at sizes 1-8."""
+    programs = load_corpus(CORPUS)
+    programs += [(f"{f}/{n}", parse(DEPENDENT[f](n))) for f in sorted(DEPENDENT) for n in range(1, 9)]
+    kept = []
+    for name, e in programs:
+        report, seen = dependent_steps(name, e)
+        assert report.verdict == "pass", name
+        kept += [step for step in seen if step[3] is not None]
+    return kept
+
+
+def test_a_carried_type_and_the_whole_state_type_are_subtypes_of_each_other():
+    kept = _kept_dependent_steps()
+    assert len(kept) > 27  # the corpus alone keeps 27
+    for _, _, cfg, ty in kept:
+        whole = tgt_infer(cfg.heap, Context(), cfg.expr)
+        assert subtype(Context(), ty, whole, cfg.heap) and subtype(Context(), whole, ty, cfg.heap)
+
+
+def test_a_carried_type_holds_the_new_state_in_place_of_the_old():
+    moved = 0
+    for _, prev_ty, cfg, ty in _kept_dependent_steps():
+        frames, redex, _ = cfg.step
+        old = [node for node, _, _ in frames] + [redex]
+        new = [cfg.expr]
+        for _, hole, _ in frames:
+            new.append(getattr(new[-1], hole))
+        before, after = harness._object_ids(prev_ty), harness._object_ids(ty)
+        # each frame node and the redex the previous type held is now the
+        # node of the new state in its place, so the next step's identity
+        # test sees objects of the state it is taken from
+        assert not any(id(n) in after for n in old)
+        assert [id(n) in before for n in old] == [id(n) in after for n in new]
+        moved += id(redex) in before
+    assert moved > 0
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_local_step_check_agrees_with_whole_states_on_generated_programs(seed):
@@ -329,6 +395,7 @@ def test_local_step_check_agrees_with_whole_states_on_a_broken_machine(
     monkeypatch.setattr(harness, "contract", broken)
     programs = load_corpus(CORPUS) + [("let_fst", parse(_LET_FST))]
     programs += [(f"{f}/{n}", parse(FAMILIES[f](n))) for f in sorted(FAMILIES) for n in (1, 2, 3)]
+    programs += [(f"{f}/{n}", parse(DEPENDENT[f](n))) for f in sorted(DEPENDENT) for n in (1, 2, 3)]
     verdicts = {}
     for name, e in programs:
         local, whole = _both_modes(name, e)
@@ -431,6 +498,67 @@ def test_local_step_check_types_the_whole_state_after_a_wrong_step(
     monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)
     local, whole = _both_modes("t", parse("unit"))
     assert local == whole and local.verdict == "fail"
+
+
+# a full tuple whose second slot takes the type in its first, two of them
+# with different first slots, and a pair of units the second one holds
+_DEPENDS = _tgt("(Sigma (a Star 1) (a 1))")
+_UNIT_PAIR = HeapCell(_tgt("(Sigma (a Unit 1) (Unit 1))"), UNIT, UNIT)
+_DEPENDENT_HEAP = Heap((HeapCell(_DEPENDS, UNIT_TY, UNIT),
+                        HeapCell(_DEPENDS, _UNIT_PAIR.cell_type, Loc(2)), _UNIT_PAIR))
+# the second slot of a let-bound tuple: its type, the first slot, holds the
+# let whose bound is the redex
+_SND_OF_LET = Snd(Let("w", Let("z", Loc(0), _DEPENDS, _tgt("z")), _DEPENDS, _tgt("w")))
+
+
+# Steps on states whose type holds the redex, each given by the state, its
+# heap, the recorded contractum and the verdict of typing whole states. A
+# wrong contractum checks at the let annotation, or is not the
+# contraction, so a dependent rule without one of its conditions would
+# carry the type on.
+@pytest.mark.parametrize(
+    "heap, e, contractum, verdict",
+    [
+        (_DEPENDENT_HEAP, _SND_OF_LET, Loc(0), "pass"),
+        # another tuple of the same type, whose first slot is another type
+        (_DEPENDENT_HEAP, _SND_OF_LET, Loc(1), "fail"),
+        # not a tuple of the annotation's type
+        (_DEPENDENT_HEAP, _SND_OF_LET, UNIT, "fail"),
+        # the application's codomain is a tuple type over its argument
+        (Heap((_ALLOCATING,)), App(CTag(Loc(0)), _tgt("(let (w Unit Star) w)")), UNIT_TY, "pass"),
+        (Heap((_ALLOCATING,)), App(CTag(Loc(0)), _tgt("(let (w Unit Star) w)")),
+         _tgt("(Sigma (a Unit 1) (Unit 1))"), "fail"),
+        (Heap((_ALLOCATING,)), App(CTag(Loc(0)), _tgt("(let (w Unit Star) w)")), UNIT, "fail"),
+    ],
+    ids=["snd-contracted", "snd-other-tuple", "snd-ill-typed",
+         "codomain-contracted", "codomain-other-type", "codomain-ill-typed"],
+)
+def test_local_step_check_judges_a_dependent_step_as_whole_states_do(
+    monkeypatch, heap, e, contractum, verdict
+):
+    frames = []
+    redex, _ = _MACHINE._refocus(e, frames)
+    assert harness._mentions_heap_or(tgt_infer(heap, Context(), e), redex)
+    after = Config(heap, plug(frames, contractum), (frames, redex, contractum))
+    steps = [(Config(heap, e), "init"), (after, "let")]
+    monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)
+    local, whole = _both_modes("t", parse("unit"))
+    assert local == whole and local.verdict == verdict
+
+
+def test_a_type_that_holds_a_location_past_its_heap_is_not_carried():
+    # a kept let step under a let frame, with a previous type that holds a
+    # location; past the cells of the heap it was synthesized at, a
+    # location came from normalizing on a scratch heap
+    heap = Heap((_UNIT_PAIR,))
+    e = _tgt("(let (v (let (z unit Unit) z) Unit) v)")
+    frames = []
+    redex, _ = _MACHINE._refocus(e, frames)
+    after = Config(heap, plug(frames, UNIT), (frames, redex, UNIT))
+    for loc, carried in ((0, True), (1, False)):
+        ty = Sigma("a", UNIT_TY, 1, App(CTag(Loc(loc)), Var("a")), 1)
+        kept = harness._step_keeps_type(Config(heap, e), ty, after)
+        assert kept is (ty if carried else None), loc
 
 
 def _exposed(bound=None, annot=None, body=None):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from records import RECORDS
 
 from dtalloc.alloc import translate, translate_ctx
 from dtalloc.conversion import equiv, normalize, subtype
@@ -23,6 +24,7 @@ from dtalloc.target import (
     check,
     heap_wf,
     infer as synthesize,
+    is_tgt_value,
     tgt_eval,
     tgt_infer,
     tgt_step,
@@ -33,6 +35,7 @@ from dtalloc.target import (
 )
 from dtalloc.syntax import (
     _CHILD_FIELDS,
+    _SCHEMA,
     Assign1,
     Assign2,
     BOX,
@@ -40,6 +43,7 @@ from dtalloc.syntax import (
     Code,
     CodeTy,
     Context,
+    CTag,
     Expr,
     Fst,
     Let,
@@ -51,6 +55,9 @@ from dtalloc.syntax import (
     Snd,
     UNIT,
     UNIT_TY,
+    UnitTm,
+    UnitTy,
+    Univ,
     Universe,
     Var,
     alpha_eq,
@@ -237,6 +244,16 @@ def test_projections_read_after_both_flags():
 def test_machine_stuck_on_bad_flags():
     with pytest.raises(StuckError):
         tgt_eval(tparse("(fst (malloc (x Unit) Unit))"))
+
+
+def test_the_value_test_by_class_agrees_with_isinstance():
+    forms = (UnitTm, UnitTy, Univ, Pi, Sigma, CodeTy, Code, Loc)
+    samples = [cls(*args) for cls, args in RECORDS.items() if issubclass(cls, Expr)]
+    samples += [CTag(Var("p")), CTag(CTag(Loc(0)))]
+    assert {type(e) for e in samples} == set(_SCHEMA)
+    for e in samples:
+        old = isinstance(e, forms) or (isinstance(e, CTag) and isinstance(e.expr, Loc))
+        assert is_tgt_value(e) == old, e
 
 
 def test_machine_fuel():
