@@ -10,9 +10,10 @@ them, and each prints one summary line:
 
   local step check   step-preservation's default check and local=False,
                      which types every whole state, give equal reports;
-                     the line also counts the steps whose previous type
-                     holds a location or the redex that the default
-                     check kept, carrying the type onto the new state
+                     the line also counts the steps the default check
+                     kept whose previous type holds a location or the
+                     redex, carrying the type onto the new state, and
+                     the let steps it kept that expose a let
   carried types      on each such kept step, the carried type and the
                      type of the whole new state are subtypes of each
                      other under the new state's heap
@@ -30,7 +31,8 @@ them, and each prints one summary line:
                      error; as source and compiled, in both languages
 
 Each disagreement is printed on a line of its own. The script exits 1 on
-any disagreement, or when the default check kept no such step, else 0.
+any disagreement, or when the default check kept no step of one of the
+two kinds it counts, else 0.
 """
 
 import sys
@@ -44,6 +46,7 @@ from families import DEPENDENT, FAMILIES  # noqa: E402
 from test_harness import dependent_steps  # noqa: E402
 from test_sexpr import reference_print  # noqa: E402
 
+from dtalloc import harness  # noqa: E402
 from dtalloc.alloc import translate  # noqa: E402
 from dtalloc.conversion import DEFAULT_FUEL, subtype  # noqa: E402
 from dtalloc.errors import FuelExhausted, StuckError, TypeCheckError  # noqa: E402
@@ -72,10 +75,21 @@ def outcome(fn, *args, errors=(StuckError, FuelExhausted)):
 
 
 def local_step_check(name, e, kept):
-    """Disagreements of the two checks on e; the dependent steps that the
-    default check kept are added to kept."""
-    local, seen = dependent_steps(name, e)
-    kept.extend(cfg for _, _, cfg, ty in seen if ty is not None)
+    """Disagreements of the two checks on e; kept counts the dependent
+    steps and the exposed-let steps that the default check kept."""
+    keeps = harness._step_keeps_type
+
+    def counted(prev, prev_ty, cfg):
+        ty = keeps(prev, prev_ty, cfg)
+        kept["exposed-let"] += ty is not None and harness._exposes_let(*cfg.step[1:])
+        return ty
+
+    harness._step_keeps_type = counted
+    try:
+        local, seen = dependent_steps(name, e)
+    finally:
+        harness._step_keeps_type = keeps
+    kept["dependent"] += sum(ty is not None for *_, ty in seen)
     whole = check_step_preservation(name, e, local=False)
     if local != whole:
         yield f"{name}: local {local} but whole states {whole}"
@@ -146,7 +160,7 @@ COMPARISONS = (("carried types", carried_types), ("untraced runs", untraced_runs
 
 def main() -> int:
     progs = programs()
-    kept = []
+    kept = {"dependent": 0, "exposed-let": 0}
     failed = False
     for title, compare in (("local step check", partial(local_step_check, kept=kept)), *COMPARISONS):
         bad = 0
@@ -156,8 +170,8 @@ def main() -> int:
                 print(line)
         line = f"{title}: {len(progs)} programs, {bad} disagreements"
         if title == "local step check":
-            line += f", {len(kept)} dependent steps kept"
-            bad += not kept
+            line += ", " + ", ".join(f"{n:,} {kind} steps kept" for kind, n in kept.items())
+            bad += not all(kept.values())
         print(line)
         failed = failed or bad > 0
     return 1 if failed else 0

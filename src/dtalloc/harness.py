@@ -57,7 +57,6 @@ from .syntax import (
     Univ,
     Var,
     alpha_eq,
-    free_vars,
     heap_free,
     kept,
     subst,
@@ -430,19 +429,9 @@ def _mentions_heap_or(ty: Expr, node: Expr) -> bool:
     return not heap_free(ty) or id(node) in kept(ty, "_object_ids", _object_ids, ty)
 
 
-# per frame (node type, hole): whether the frame checks its hole against a
-# type read from its other children, so its type never reads the hole's
-# type, and whether typing it may read the hole's term as well as its type
-# (a let body sees its binder's definition, a second assignment types its
-# value with the tuple's first slot); other frames do neither
-_FRAME_HOLES = {
-    (Let, "bound"): (True, True),
-    (App, "arg"): (True, False),
-    (Assign1, "value"): (True, False),
-    (Assign2, "value"): (True, False),
-    (Assign2, "tuple_"): (False, True),
-}
-_NEITHER = (False, False)
+# the frames (node type, hole) that check their hole against a type read
+# from their other children, so that their type never reads the hole's type
+_CHECKING_HOLES = {(Let, "bound"), (App, "arg"), (Assign1, "value"), (Assign2, "value")}
 
 
 def _contracts_to(heap: Heap, redex: Expr, heap2: Heap, c: Expr) -> bool:
@@ -456,21 +445,13 @@ def _contracts_to(heap: Heap, redex: Expr, heap2: Heap, c: Expr) -> bool:
 
 
 def _exposes_let(redex: Expr, c: Expr) -> bool:
-    """Whether redex is let x = v : A in (let x' = e : A' in b), with x free
-    in neither A' nor b, and c is the let rule's contractum of it: let x' =
-    e[v/x] : A' in b, with A' and b the very objects of the redex. Only the
-    exposed bound is substituted again to compare."""
-    if type(redex) is not Let or type(redex.body) is not Let or type(c) is not Let:
-        return False
-    x, inner = redex.binder, redex.body
-    return (
-        c.binder == inner.binder
-        and c.annot is inner.annot
-        and c.body is inner.body
-        and x not in free_vars(inner.annot)
-        and (x == inner.binder or x not in free_vars(inner.body))
-        and c.bound == subst(inner.bound, redex.bound, x)
-    )
+    """Whether redex is let x = v : A in (let x' = e : A' in b) and c a let
+    that holds A' and b, the very objects of the redex. When c is also the
+    let rule's contractum of a closed state, that implies the rest: v is
+    closed, so no binder is renamed, and A'[v/x] and b[v/x] are A' and b
+    only when x is free in neither, so c is let x' = e[v/x] : A' in b."""
+    return (type(redex) is Let and type(redex.body) is Let and type(c) is Let
+            and c.annot is redex.body.annot and c.body is redex.body.body)
 
 
 def _carried(ty: Expr, frames: list, redex: Expr, expr: Expr) -> Expr:
@@ -507,53 +488,31 @@ def _replaced(e: Expr, new: dict) -> Expr:
 
 def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> Expr | None:
     """The type of cfg when the machine step from prev, whose state type is
-    prev_ty, to cfg keeps that state type, judged from what the step
-    changed, else None: its record cfg.step, the frames around the redex
-    and the redex, objects of prev's term, and the contractum, which cfg's
-    term holds at the end of the frames' holes.
+    prev_ty, to cfg keeps that state type, else None: the caller then types
+    the whole state. cfg.step records the frames around the redex and the
+    redex, objects of prev's term, and the contractum, which cfg's term
+    holds at the end of the frames' holes.
 
-    This is the replacement lemma (Wright and Felleisen, "A Syntactic
-    Approach to Type Soundness", 1994). The frames around the redex bind
-    nothing, so the redex is closed. The innermost frame that checks its
-    hole (a let bound, an argument, an assigned value) has a type that does
-    not depend on the type of what fills the hole; so what fills it now,
-    the contractum plugged into the frames below, is checked there under
-    the new heap, and the frames above type as they did, unless
-      - a frame may read its hole's term while it types (a let body sees
-        its binder's definition, a second assignment reads the tuple's
-        first slot), and the step is not the contraction conversion makes;
-      - a frame holds a location of a cell the step wrote.
-    Then, and when no frame checks its hole (typing the whole state costs
-    no more there), or on any failure, the answer is None, and the caller
-    types the whole state. Otherwise the type is prev_ty itself, unless it
-    is dependent: it holds a location, an allocation or an assignment, or
-    the redex object (a let body's type that names the binder, an
-    application's codomain or a snd puts its hole's term, the redex or a
-    frame node around it, in the type). A dependent type is kept only when
-    the step is the contraction conversion makes, so the frames' new nodes
-    convert to the old, and when every location in it names a cell of
-    prev's heap: a type is synthesized or carried at its state's heap, and
-    synthesis normalizes on a scratch heap whose cells come after those, so
-    a location past them would mean another cell once the real heap grows.
-    The type carried is then prev_ty with the redex and each frame node
-    replaced by the node of cfg's term in its place (_carried), so that the
-    next step's identity test sees objects of cfg's term.
-
-    A let step that keeps the heap and exposes a let, the rest of a malloc
-    chain, adds that let as the innermost frame, its bound the hole, at the
-    top of the term too, when _exposes_let holds. The redex let x = v in
-    (let x' = e : A' in b) then became let x' = e[v/x] : A' in b, with A'
-    and b the very objects: b types as it did, with x' defined as e[v/x]
-    where e stood with x defined as v, the let's type converts to the
-    redex's, and the step is the contraction conversion makes."""
+    By the replacement lemma (Wright and Felleisen, "A Syntactic Approach
+    to Type Soundness", 1994) the state type is kept when
+      - the step is the rules' contraction (_contracts_to), so each frame's
+        new node converts to its old one;
+      - every location in prev_ty names a cell of prev's heap: synthesis
+        normalizes on a scratch heap whose cells come after those, so a
+        location past them would mean another cell once the heap grows;
+      - no frame holds a location of a cell the step wrote outside its hole;
+      - the innermost frame that checks its hole (_CHECKING_HOLES), with the
+        let that a let step exposes (_exposes_let) as one frame more, checks
+        what now fills the hole: the contractum plugged into the frames below.
+    The type kept is prev_ty carried onto cfg's term (_carried) when it
+    holds a location, an allocation or an assignment, or the redex, else
+    prev_ty itself."""
     frames, redex, c = cfg.step
-    dependent = _mentions_heap_or(prev_ty, redex)
-    if dependent and any(i >= len(prev.heap.cells) for i in locs_in(prev_ty)):
+    if any(i >= len(prev.heap.cells) for i in locs_in(prev_ty)):
         return None
-    exposed = cfg.heap is prev.heap and _exposes_let(redex, c)
-    checking = [*frames, (c, "bound", 0)] if exposed else frames
+    checking = [*frames, (c, "bound", 0)] if _exposes_let(redex, c) else frames
     j = len(checking) - 1
-    while j >= 0 and not _FRAME_HOLES.get((type(checking[j][0]), checking[j][1]), _NEITHER)[0]:
+    while j >= 0 and (type(checking[j][0]), checking[j][1]) not in _CHECKING_HOLES:
         j -= 1
     if j < 0:
         return None
@@ -568,14 +527,15 @@ def _step_keeps_type(prev: Config, prev_ty: Expr, cfg: Config) -> Expr | None:
     for _, hole, _ in checking[:j]:
         node = getattr(node, hole)
     try:
+        if not _contracts_to(prev.heap, redex, cfg.heap, c):
+            return None
         if type(node) is Let:
             check(Lang.TARGET, cfg.heap, Context(), node.bound, node.annot)
         else:
             tgt_infer_checking(cfg.heap, Context(), node)
-        reads = any(_FRAME_HOLES.get((type(n), h), _NEITHER)[1] for n, h, _ in checking[: j + 1])
-        if (dependent or reads and not exposed) and not _contracts_to(prev.heap, redex, cfg.heap, c):
-            return None
-        return _carried(prev_ty, frames, redex, cfg.expr) if dependent else prev_ty
+        if _mentions_heap_or(prev_ty, redex):
+            return _carried(prev_ty, frames, redex, cfg.expr)
+        return prev_ty
     except (TypeCheckError, FuelExhausted, RecursionError):
         return None
 

@@ -17,16 +17,15 @@ replaces its frame, so consecutive states share their unchanged subterms
 by identity and step-preservation's local check reads each step from
 its record.
 
-An untraced run, Machine.run, keeps no records. From an empty heap it
-binds a let's value in an environment instead of substituting it (Ager,
-Biernacki, Danvy and Midtgaard, "A Functional Correspondence between
-Evaluators and Abstract Machines", 2003). A term is closed, by
-substitution, only where it leaves the environment: a redex for
-contract, a value being bound, a value for a frame outside the binding,
-and the final value. Those values are closed, so the substitutions
-rename nothing and the run ends in the state of the traced run after the
-same steps; where an open term would leave the environment, and from a
-heap that holds cells, the run returns the last state of the traced run.
+An untraced run, Machine.run, keeps no records. It binds a let's value
+in an environment instead of substituting it (Ager, Biernacki, Danvy and
+Midtgaard, "A Functional Correspondence between Evaluators and Abstract
+Machines", 2003). A term is closed, by substitution, only where it
+leaves the environment: a redex for contract, a value being bound, a
+value for a frame outside the binding, and the final value. Those values
+are closed, so the substitutions rename nothing and the run ends in the
+state of the traced run after the same steps; where an open term would
+leave the environment, the run returns the last state of the traced run.
 """
 
 from __future__ import annotations
@@ -223,30 +222,28 @@ class Machine:
         """Contract up to fuel redexes and return (heap, value); past the
         budget a stuck redex raises StuckError, any other FuelExhausted.
 
-        From a heap without cells the loop binds each let's value in env
-        instead of substituting it. When an open term would leave env, and
-        from a heap that holds cells, the run is the traced run's instead,
-        ending in its last state: substituting an open value may rename
-        binders, and simultaneous substitution need not choose the names
-        that one at a time does."""
-        if heap is None or not heap.cells:
-            h, t, env, stack, trail, spent = heap, e, {}, [], [], 0
-            try:
-                while True:
-                    t, redex = self._refocus(t, stack, env, trail)
-                    if not redex:
-                        return h, t
-                    if spent >= fuel:
-                        self._contract(h, _close(t, env))
-                        raise FuelExhausted(fuel)
-                    spent += 1
-                    if type(t) is Let:
-                        _bind(env, trail, t.binder, _close(t.bound, env))
-                        t = t.body
-                    else:
-                        h, t, _ = self._contract(h, _close(t, env))
-            except _Open:
-                pass
+        The loop binds each let's value in env instead of substituting it.
+        When an open term would leave env, the run is the traced run's
+        instead, ending in its last state: substituting an open value may
+        rename binders, and simultaneous substitution need not choose the
+        names that one at a time does."""
+        h, t, env, stack, trail, spent = heap, e, {}, [], [], 0
+        try:
+            while True:
+                t, redex = self._refocus(t, stack, env, trail)
+                if not redex:
+                    return h, t
+                if spent >= fuel:
+                    self._contract(h, _close(t, env))
+                    raise FuelExhausted(fuel)
+                spent += 1
+                if type(t) is Let:
+                    _bind(env, trail, t.binder, _close(t.bound, env))
+                    t = t.body
+                else:
+                    h, t, _ = self._contract(h, _close(t, env))
+        except _Open:
+            pass
         for heap, e, *_ in self.steps(heap, e, fuel):
             pass
         return heap, e

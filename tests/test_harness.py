@@ -412,6 +412,7 @@ _FULL_UNITS = HeapCell(_tgt("(Sigma (a Unit 1) (Unit 1))"), UNIT, UNIT)
 _FULL_TYPES = HeapCell(_tgt("(Sigma (a Star 1) (Star 1))"), UNIT_TY, UNIT_TY)
 _EMPTY_UNITS = HeapCell(_tgt("(Sigma (a Unit 0) (Unit 0))"), UNINIT, UNINIT)
 _EMPTY_TYPES = HeapCell(_tgt("(Sigma (a Star 0) (Star 0))"), UNINIT, UNINIT)
+_SIGMA_10 = _tgt("(Sigma (a Unit 1) (Unit 0))")
 # a tuple whose second slot takes the type in its first, and two of them
 _NAMES_ITS_SLOT = _tgt("(Sigma (a Star 1) (a 0))")
 _TAKES_UNIT = HeapCell(_NAMES_ITS_SLOT, UNIT_TY, UNINIT)
@@ -435,6 +436,13 @@ _ALLOCATING = HeapCell(
     _tgt("(code ((n Unit) (x Star)) (malloc (a x) Unit))"),
     UNIT,
 )
+
+
+# two assignments through one location, an aliasing the target checker
+# accepts, and what the machine's own first assignment leaves
+_ALIASED = Let("y1", Assign1(Loc(0), UNIT), _SIGMA_10,
+               Let("y2", Assign1(Loc(0), UNIT), _SIGMA_10, Var("y2")))
+_ALIASED_HEAP, _ALIASED_LOC, _ = machine.contract(Heap((_EMPTY_UNITS,)), _ALIASED.bound)
 
 
 def _let_reading_slot(bound):
@@ -483,9 +491,13 @@ def _let_reading_slot(bound):
         (Heap((_EMPTY_UNITS, _UNIT_IDENTITY)),
          Assign1(Loc(0), App(CTag(Loc(1)), _tgt("(let (w unit Unit) w)"))),
          UNIT, Heap((HeapCell(_tgt("(Sigma (a Unit 1) (Unit 0))"), UNIT, UNINIT), _UNIT_IDENTITY))),
+        # the machine's first assignment writes the cell that the let body
+        # assigns again
+        (Heap((_EMPTY_UNITS,)), _ALIASED, _ALIASED_LOC, _ALIASED_HEAP),
     ],
     ids=["hole-in-type", "cell-retyped", "type-changed", "let-annotation", "assigned-value",
-         "let-definition", "first-slot", "heap-written", "argument-in-type", "cell-written"],
+         "let-definition", "first-slot", "heap-written", "argument-in-type", "cell-written",
+         "aliased-write"],
 )
 def test_local_step_check_types_the_whole_state_after_a_wrong_step(
     monkeypatch, heap, e, contractum, heap_after
@@ -583,7 +595,6 @@ def _let_rule(redex):
 
 
 _SIGMA_00 = _EMPTY_UNITS.cell_type
-_SIGMA_10 = _tgt("(Sigma (a Unit 1) (Unit 0))")
 # a let of a location whose body is a let that fills its first slot
 _FILLS_X = Let("x", Loc(0), _SIGMA_00, Let("y", Assign1(_tgt("x"), UNIT), _SIGMA_10, _tgt("y")))
 
@@ -638,3 +649,24 @@ def test_local_step_check_judges_an_exposed_let_as_whole_states_do(
     monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)
     local, whole = _both_modes("t", parse("unit"))
     assert local == whole and local.verdict == verdict
+
+
+# a function from a type to that type
+_STAR_IDENTITY = HeapCell(
+    Sigma("c", _tgt("(Code ((n Unit) (x Star)) Star)"), 1, UNIT_TY, 1),
+    _tgt("(code ((n Unit) (x Star)) x)"),
+    UNIT,
+)
+
+
+def test_a_step_that_is_not_the_contraction_is_not_kept_at_an_argument():
+    # the application's type holds nothing of the redex, and the wrong
+    # contractum checks at the argument's type
+    heap = Heap((_STAR_IDENTITY,))
+    e = App(CTag(Loc(0)), _tgt("(let (w Unit Star) w)"))
+    frames = []
+    redex, _ = _MACHINE._refocus(e, frames)
+    contractum = _tgt("(Pi (x Unit) Unit)")
+    after = Config(heap, plug(frames, contractum), (frames, redex, contractum))
+    ty = tgt_infer(heap, Context(), e)
+    assert ty == STAR and harness._step_keeps_type(Config(heap, e), ty, after) is None
