@@ -5,7 +5,7 @@
 
 The programs are 300 generated closed programs (depth 4, seeds 0-299),
 the families at sizes 1-12, the corpus and the dependent programs of
-tests/families.py at sizes 1-8, built once. Five comparisons run on
+tests/families.py at sizes 1-8, built once. Six comparisons run on
 them, and each prints one summary line:
 
   local step check   step-preservation's default check and local=False,
@@ -25,14 +25,21 @@ them, and each prints one summary line:
                      contractum, takes the steps of its one-step function
                      applied from the root until the term is a value, or
                      raises the same error; as source and compiled
+  closed substitution
+                     in each traced run, as source and compiled, every
+                     let and application contraction substitutes closed
+                     values, and the substitution that renames nothing
+                     (syntax._closed_subst) and the machine's contractum
+                     equal _psubst's result node for node, positions
+                     included; the line counts the contractions compared
   printer            print_expr, which runs renderers generated from the
                      printer plans, gives the text of the reference
                      renderer in tests/test_sexpr.py, or raises the same
                      error; as source and compiled, in both languages
 
 Each disagreement is printed on a line of its own. The script exits 1 on
-any disagreement, or when the default check kept no step of one of the
-two kinds it counts, else 0.
+any disagreement, when the default check kept no step of one of the two
+kinds it counts, or when no contraction was compared, else 0.
 """
 
 import sys
@@ -45,8 +52,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from families import DEPENDENT, FAMILIES  # noqa: E402
 from test_harness import dependent_steps  # noqa: E402
 from test_sexpr import reference_print  # noqa: E402
+from test_syntax import same_nodes  # noqa: E402
 
-from dtalloc import harness  # noqa: E402
+from dtalloc import harness, source, target  # noqa: E402
 from dtalloc.alloc import translate  # noqa: E402
 from dtalloc.conversion import DEFAULT_FUEL, subtype  # noqa: E402
 from dtalloc.errors import FuelExhausted, StuckError, TypeCheckError  # noqa: E402
@@ -54,7 +62,7 @@ from dtalloc.harness import GenSpec, check_step_preservation, gen_typed, load_co
 from dtalloc.heap import Config, Heap  # noqa: E402
 from dtalloc.sexpr import Lang, parse, print_expr  # noqa: E402
 from dtalloc.source import src_eval, src_step, src_steps  # noqa: E402
-from dtalloc.syntax import Context  # noqa: E402
+from dtalloc.syntax import Context, _closed_subst, _psubst, free_vars  # noqa: E402
 from dtalloc.target import tgt_eval, tgt_infer, tgt_step, tgt_steps  # noqa: E402
 
 
@@ -144,6 +152,45 @@ def one_step_runs(name, e):
             yield f"{name} {lang}: traced {traced!r:.200} but one-step {stepped!r:.200}"
 
 
+def _substitution(heap, redex, rule):
+    """The term and the substitution that the let or application rule
+    applies to redex against heap, or None for any other rule."""
+    if rule == "let":
+        return redex.body, {redex.binder: redex.bound}
+    if rule in ("app-clo", "app-ctag"):
+        if rule == "app-clo":
+            code, env = redex.fn.code, redex.fn.env
+        else:
+            cell = heap.cell(redex.fn.expr.loc_id)
+            code, env = cell.read(1), cell.read(2)
+        return code.body, {code.env_binder: env, code.arg_binder: redex.arg}
+    return None
+
+
+def closed_substitutions(name, e, counted):
+    for lang, machine, heap, term in (
+        ("source", source._MACHINE, None, e),
+        ("target", target._MACHINE, Heap(), translate(Context(), e)),
+    ):
+        try:
+            for after, _, rule, _, redex, c in machine.steps(heap, term, DEFAULT_FUEL):
+                found = _substitution(heap, redex, rule)
+                heap = after
+                if found is None:
+                    continue
+                body, sub = found
+                counted["let and application"] += 1
+                if any(free_vars(w) for w in sub.values()):
+                    yield f"{name} {lang}: {rule} substitutes an open value"
+                    continue
+                want = _psubst(body, dict(sub))
+                if not (same_nodes(_closed_subst(body, dict(sub)), want) and same_nodes(c, want)):
+                    yield (f"{name} {lang}: {rule} of {print_expr(redex, Lang.TARGET):.200} "
+                           f"substitutes closed values otherwise than _psubst")
+        except (StuckError, FuelExhausted):
+            pass  # the untraced runs' comparison sees the error; the steps before it count
+
+
 def printer(name, e):
     for form, term in (("source", e), ("compiled", translate(Context(), e))):
         for lang in Lang:
@@ -154,24 +201,32 @@ def printer(name, e):
                        f"but the reference gives {want!r:.200}")
 
 
-COMPARISONS = (("carried types", carried_types), ("untraced runs", untraced_runs),
-               ("one-step runs", one_step_runs), ("printer", printer))
-
-
 def main() -> int:
     progs = programs()
     kept = {"dependent": 0, "exposed-let": 0}
+    contractions = {"let and application": 0}
+    # each comparison, with the counts its line reports, by kind, and what
+    # they count; a count of 0 fails the run
+    comparisons = (
+        ("local step check", partial(local_step_check, kept=kept), kept, "steps kept"),
+        ("carried types", carried_types, None, None),
+        ("untraced runs", untraced_runs, None, None),
+        ("one-step runs", one_step_runs, None, None),
+        ("closed substitution", partial(closed_substitutions, counted=contractions),
+         contractions, "contractions compared"),
+        ("printer", printer, None, None),
+    )
     failed = False
-    for title, compare in (("local step check", partial(local_step_check, kept=kept)), *COMPARISONS):
+    for title, compare, counts, what in comparisons:
         bad = 0
         for name, e in progs:
             for line in compare(name, e):
                 bad += 1
                 print(line)
         line = f"{title}: {len(progs)} programs, {bad} disagreements"
-        if title == "local step check":
-            line += ", " + ", ".join(f"{n:,} {kind} steps kept" for kind, n in kept.items())
-            bad += not all(kept.values())
+        if counts is not None:
+            line += ", " + ", ".join(f"{n:,} {kind} {what}" for kind, n in counts.items())
+            bad += not all(counts.values())
         print(line)
         failed = failed or bad > 0
     return 1 if failed else 0

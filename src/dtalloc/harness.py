@@ -26,7 +26,7 @@ from . import conversion
 from .alloc import translate, translate_ctx
 from .errors import FuelExhausted, StuckError, TypeCheckError
 from .heap import UNINIT, Config, Heap, filled, locs_in, writable
-from .machine import contract
+from .machine import CONTRACTED, contract
 from .sexpr import Lang, parse
 from .source import src_eval, src_infer, src_steps
 from .syntax import (
@@ -395,13 +395,16 @@ def _heap_transition_problems(old: Heap, new: Heap) -> list[str]:
     for i, (old_cell, new_cell) in enumerate(zip(old.cells, new.cells)):
         if new_cell is old_cell:  # a cell the step did not write
             continue
-        # flags unchanged, or exactly one permitted write
+        # the cell type unchanged, or exactly one permitted write, which
+        # sets one flag and keeps the parts
         ty = old_cell.cell_type
         legal = [ty] + [filled(ty, k) for k in (1, 2) if writable(ty, k)]
         if new_cell.flags not in [(t.flag1, t.flag2) for t in legal]:
             problems.append(
                 f"cell {i}: illegal flag transition {old_cell.flags} -> {new_cell.flags}"
             )
+        elif not any(alpha_eq(new_cell.cell_type, t) for t in legal):
+            problems.append(f"cell {i}: the parts of its pair type were rewritten")
         for k in (1, 2):
             old_slot, new_slot = old_cell.slot(k), new_cell.slot(k)
             if old_slot is not UNINIT:
@@ -436,12 +439,19 @@ _CHECKING_HOLES = {(Let, "bound"), (App, "arg"), (Assign1, "value"), (Assign2, "
 
 def _contracts_to(heap: Heap, redex: Expr, heap2: Heap, c: Expr) -> bool:
     """Whether the contraction rules, which conversion contracts by too,
-    take redex against heap to c against heap2."""
-    try:
-        r = contract(heap, redex)
-    except StuckError:
-        return False
-    return r is not None and r[1] == c and r[0].cells == heap2.cells
+    take redex against heap to c against heap2. The result a traced run
+    kept on redex is read when that run contracted by this very binding
+    of contract against this very heap; else the rules run again."""
+    memo = redex.__dict__.get(CONTRACTED)
+    if memo is not None and memo[0] is contract and memo[1] is heap:
+        r = memo[2]
+    else:
+        try:
+            r = contract(heap, redex)
+        except StuckError:
+            return False
+    return r is not None and (r[1] is c or r[1] == c) and (
+        r[0] is heap2 or r[0].cells == heap2.cells)
 
 
 def _exposes_let(redex: Expr, c: Expr) -> bool:

@@ -15,7 +15,8 @@ all objects of the state before the step, the contractum, and the next
 state, the frames plugged with the contractum. Each plugged node
 replaces its frame, so consecutive states share their unchanged subterms
 by identity and step-preservation's local check reads each step from
-its record.
+its record, and contract's result from the redex, where the run keeps
+it.
 
 An untraced run, Machine.run, keeps no records. It binds a let's value
 in an environment instead of substituting it (Ager, Biernacki, Danvy and
@@ -129,6 +130,11 @@ def contract(heap, e: Expr):
 # ---------------------------------------------------------------------------
 # The machine
 
+# the key under which a traced run keeps (contract, heap, result) on each
+# redex it contracts, where equality, hashing and repr do not look
+CONTRACTED = "_contracted"
+
+
 def _fill(node: Expr, hole: str, e: Expr) -> Expr:
     """node with e in its field hole, keeping node's position."""
     cls = type(node)
@@ -197,7 +203,10 @@ class Machine:
         field, mark) around the redex, outermost first, and the redex are
         objects of the state before the step; term, the next state, is the
         frames plugged with the contractum. Each plugged node replaces its
-        frame, so a node popped while the focus is a value holds it."""
+        frame, so a node popped while the focus is a value holds it. Each
+        redex keeps, under CONTRACTED, the contraction function, the heap it
+        was contracted against and contract's result, so that a check of the
+        step need not contract it again."""
         is_value, stack, spent = self.is_value, [], 0
         while True:
             while stack and is_value(e):
@@ -210,7 +219,9 @@ class Machine:
                 raise FuelExhausted(fuel)
             spent += 1
             frames = stack.copy()
-            heap, e, rule = self._contract(heap, redex)
+            r = self._contract(heap, redex)
+            redex.__dict__[CONTRACTED] = contract, heap, r
+            heap, e, rule = r
             t = e
             for k in range(len(stack) - 1, -1, -1):
                 node, hole, mark = stack[k]

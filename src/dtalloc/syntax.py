@@ -540,14 +540,31 @@ def push_binder(
 
 def subst(e: Expr, v: Expr, x: Name) -> Expr:
     """Capture-avoiding substitution e[v/x]."""
-    if isinstance(v, Var) and v.name == x:
+    if isinstance(v, Var) and v.name == x or x not in free_vars(e):
         return e
+    if _known_closed(v):
+        return _closed_subst(e, {x: v})
     return _psubst(e, {x: v})
 
 
 def subst_many(e: Expr, mapping: dict[Name, Expr]) -> Expr:
     """Simultaneous capture-avoiding substitution."""
+    if all(map(_known_closed, mapping.values())):
+        return _closed_subst(e, dict(mapping))
     return _psubst(e, dict(mapping))
+
+
+# the node types with no children that are not variables: closed terms
+_CLOSED_LEAVES = frozenset(cls for cls in _SCHEMA if not _CHILDREN[cls] and cls is not Var)
+
+
+def _known_closed(v: Expr) -> bool:
+    """Whether v is known to have no free name without computing its free
+    names: a closed leaf, or a node whose memoized free names are empty."""
+    if type(v) in _CLOSED_LEAVES:
+        return True
+    fv = v.__dict__.get("_free_vars")
+    return fv is not None and not fv
 
 
 def _rebind(b: Name, parts: list[Expr], sub: dict[Name, Expr]):
@@ -591,6 +608,27 @@ def _psubst(e: Expr, sub: dict[Name, Expr]) -> Expr:
         subs.append(sub)
     for c, depth in _CHILD_ARGS[cls]:
         args[c] = _psubst(args[c], subs[depth])
+    return cls(*args)
+
+
+def _closed_subst(e: Expr, sub: dict[Name, Expr]) -> Expr:
+    """_psubst(e, sub) for replacements with no free names, node for node:
+    no binder can capture one of them, so none is renamed, and a binder
+    only drops the entry for its own name."""
+    if sub.keys().isdisjoint(free_vars(e)):
+        return e
+    cls = type(e)
+    if cls is Var:
+        return sub[e.name]
+    args = list(_ARGS[cls](e))
+    subs = [sub]
+    for b in _BINDERS[cls]:
+        name = getattr(e, b)
+        if name in sub:
+            sub = {k: w for k, w in sub.items() if k != name}
+        subs.append(sub)
+    for c, depth in _CHILD_ARGS[cls]:
+        args[c] = _closed_subst(args[c], subs[depth])
     return cls(*args)
 
 

@@ -29,7 +29,7 @@ from dtalloc.alloc import translate
 from dtalloc.conversion import normalize
 from dtalloc.harness import check_differential, check_preservation, check_step_preservation
 from dtalloc.heap import Heap
-from dtalloc.sexpr import parse
+from dtalloc.sexpr import parse, print_expr
 from dtalloc.syntax import UNIT, UNIT_TY, Code, Context, Let, Record, Var, free_vars, heap_free
 from dtalloc.target import tgt_eval, tgt_infer
 
@@ -483,6 +483,33 @@ def test_the_local_step_check_keeps_the_type_on_a_known_number_of_steps(monkeypa
     # 1,156 before)
     kept = sum(ty is not None for ty in decisions)
     assert (len(decisions), kept) == (1291, 1183)
+
+
+def test_step_preservation_contracts_each_step_once(monkeypatch):
+    contracted = []
+    rules = machine.contract
+
+    def counted(heap, e):
+        contracted.append(e)
+        return rules(heap, e)
+
+    monkeypatch.setattr(machine, "contract", counted)
+    monkeypatch.setattr(harness, "contract", counted)
+    programs = harness.load_corpus(Path(__file__).resolve().parent.parent / "corpus")
+    programs += [(f"{f}{n}", parse(FAMILIES[f](n))) for f in sorted(FAMILIES) for n in range(1, 9)]
+    for name, e in programs:
+        assert check_step_preservation(name, e).verdict == "pass", name
+    # the pinned steps, each contracted by the traced run alone: the local
+    # check reads the result the run kept on the redex, where it contracted
+    # again every step it judged (2,474 calls)
+    assert len(contracted) == 1291
+    assert all(machine.CONTRACTED in r.__dict__ for r in contracted)
+    # an untraced run keeps nothing on the redexes it contracts, here of
+    # fresh parses, whose compiled redexes no traced run has contracted
+    contracted.clear()
+    for name, e in programs:
+        tgt_eval(translate(Context(), parse(print_expr(e))))
+    assert contracted and not any(machine.CONTRACTED in r.__dict__ for r in contracted)
 
 
 def test_few_states_whose_previous_type_holds_a_location_or_the_redex_are_typed_whole(monkeypatch):

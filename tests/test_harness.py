@@ -380,19 +380,16 @@ _LET_FST = (
 )
 
 
-@pytest.mark.parametrize(
-    "broken, caught",
-    [
-        (_let_substitutes_unit, "pair_nested"),
-        (_assign1_writes_slot_2, "pair_nested"),
-        (_fst_reads_slot_2, "let_fst"),
-    ],
-)
-def test_local_step_check_agrees_with_whole_states_on_a_broken_machine(
-    monkeypatch, broken, caught
-):
-    monkeypatch.setattr(machine, "contract", broken)
-    monkeypatch.setattr(harness, "contract", broken)
+_BROKEN = [
+    (_let_substitutes_unit, "pair_nested"),
+    (_assign1_writes_slot_2, "pair_nested"),
+    (_fst_reads_slot_2, "let_fst"),
+]
+
+
+def _broken_machine_verdicts():
+    """The verdicts of both modes on the programs a broken rule runs,
+    asserting that the two modes give equal reports."""
     programs = load_corpus(CORPUS) + [("let_fst", parse(_LET_FST))]
     programs += [(f"{f}/{n}", parse(FAMILIES[f](n))) for f in sorted(FAMILIES) for n in (1, 2, 3)]
     programs += [(f"{f}/{n}", parse(DEPENDENT[f](n))) for f in sorted(DEPENDENT) for n in (1, 2, 3)]
@@ -401,7 +398,33 @@ def test_local_step_check_agrees_with_whole_states_on_a_broken_machine(
         local, whole = _both_modes(name, e)
         assert local == whole, name
         verdicts[name] = local.verdict
-    assert verdicts[caught] == "fail"
+    return verdicts
+
+
+@pytest.mark.parametrize("broken, caught", _BROKEN)
+def test_local_step_check_agrees_with_whole_states_on_a_broken_machine(
+    monkeypatch, broken, caught
+):
+    monkeypatch.setattr(machine, "contract", broken)
+    monkeypatch.setattr(harness, "contract", broken)
+    assert _broken_machine_verdicts()[caught] == "fail"
+
+
+@pytest.mark.parametrize("broken, caught", _BROKEN)
+@pytest.mark.parametrize("module", [machine, harness], ids=["machine", "harness"])
+def test_local_step_check_agrees_with_whole_states_when_one_binding_is_broken(
+    monkeypatch, module, broken, caught
+):
+    # the traced run keeps the result of its own binding on each redex; the
+    # local check reads it only when its binding is that very function, so
+    # a broken machine is judged by the right rules, and a broken check
+    # types the whole states of a right run
+    monkeypatch.setattr(module, "contract", broken)
+    verdicts = _broken_machine_verdicts()
+    if module is machine:
+        assert verdicts[caught] == "fail"
+    else:
+        assert set(verdicts.values()) == {"pass"}
 
 
 def _tgt(text):
@@ -443,6 +466,16 @@ _ALLOCATING = HeapCell(
 _ALIASED = Let("y1", Assign1(Loc(0), UNIT), _SIGMA_10,
                Let("y2", Assign1(Loc(0), UNIT), _SIGMA_10, Var("y2")))
 _ALIASED_HEAP, _ALIASED_LOC, _ = machine.contract(Heap((_EMPTY_UNITS,)), _ALIASED.bound)
+
+
+def test_a_step_that_rewrites_the_parts_of_a_cell_type_is_a_heap_problem():
+    before = Heap((_EMPTY_UNITS,))
+    # the machine's own write of the first slot
+    assert harness._heap_transition_problems(before, _ALIASED_HEAP) == []
+    # flags that one write may set, over a first component that was Unit
+    rewritten = Heap((HeapCell(_tgt("(Sigma (a Star 1) (Unit 0))"), UNIT, UNINIT),))
+    assert harness._heap_transition_problems(before, rewritten) == [
+        "cell 0: the parts of its pair type were rewritten"]
 
 
 def _let_reading_slot(bound):
@@ -649,6 +682,41 @@ def test_local_step_check_judges_an_exposed_let_as_whole_states_do(
     monkeypatch.setattr(harness, "tgt_steps", lambda te, fuel: steps)
     local, whole = _both_modes("t", parse("unit"))
     assert local == whole and local.verdict == verdict
+
+
+def _let_substitutes_into_an_inner_bound_only(heap, e):
+    if type(e) is Let and type(e.body) is Let:
+        inner = e.body
+        bound = subst(inner.bound, e.bound, e.binder)
+        return heap, Let(inner.binder, bound, inner.annot, inner.body), "let"
+    return _contract(heap, e)
+
+
+def test_a_contraction_kept_by_another_binding_is_made_again(monkeypatch):
+    # the broken rule leaves x in the body, unsubstituted, and the traced
+    # run keeps that result on the redex
+    monkeypatch.setattr(machine, "contract", _let_substitutes_into_an_inner_bound_only)
+    e = _tgt("(let (x unit Unit) (let (y unit Unit) x))")
+    start = Config(Heap(), e)
+    heap, t, _, frames, redex, c = next(_MACHINE.steps(start.heap, e, 1))
+    after = Config(heap, t, (frames, redex, c))
+    ty = tgt_infer(Heap(), Context(), e)
+    # the check's own binding, the rules, makes another contractum
+    assert harness._step_keeps_type(start, ty, after) is None
+    # the same broken binding reads the kept result, and keeps the type as
+    # it keeps it whenever both bindings are broken alike
+    monkeypatch.setattr(harness, "contract", machine.contract)
+    assert harness._step_keeps_type(start, ty, after) is ty
+
+
+def test_a_contraction_kept_on_a_redex_is_read_against_its_own_heap_only():
+    units, types = Heap((_FULL_UNITS,)), Heap((_FULL_TYPES,))
+    redex = Fst(Loc(0))
+    [(_, read, *_)] = _MACHINE.steps(units, redex, 1)
+    assert read == UNIT and harness._contracts_to(units, redex, units, UNIT)
+    # against another heap the rules run again, and read Unit there
+    assert not harness._contracts_to(types, redex, units, UNIT)
+    assert harness._contracts_to(types, redex, types, UNIT_TY)
 
 
 # a function from a type to that type

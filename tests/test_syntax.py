@@ -1,6 +1,7 @@
 """Core term structure: substitution, alpha-equivalence, contexts."""
 
 import dataclasses
+import itertools
 import re
 
 import pytest
@@ -41,8 +42,11 @@ from dtalloc.syntax import (
     _CHILD_FIELDS,
     _SCHEMA,
     _all_names,
+    _closed_subst,
     _free_vars,
     _heap_free,
+    _known_closed,
+    _psubst,
     alpha_eq,
     all_names,
     free_vars,
@@ -445,6 +449,66 @@ def test_substitution_matches_the_de_bruijn_reference(e, v, x, w):
     assert _db(subst(e, v, x)) == _db(e, repl={x: _db(v)})
     other = "y" if x != "y" else "n"
     assert _db(subst_many(e, {x: v, other: w})) == _db(e, repl={x: _db(v), other: _db(w)})
+
+
+def same_nodes(a, b):
+    """Whether a and b are the same tree node for node: node types, binder
+    and data fields, and positions, which equality does not compare."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        children = _CHILD_FIELDS[type(x)]
+        for f in dataclasses.fields(x):
+            if f.name in children:
+                todo.append((getattr(x, f.name), getattr(y, f.name)))
+            elif getattr(x, f.name) != getattr(y, f.name):
+                return False
+    return True
+
+
+def _positioned(e, at):
+    """A copy of e with a position of its own, drawn from at, on every node."""
+    args = {f.name: getattr(e, f.name) for f in dataclasses.fields(e)}
+    for f in _CHILD_FIELDS[type(e)]:
+        args[f] = _positioned(args[f], at)
+    args["pos"] = (next(at), 0)
+    return type(e)(**args)
+
+
+# each binding form with the substituted name as one binder, g the name of
+# any other binder, at each binder depth: the children before the binder
+# see the substituted name, those after it do not
+_SHADOWING = [
+    lambda x, g, t: Let(x, t, t, t),
+    lambda x, g, t: Code(x, t, g, t, t),
+    lambda x, g, t: Code(g, t, x, t, t),
+    lambda x, g, t: Pi(x, t, t),
+    lambda x, g, t: Sigma(x, t, 0, t, 1),
+    lambda x, g, t: Malloc(x, t, t),
+]
+CLOSED_TERMS = SMALL_TERMS.filter(lambda v: not free_vars(v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(TERMS, CLOSED_TERMS, _NAMES, CLOSED_TERMS)
+def test_closed_substitution_matches_psubst_and_the_de_bruijn_reference(e, v, x, w):
+    other = "y" if x != "y" else "n"
+    # the name is free both inside and outside each shadowing binder
+    t = App(e, Var(x))
+    terms = [e, t] + [shadow(x, other, t) for shadow in _SHADOWING]
+    for sub in ({x: v}, {x: v, other: w}):
+        assert all(map(_known_closed, sub.values()))
+        for term in terms:
+            term = _positioned(term, itertools.count(1))
+            got, want = _closed_subst(term, dict(sub)), _psubst(term, dict(sub))
+            assert same_nodes(got, want)
+            assert (got is term) == (want is term)
+            assert _db(got) == _db(term, repl={k: _db(u) for k, u in sub.items()})
+            assert same_nodes(subst_many(term, sub), want)
 
 
 @settings(max_examples=300, deadline=None)
