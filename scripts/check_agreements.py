@@ -5,7 +5,7 @@
 
 The programs are 300 generated closed programs (depth 4, seeds 0-299),
 the families at sizes 1-12, the corpus and the dependent programs of
-tests/families.py at sizes 1-8, built once. Six comparisons run on
+tests/families.py at sizes 1-8, built once. Seven comparisons run on
 them, and each prints one summary line:
 
   local step check   step-preservation's default check and local=False,
@@ -36,10 +36,19 @@ them, and each prints one summary line:
                      printer plans, gives the text of the reference
                      renderer in tests/test_sexpr.py, or raises the same
                      error; as source and compiled, in both languages
+  environment normalization
+                     while every check of the harness runs, each top-level
+                     normalization, which binds let values in an
+                     environment, gives the normal form, fuel left and
+                     scratch heap cells of the same normalization with no
+                     value bound, which substitutes every let; each
+                     program is parsed afresh, and the line counts the
+                     lets bound
 
 Each disagreement is printed on a line of its own. The script exits 1 on
 any disagreement, when the default check kept no step of one of the two
-kinds it counts, or when no contraction was compared, else 0.
+kinds it counts, when no contraction was compared, or when no let was
+bound, else 0.
 """
 
 import sys
@@ -50,6 +59,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from families import DEPENDENT, FAMILIES  # noqa: E402
+from test_conversion import beside_substitution, every_check  # noqa: E402
 from test_harness import dependent_steps  # noqa: E402
 from test_sexpr import reference_print  # noqa: E402
 from test_syntax import same_nodes  # noqa: E402
@@ -201,10 +211,20 @@ def printer(name, e):
                        f"but the reference gives {want!r:.200}")
 
 
+def environment_normalization(name, e, counted):
+    # a fresh parse, which carries none of the judgements that the earlier
+    # comparisons kept on e's nodes and that would answer for normalization
+    with beside_substitution() as tally:
+        every_check(name, parse(print_expr(e)))
+    counted["lets"] += tally["lets bound"]
+    yield from (f"{name}: {line}" for line in tally["disagreements"])
+
+
 def main() -> int:
     progs = programs()
     kept = {"dependent": 0, "exposed-let": 0}
     contractions = {"let and application": 0}
+    normalized = {"lets": 0}
     # each comparison, with the counts its line reports, by kind, and what
     # they count; a count of 0 fails the run
     comparisons = (
@@ -215,6 +235,8 @@ def main() -> int:
         ("closed substitution", partial(closed_substitutions, counted=contractions),
          contractions, "contractions compared"),
         ("printer", printer, None, None),
+        ("environment normalization", partial(environment_normalization, counted=normalized),
+         normalized, "bound"),
     )
     failed = False
     for title, compare, counts, what in comparisons:

@@ -59,7 +59,7 @@ class _Translator:
     sigmas (see share) and fills (see levels) die with the translator, and
     each id in a key names an object they hold; a Unit part, a new object
     each time it is parsed, is keyed by its class. Sharing is sound: all
-    kept on a Sigma (_tgt_sort, _tgt_type, _src_type, _compiled,
+    kept on a Sigma (_tgt_sort, _src_sort, _tgt_type, _src_type, _compiled,
     _object_ids, name analyses) depends only on its fields; only the
     position, that of the first occurrence, tells shared copies apart.
     """

@@ -11,6 +11,21 @@ cells they denote agree: equivalent cell types, flags included, and
 equivalent readable slots. Location ids themselves never matter, so
 values that allocated in different orders still compare equal.
 
+A let whose value normalizes to a node that is its own normal form under
+any heap (a location, unit, Unit, a universe or closed code) is not
+contracted by substitution: its binder is bound to the value in an
+environment, as the untraced machine does (machine.Machine.run), and a
+variable the environment binds normalizes to its value. A node that the
+environment must not enter is closed first, by substituting the values
+for its free names, and normalized with an empty environment: one with a
+binder of its own or a part that normalization keeps unnormalized (Pi,
+Sigma, Code, CodeTy, Clo, Malloc). So are a contractum, a definition
+and a value read from the heap, which no let being normalized scopes
+over. The values are closed, so closing renames nothing, and every
+normal form, fuel count and scratch heap is the one substitution gives.
+A let bound to any other value closes its body and is contracted by
+substitution.
+
 The type checker asks for a normal form only where it must: a type it
 synthesizes for printing, or one whose head it has to see and does not
 show yet (see target.infer).
@@ -60,11 +75,17 @@ from .syntax import (
     _in_scope,
     all_names,
     alpha_eq,
+    free_vars,
     fresh_name,
     subst,
+    subst_many,
 )
 
 DEFAULT_FUEL = 100_000
+
+# the node types of the let values bound in the environment: each is its
+# own normal form under any heap, code only when closed
+_BINDS = frozenset({Loc, UnitTm, UnitTy, Univ, Code})
 
 
 class Fuel:
@@ -93,6 +114,13 @@ class Normalizer:
     malloc's too, whose names collide with a definition (or a free name of
     one) are renamed before descending, which keeps unfolding
     capture-free. Patterns capture by field name, cheaper than by position.
+
+    env maps the binder of each let being normalized whose value it binds
+    (see the module docstring) to that value. A let puts back the binding
+    it shadowed when its body is done, and _outside empties env for a term
+    that no such let scopes over. Only the arms that read env or close a
+    node against it test it, so a normalization that binds nothing pays
+    one test per variable, code, binder node and contractum.
     """
 
     def __init__(self, defs: dict[Name, Expr], heap: Heap | None = None, fuel: Fuel | None = None):
@@ -102,6 +130,7 @@ class Normalizer:
         self.heap = heap if heap is not None else Heap()
         self.fuel = fuel if fuel is not None else Fuel()
         self._forbidden: frozenset[Name] | None = None
+        self.env: dict[Name, Expr] = {}
 
     # --- binder discipline -------------------------------------------------
 
@@ -131,32 +160,56 @@ class Normalizer:
         if r is None:
             return redex
         self.heap, c, _ = r
-        return c if normal else self.norm(c)
+        if normal:
+            return c
+        return self._outside(self.norm, c) if self.env else self.norm(c)
 
     def norm(self, e: Expr) -> Expr:
         self.fuel.tick()
         match e:
             case Var(name=x):
+                if x in self.env:
+                    return self.env[x]
                 if x in self.defs and x not in self._unfolding:
                     if x in self.memo:
                         return self.memo[x]
                     self._unfolding.add(x)
+                    d = self.defs[x]
                     try:
-                        v = self.norm(self.defs[x])
+                        v = self._outside(self.norm, d) if self.env else self.norm(d)
                     finally:
                         self._unfolding.discard(x)
                     self.memo[x] = v
                     return v
                 return e
+            case Univ() | UnitTm() | UnitTy() | Loc():
+                return e
             # code is a value and its body runs only when applied;
             # normalizing under its binders would fire allocations on the
             # scratch heap where later substitution cannot reach
-            case Univ() | UnitTm() | UnitTy() | Loc() | Code():
-                return e
+            case Code():
+                return self._close(e) if self.env else e
             case Let(binder=x, bound=bound, annot=annot, body=body):
                 v = self.norm(bound)
-                return self._reduce(e if v is bound else Let(x, v, annot, body))
-            case Pi() | Sigma() | CodeTy() | Clo() | Pair() | CTag():
+                if type(v) in _BINDS and (type(v) is not Code or not free_vars(v)):
+                    env = self.env
+                    shadowed = env.get(x)
+                    env[x] = v
+                    try:
+                        return self.norm(body)
+                    finally:
+                        if shadowed is None:
+                            del env[x]
+                        else:
+                            env[x] = shadowed
+                if self.env:
+                    body = self._close(body, x)
+                return self._reduce(e if v is bound and body is e.body else Let(x, v, annot, body))
+            case Pi() | Sigma() | CodeTy() | Clo():
+                if self.env:
+                    return self._outside(self._descend, self._close(e))
+                return self._descend(e)
+            case Pair() | CTag():
                 return self._descend(e)
             case App(fn=f, arg=a):
                 fn = self.norm(f)
@@ -166,8 +219,11 @@ class Normalizer:
                 t = self.norm(inner)
                 # a component of a normalized pair is normal already
                 return self._reduce(e if t is inner else type(e)(t), isinstance(t, Pair))
-            case Malloc(binder=b, ty1=t1, ty2=t2):
+            case Malloc():
                 # stored types stay unevaluated, as in the machine
+                if self.env:
+                    e = self._close(e)
+                b, t1, t2 = e.binder, e.ty1, e.ty2
                 b2, [t2r] = self._under(b, [t2])
                 return self._reduce(e if b2 is b else Malloc(b2, t1, t2r), True)
             case Assign1(tuple_=t, value=v) | Assign2(tuple_=t, value=v):
@@ -179,8 +235,32 @@ class Normalizer:
                 # already recorded is the location itself
                 c = self.heap.cell(tn.loc_id) if r is redex and isinstance(tn, Loc) else None
                 old = None if c is None else c.read(SLOT[type(e)])
-                return tn if old is not None and alpha_eq(vn, self.norm(old)) else r
+                if old is None:
+                    return r
+                old = self._outside(self.norm, old) if self.env else self.norm(old)
+                return tn if alpha_eq(vn, old) else r
         raise TypeError(f"unknown expression node: {e!r}")
+
+    # --- the environment ---------------------------------------------------
+
+    def _close(self, e: Expr, x: Name | None = None) -> Expr:
+        """e with the values the environment binds put in for its free
+        names, but x, which a binder around e shadows; the values are
+        closed, so the substitution renames nothing."""
+        fv = free_vars(e)
+        sub = {y: v for y, v in self.env.items() if y in fv and y != x}
+        return subst_many(e, sub) if sub else e
+
+    def _outside(self, f, e: Expr) -> Expr:
+        """f(e) with the environment emptied, for an e that no let being
+        normalized scopes over: a node just closed, a contractum, a
+        definition or a value read from the heap. Callers test the
+        environment first, so an empty one costs no frame."""
+        env, self.env = self.env, {}
+        try:
+            return f(e)
+        finally:
+            self.env = env
 
     def _descend(self, e: Expr) -> Expr:
         """e with its binders renamed where _under must and its children

@@ -140,18 +140,26 @@ def _ensure_subtype(heap: Heap, ctx: Context, inferred: Expr, expected: Expr, po
 
 
 def _sort_of(lang: Lang, heap: Heap, ctx: Context, e: Expr, what: str) -> Universe:
-    """The universe of type e; in the target, kept on e when e is closed
-    and heap-free.
+    """The universe of type e, kept on e when e is closed and heap-free.
 
-    Such a type reads nothing from the context or the heap, so its target
-    universe is the same wherever it is asked for. Source answers are not
-    kept: the source rejects a pair type over two universes that the
-    target accepts. Failures are not kept: their messages may name
-    context-dependent binders.
+    Such a type reads nothing from the context or the heap, so its
+    universe is the same wherever it is asked for. Each language keeps
+    its own answer: the source rejects a pair type over two universes
+    that the target accepts. Failures are not kept: their messages may
+    name context-dependent binders.
     """
     if lang is not _TARGET:
-        # not through _infer_sort: one frame fewer per level of a source type
-        return _universe(_head(heap, ctx, _synth(lang, heap, ctx, e, _head)), e, what)
+        # inline, not through kept: one frame per level of a source type.
+        # The source rejects every heap form, and a type it sorts in the
+        # empty context has looked up each of its names, so only a
+        # nonempty context costs a walk
+        d = e.__dict__
+        s = d.get("_src_sort")
+        if s is None:
+            s = _universe(_head(heap, ctx, _synth(lang, heap, ctx, e, _head)), e, what)
+            if not ctx.entries or not free_vars(e):
+                d["_src_sort"] = s
+        return s
     return kept(e, "_tgt_sort", _infer_sort, lang, heap, ctx, e, what, when=_closed_heap_free)
 
 

@@ -569,6 +569,28 @@ def test_a_target_universe_kept_on_a_type_never_answers_for_the_source():
     assert "_tgt_sort" not in well_sorted.__dict__
 
 
+def test_a_source_universe_kept_on_a_type_never_answers_for_the_target():
+    # the source sorts a projection of a pair literal, a form the target lacks
+    proj = Fst(Pair(UNIT_TY, UNIT_TY, Sigma("a", STAR, 1, STAR, 1)))
+    fn = Pi("a", proj, UNIT_TY)
+    src_infer(Context(), fn)
+    assert proj.__dict__["_src_sort"] is Universe.STAR
+    first = _outcome(Heap(), Context(), proj)
+    assert first[0] is ErrKind.LANG_VIOLATION
+    assert "_tgt_sort" not in proj.__dict__
+    # a mixed pair type fails in the source, keeping nothing, and sorts in the target
+    mixed = Sigma("x", UNIT_TY, 1, STAR, 1)
+    with pytest.raises(TypeCheckError) as exc:
+        src_infer(Context(), Pi("a", mixed, UNIT_TY))
+    assert exc.value.message == "pair type components live in different universes"
+    assert "_src_sort" not in mixed.__dict__
+    assert _outcome(Heap(), Context(), mixed) is Universe.BOX
+    # an open type keeps nothing
+    open_ty = Sigma("a", Var("t"), 1, UNIT_TY, 1)
+    src_infer(Context().extend("t", STAR), Pi("f", open_ty, UNIT_TY))
+    assert "_src_sort" not in open_ty.__dict__
+
+
 def _fresh_copy(e):
     """A structurally equal term whose nodes carry no memos."""
     if not isinstance(e, Expr):
@@ -605,6 +627,24 @@ def test_memoized_universe_equals_a_fresh_computation_under_any_context_and_heap
     if "_tgt_sort" in ty.__dict__:
         assert memoized == first == ty.__dict__["_tgt_sort"]
     assert memoized == _outcome(heap, ctx, _fresh_copy(ty))
+
+
+def _src_outcome(ctx, ty):
+    """The source universe of ty, or the kind, message and position of its error."""
+    try:
+        return _sort_of(Lang.SOURCE, Heap(), ctx, ty, "type")
+    except TypeCheckError as err:
+        return err.kind, err.message, err.pos
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TYPES)
+def test_a_kept_source_universe_equals_a_fresh_computation_under_any_context(ty):
+    contexts = (Context(), Context().extend("x", STAR, UNIT_TY).extend("z", STAR))
+    for order in (contexts, contexts[::-1]):
+        asked = _fresh_copy(ty)
+        for ctx in order:
+            assert _src_outcome(ctx, asked) == _src_outcome(ctx, _fresh_copy(ty))
 
 
 # ---------------------------------------------------------------------------
